@@ -25,7 +25,6 @@ from .geometry import (
 )
 from .metrics import (
     ClassificationCounts,
-    MetricsReport,
     SlotMatchResult,
     accuracy,
     default_match_tolerance,
@@ -49,7 +48,6 @@ from .slots import (
     ParkingSlot,
     SlotCandidate,
     SlotDetectionConfig,
-    detect_slots,
     iqr_filter,
     run_slot_detection,
     select_n_bottom,

@@ -19,7 +19,6 @@ from .detections import (
 )
 from .errors import ConfigError, ValidationError
 from .metrics import (
-    MetricsReport,
     UndefinedAucError,
     accuracy,
     classification_counts,
@@ -59,10 +58,6 @@ from .slots import (
 log = logging.getLogger("parkscan")
 
 
-def _read_text(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
@@ -73,7 +68,7 @@ def _json_dumps(doc) -> str:
 
 def cmd_simulate(args) -> int:
     try:
-        doc = json.loads(_read_text(args.scenario))
+        doc = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario {args.scenario}: invalid JSON ({exc.msg})") from exc
     scenario = scenario_from_document(doc)
@@ -94,24 +89,46 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_detect_slots(args) -> int:
-    cfg = load_run_config(args.config)
-    cfg = apply_overrides(
-        cfg,
-        n_bottom=args.n_bottom,
-        eps=args.eps,
-        min_points=args.min_points,
-        iqr_one_sided=True if args.iqr_one_sided else None,
-        classes=args.classes.split(",") if args.classes else None,
-        min_confidence=args.min_confidence,
-    )
-    with open(args.detections, encoding="utf-8") as fh:
-        frames = parse_detections(fh)
-    frames = filter_detections(frames, cfg.det_filter)
+def _read_detections(path, cfg):
+    """The detection log at ``path``, filtered by the config's class/confidence rule."""
+    with open(path, encoding="utf-8") as fh:
+        return filter_detections(parse_detections(fh), cfg.det_filter)
+
+
+def _read_registry(path):
+    with open(path, encoding="utf-8") as fh:
+        return read_slot_registry(fh)
+
+
+def _read_truth(path):
+    with open(path, encoding="utf-8") as fh:
+        return read_ground_truth_occupancy(fh)
+
+
+def _classifier(mode, source, truth, cfg):
+    """(classifier, decision threshold, frame ids): the IoU oracle over ``truth``, or
+    the score table at ``source``."""
+    if mode == "oracle":
+        if not truth.frame_ids:
+            raise MissingGroundTruthError(f"no ground-truth frames in {source}")
+        oracle = GeometricOracleClassifier(truth.vehicles_by_frame(), iou_threshold=cfg.iou_threshold)
+        return oracle, oracle.decision_threshold, list(truth.frame_ids)
+    with open(source, encoding="utf-8") as fh:
+        table = FileScoreClassifier.from_stream(fh)
+    frame_ids = table.frames()
+    if not frame_ids:
+        raise MissingScoreError(f"score table {source} is empty")
+    return table, cfg.threshold, frame_ids
+
+
+# --- pipeline stages: objects in, the stage's files and stdout lines out ------
+
+def detect_stage(frames, cfg, out, emit_plot_data: bool):
+    """Find the slots in ``frames``; write the registry to ``out`` and print diagnostics."""
     outcome = run_slot_detection(frames, cfg.slot_detection_config())
 
     echo = config_echo(cfg, eps=outcome.eps, min_points=outcome.min_points)
-    _write_text(args.out, _json_dumps(slot_registry_document(outcome.slots, echo)))
+    _write_text(out, _json_dumps(slot_registry_document(outcome.slots, echo)))
 
     diagnostics = {
         "clusters": outcome.cluster_count,
@@ -123,14 +140,13 @@ def cmd_detect_slots(args) -> int:
     print(json.dumps(diagnostics, sort_keys=True))
     log.info("detected %d slots from %d clusters", len(outcome.slots), outcome.cluster_count)
 
-    if args.emit_plot_data:
-        _emit_cluster_plot_data(args.out, outcome)
-    return 0
+    if emit_plot_data:
+        _emit_cluster_plot_data(out, outcome)
+    return outcome
 
 
 def _emit_cluster_plot_data(out_path, outcome) -> None:
     base = Path(out_path)
-    selected = {s.source_candidate.cluster_id for s in outcome.slots}
     with open(base.with_suffix(base.suffix + ".clusters.tsv"), "w", encoding="utf-8") as fh:
         fh.write("x\ty\tcluster\n")
         for (x, y), label in zip(outcome.normalized_points, outcome.labels):
@@ -140,42 +156,19 @@ def _emit_cluster_plot_data(out_path, outcome) -> None:
         for i, cand in enumerate(outcome.candidates):
             fh.write(
                 f"{cand.cluster_id}\t{cand.spread}\t{cand.member_count}\t"
-                f"{int(i in outcome.kept_by_iqr)}\t{int(cand.cluster_id in selected)}\n"
+                f"{int(i in outcome.kept_by_iqr)}\t{int(cand.cluster_id in outcome.selected)}\n"
             )
 
 
-def cmd_classify(args) -> int:
-    cfg = load_run_config(args.config)
-    cfg = apply_overrides(cfg, threshold=args.threshold, iou_threshold=args.iou_threshold)
-
-    with open(args.slots, encoding="utf-8") as fh:
-        slots = read_slot_registry(fh)
+def classify_stage(slots, classifier, threshold, frame_ids, out_records, out_report):
+    """Classify every slot in every frame; write records and the per-frame report."""
     if not slots:
         raise EmptyInputError("slot registry is empty; nothing to classify")
-
-    if args.mode == "oracle":
-        with open(args.input, encoding="utf-8") as fh_occ:
-            truth = read_ground_truth_occupancy(fh_occ)
-        if not truth.frame_ids:
-            raise MissingGroundTruthError(f"no ground-truth frames in {args.input}")
-        classifier = GeometricOracleClassifier(
-            truth.vehicles_by_frame(), iou_threshold=cfg.iou_threshold
-        )
-        threshold = classifier.decision_threshold
-        frame_ids = list(truth.frame_ids)
-    else:
-        with open(args.input, encoding="utf-8") as fh_scores:
-            classifier = FileScoreClassifier.from_stream(fh_scores)
-        threshold = cfg.threshold
-        frame_ids = classifier.frames()
-        if not frame_ids:
-            raise MissingScoreError(f"score table {args.input} is empty")
-
     records = []
     for frame_id in frame_ids:
         records.extend(classify_frame(slots, frame_id, classifier, threshold=threshold))
 
-    with open(args.out_records, "w", encoding="utf-8") as fh:
+    with open(out_records, "w", encoding="utf-8") as fh:
         write_records(fh, records)
     report = aggregate_report(records)
     doc = {
@@ -187,20 +180,14 @@ def cmd_classify(args) -> int:
         }
         for fid, rep in report.items()
     }
-    _write_text(args.out_report, _json_dumps(doc))
+    _write_text(out_report, _json_dumps(doc))
     errors = sum(len(rep.error_slots) for rep in report.values())
     print(json.dumps({"frames": len(report), "records": len(records), "errors": errors}, sort_keys=True))
-    return 0
+    return records
 
 
-def cmd_evaluate(args) -> int:
-    with open(args.pred_slots, encoding="utf-8") as fh:
-        pred = read_slot_registry(fh)
-    with open(args.truth_slots, encoding="utf-8") as fh:
-        truth = read_slot_registry(fh)
-    cfg = load_run_config(args.config)
-    cfg = apply_overrides(cfg, tolerance=args.tolerance)
-
+def evaluate_stage(pred, truth, records, gt, cfg, out, emit_plot_data: bool) -> None:
+    """Score slots against ``truth`` and, given records and ``gt``, occupancy; write ``out``."""
     truth_centers = [t.center for t in truth]
     pred_centers = [p.center for p in pred]
     if cfg.tolerance is not None:
@@ -219,11 +206,7 @@ def cmd_evaluate(args) -> int:
     acc = None
     auc = None
     counts = None
-    if args.records and args.truth_occupancy:
-        with open(args.records, encoding="utf-8") as fh:
-            records = read_records(fh)
-        with open(args.truth_occupancy, encoding="utf-8") as fh:
-            gt = read_ground_truth_occupancy(fh)
+    if records is not None:
         pred_to_truth = {pred[i].slot_id: truth[j].slot_id for i, j, _ in match.pairs}
         occupancy = gt.occupancy_by_frame()
         preds, labels, scores = [], [], []
@@ -232,9 +215,15 @@ def cmd_evaluate(args) -> int:
                 continue
             if rec.frame_id not in occupancy or rec.slot_id not in pred_to_truth:
                 continue
-            bit = occupancy[rec.frame_id][pred_to_truth[rec.slot_id]]
+            bits = occupancy[rec.frame_id]
+            truth_id = pred_to_truth[rec.slot_id]
+            if not 0 <= truth_id < len(bits):
+                raise ValidationError(
+                    "truth_occupancy",
+                    f"frame {rec.frame_id!r} has no occupancy bit for truth slot {truth_id}",
+                )
             preds.append(rec.status is OccupancyStatus.OCCUPIED)
-            labels.append(bit)
+            labels.append(bits[truth_id])
             scores.append(rec.score)
         if labels:
             counts = classification_counts(preds, labels)
@@ -243,19 +232,13 @@ def cmd_evaluate(args) -> int:
                 auc = roc_auc(scores, labels)
             except UndefinedAucError:
                 log.warning("occupancy labels are single-class; AUC undefined")
-            if args.emit_plot_data and auc is not None:
-                base = Path(args.out)
+            if emit_plot_data and auc is not None:
+                base = Path(out)
                 with open(base.with_suffix(base.suffix + ".roc.tsv"), "w", encoding="utf-8") as fh:
                     fh.write("threshold\tfpr\ttpr\n")
                     for thr, fpr, tpr in roc_points(scores, labels):
                         fh.write(f"{thr}\t{fpr}\t{tpr}\n")
 
-    report = MetricsReport(
-        precision=None if precision is None else float(precision),
-        recall=None if recall is None else float(recall),
-        accuracy=None if acc is None else float(acc),
-        auc=auc,
-    )
     print(f"precision: {format_percent(precision)}")
     print(f"recall: {format_percent(recall)}")
     if counts is not None:
@@ -266,68 +249,87 @@ def cmd_evaluate(args) -> int:
         "tp": match.tp,
         "fp": match.fp,
         "fn": match.fn,
-        "precision": report.precision,
-        "recall": report.recall,
+        "precision": None if precision is None else float(precision),
+        "recall": None if recall is None else float(recall),
         "tolerance": tolerance,
     }
-    classification_doc = {"accuracy": report.accuracy, "auc": report.auc}
+    classification_doc = {"accuracy": None if acc is None else float(acc), "auc": auc}
     if counts is not None:
         classification_doc["counts"] = {
             "tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn,
         }
     _write_text(
-        args.out,
+        out,
         _json_dumps({"detection": detection_doc, "classification": classification_doc}),
     )
+
+
+# --- subcommands: read arguments and files, then run the stages ---------------
+
+def cmd_detect(args) -> int:
+    cfg = apply_overrides(
+        load_run_config(args.config),
+        n_bottom=args.n_bottom,
+        eps=args.eps,
+        min_points=args.min_points,
+        iqr_one_sided=True if args.iqr_one_sided else None,
+        classes=args.classes.split(",") if args.classes else None,
+        min_confidence=args.min_confidence,
+    )
+    detect_stage(_read_detections(args.detections, cfg), cfg, args.out, args.emit_plot_data)
+    return 0
+
+
+def cmd_classify(args) -> int:
+    cfg = apply_overrides(
+        load_run_config(args.config), threshold=args.threshold, iou_threshold=args.iou_threshold
+    )
+    slots = _read_registry(args.slots)
+    truth = _read_truth(args.input) if args.mode == "oracle" else None
+    classifier = _classifier(args.mode, args.input, truth, cfg)
+    classify_stage(slots, *classifier, args.out_records, args.out_report)
+    return 0
+
+
+def cmd_evaluate(args) -> int:
+    pred = _read_registry(args.pred_slots)
+    truth = _read_registry(args.truth_slots)
+    cfg = apply_overrides(load_run_config(args.config), tolerance=args.tolerance)
+    records = gt = None
+    if args.records and args.truth_occupancy:
+        with open(args.records, encoding="utf-8") as fh:
+            records = read_records(fh)
+        gt = _read_truth(args.truth_occupancy)
+    evaluate_stage(pred, truth, records, gt, cfg, args.out, args.emit_plot_data)
     return 0
 
 
 def cmd_run_pipeline(args) -> int:
-    """detect-slots, classify, evaluate in sequence with fixed file names."""
+    """detect, classify and evaluate in one pass, reading each input file once."""
+    if args.mode == "scores" and args.scores is None:
+        raise ConfigError("run-pipeline --mode scores needs --scores")
+    cfg = apply_overrides(
+        load_run_config(args.config), n_bottom=args.n_bottom, tolerance=args.tolerance
+    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    detect_ns = argparse.Namespace(
-        detections=args.detections,
-        config=args.config,
-        out=str(out_dir / "slots.json"),
-        n_bottom=args.n_bottom,
-        eps=None,
-        min_points=None,
-        iqr_one_sided=False,
-        classes=None,
-        min_confidence=None,
-        emit_plot_data=args.emit_plot_data,
+    # Only the slots outlive the detect stage: the frames and the clustering
+    # intermediates are freed before classification starts.
+    slots = detect_stage(
+        _read_detections(args.detections, cfg), cfg, out_dir / "slots.json", args.emit_plot_data
+    ).slots
+    gt = _read_truth(args.truth_occupancy)
+    source = args.truth_occupancy if args.mode == "oracle" else args.scores
+    classifier = _classifier(args.mode, source, gt, cfg)
+    records = classify_stage(
+        slots, *classifier, out_dir / "occupancy.jsonl", out_dir / "report.json"
     )
-    rc = cmd_detect_slots(detect_ns)
-    if rc != 0:
-        return rc
-
-    classify_ns = argparse.Namespace(
-        slots=str(out_dir / "slots.json"),
-        input=args.scores if args.mode == "scores" else args.truth_occupancy,
-        mode=args.mode,
-        config=args.config,
-        threshold=None,
-        iou_threshold=None,
-        out_records=str(out_dir / "occupancy.jsonl"),
-        out_report=str(out_dir / "report.json"),
+    evaluate_stage(
+        slots, _read_registry(args.truth_slots), records, gt, cfg,
+        out_dir / "metrics.json", args.emit_plot_data,
     )
-    rc = cmd_classify(classify_ns)
-    if rc != 0:
-        return rc
-
-    evaluate_ns = argparse.Namespace(
-        pred_slots=str(out_dir / "slots.json"),
-        truth_slots=args.truth_slots,
-        records=str(out_dir / "occupancy.jsonl"),
-        truth_occupancy=args.truth_occupancy,
-        config=args.config,
-        tolerance=args.tolerance,
-        out=str(out_dir / "metrics.json"),
-        emit_plot_data=args.emit_plot_data,
-    )
-    return cmd_evaluate(evaluate_ns)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default=None, help="comma-separated class allow-list")
     p.add_argument("--iqr-one-sided", action="store_true")
     p.add_argument("--emit-plot-data", action="store_true")
-    p.set_defaults(func=cmd_detect_slots)
+    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("classify", help="classify per-slot occupancy")
     p.add_argument("--slots", required=True, help="slot registry path")
@@ -405,7 +407,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DetectionLogParseError, ValidationError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FileNotFoundError, IsADirectoryError) as exc:

@@ -17,7 +17,6 @@ input permutes labels without changing the clustering.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from .errors import ValidationError
 from .geometry import Point2
 
 NOISE = -1
-
-# Below this size the O(n^2) scan beats building the grid index.
-_BRUTE_FORCE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -72,17 +68,14 @@ class ClusterStats:
     member_indices: tuple[int, ...]
 
 
-def _neighbor_lists_brute(pts: np.ndarray, eps: float) -> list[np.ndarray]:
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    mask = d2 <= eps * eps
-    return [np.flatnonzero(row) for row in mask]
-
-
 def _neighbor_lists_grid(pts: np.ndarray, eps: float) -> list[np.ndarray]:
-    # Uniform grid with cell size eps; candidates come from the 3x3 block
-    # around each point's cell, then get filtered by exact distance.
+    # Uniform grid with cells slightly wider than eps; candidates come from the
+    # 3x3 block around each point's cell, then get filtered by exact distance.
+    # The margin absorbs rounding in that distance test and in pts / side, so
+    # a pair the test accepts never lands two cells apart.
+    side = eps * (1.0 + 4 * np.finfo(float).eps * (float(np.abs(pts).max()) / eps + 2))
     cells: dict[tuple[int, int], list[int]] = {}
-    cell_idx = np.floor(pts / eps).astype(np.int64)
+    cell_idx = np.floor(pts / side).astype(np.int64)
     for i, (cx, cy) in enumerate(cell_idx):
         cells.setdefault((int(cx), int(cy)), []).append(i)
 
@@ -107,10 +100,7 @@ def dbscan(points: np.ndarray, params: DbscanParams) -> ClusterAssignment:
     if not np.all(np.isfinite(pts)):
         raise ValidationError("points", "points must be finite")
 
-    if n < _BRUTE_FORCE_LIMIT:
-        neighbors = _neighbor_lists_brute(pts, params.eps)
-    else:
-        neighbors = _neighbor_lists_grid(pts, params.eps)
+    neighbors = _neighbor_lists_grid(pts, params.eps)
 
     core = np.array([len(nb) >= params.min_points for nb in neighbors])
     labels = np.full(n, NOISE, dtype=np.int64)
@@ -172,8 +162,3 @@ def cluster_stats(points: np.ndarray, assignment: ClusterAssignment) -> list[Clu
             )
         )
     return stats
-
-
-def points_array(points: Sequence[Point2]) -> np.ndarray:
-    """Convert a sequence of points to the (n, 2) array the cluster ops use."""
-    return np.array([[p.x, p.y] for p in points], dtype=float).reshape(-1, 2)

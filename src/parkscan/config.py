@@ -39,6 +39,12 @@ class RunConfig:
     iou_threshold: float = DEFAULT_IOU_THRESHOLD
     tolerance: Union[float, None] = None
 
+    def __post_init__(self):
+        for name in ("threshold", "iou_threshold"):
+            value = getattr(self, name)
+            if not (0.0 < value < 1.0):
+                raise ValidationError(name, f"{name} must be in (0, 1), got {value!r}")
+
     def slot_detection_config(self) -> SlotDetectionConfig:
         if self.n_bottom is None:
             raise ConfigError('slot detection needs "n_bottom" (config key or --n-bottom)')

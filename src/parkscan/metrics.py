@@ -51,14 +51,6 @@ class ClassificationCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    precision: Union[float, None] = None
-    recall: Union[float, None] = None
-    accuracy: Union[float, None] = None
-    auc: Union[float, None] = None
-
-
 def match_slots(
     predicted: Sequence[Point2], truth: Sequence[Point2], tolerance: float
 ) -> SlotMatchResult:

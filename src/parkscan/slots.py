@@ -70,10 +70,16 @@ class SlotCandidate:
 
 @dataclass(frozen=True)
 class ParkingSlot:
+    """One slot: its id, its area in original-view pixels, and its cluster's stats."""
+
     slot_id: int
-    center: Point2
     area: Box
-    source_candidate: SlotCandidate
+    spread: float
+    members: int
+
+    @property
+    def center(self) -> Point2:
+        return Point2(self.area.cx, self.area.cy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +96,8 @@ class SlotDetectionOutcome:
     normalized_points: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
     labels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     candidates: tuple[SlotCandidate, ...] = ()
-    kept_by_iqr: frozenset = frozenset()
+    kept_by_iqr: frozenset = frozenset()  # indices into candidates
+    selected: frozenset = frozenset()  # cluster ids of the slots' candidates
 
 
 def default_min_points(frame_count: int) -> int:
@@ -210,9 +217,9 @@ def run_slot_detection(
         slots.append(
             ParkingSlot(
                 slot_id=slot_id,
-                center=center,
                 area=Box(center.x, center.y, cand.mean_width, cand.mean_height),
-                source_candidate=cand,
+                spread=cand.spread,
+                members=cand.member_count,
             )
         )
     return SlotDetectionOutcome(
@@ -227,13 +234,8 @@ def run_slot_detection(
         labels=assignment.labels,
         candidates=tuple(candidates),
         kept_by_iqr=frozenset(kept),
+        selected=frozenset(c.cluster_id for c in selected),
     )
-
-
-def detect_slots(
-    frames: Sequence[FrameDetections], config: SlotDetectionConfig
-) -> list[ParkingSlot]:
-    return list(run_slot_detection(frames, config).slots)
 
 
 # --- slot registry file --------------------------------------------------
@@ -247,8 +249,8 @@ def slot_registry_document(slots: Iterable[ParkingSlot], config_echo: dict) -> d
                 "cy": s.center.y,
                 "w": s.area.w,
                 "h": s.area.h,
-                "spread": s.source_candidate.spread,
-                "members": s.source_candidate.member_count,
+                "spread": s.spread,
+                "members": s.members,
             }
             for s in slots
         ],
@@ -256,37 +258,21 @@ def slot_registry_document(slots: Iterable[ParkingSlot], config_echo: dict) -> d
     }
 
 
-def write_slot_registry(stream: IO[str], slots: Iterable[ParkingSlot], config_echo: dict) -> None:
-    json.dump(slot_registry_document(slots, config_echo), stream, sort_keys=True, indent=2)
-    stream.write("\n")
-
-
-@dataclass(frozen=True)
-class RegistrySlot:
-    """One slot as stored in a registry file."""
-
-    slot_id: int
-    area: Box
-    spread: float
-    members: int
-
-    @property
-    def center(self) -> Point2:
-        return Point2(self.area.cx, self.area.cy)
-
-
-def read_slot_registry(stream: IO[str]) -> list[RegistrySlot]:
+def read_slot_registry(stream: IO[str]) -> list[ParkingSlot]:
     doc = json.load(stream)
-    if not isinstance(doc, dict) or "slots" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
         raise ValidationError("slots", 'slot registry must be an object with a "slots" list')
     out = []
-    for entry in doc["slots"]:
-        out.append(
-            RegistrySlot(
-                slot_id=int(entry["id"]),
-                area=Box(float(entry["cx"]), float(entry["cy"]), float(entry["w"]), float(entry["h"])),
-                spread=float(entry.get("spread", 0.0)),
-                members=int(entry.get("members", 0)),
+    for index, entry in enumerate(doc["slots"]):
+        try:
+            out.append(
+                ParkingSlot(
+                    slot_id=int(entry["id"]),
+                    area=Box(float(entry["cx"]), float(entry["cy"]), float(entry["w"]), float(entry["h"])),
+                    spread=float(entry.get("spread", 0.0)),
+                    members=int(entry.get("members", 0)),
+                )
             )
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError("slots", f"slot entry {index}: bad entry ({exc})") from exc
     return out

@@ -1,9 +1,14 @@
+import builtins
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import parkscan
 from parkscan.cli import main
 
 SCENARIO = {
@@ -351,17 +356,44 @@ def test_evaluate_single_class_auc_is_null_with_exit_0(workdir, capsys):
     assert doc["classification"]["accuracy"] == 1.0
 
 
-def test_run_pipeline_matches_manual_steps(workdir, capsys):
+def _write_score_table(path, truth_occupancy):
+    # A deterministic two-class table over every frame and predicted slot id.
+    with open(path, "w") as fh:
+        for f, line in enumerate(truth_occupancy.read_text().splitlines()):
+            frame = json.loads(line)["frame"]
+            for slot in range(6):
+                score = ((3 * f + 7 * slot) % 10) / 10 + 0.05
+                fh.write(json.dumps({"frame": frame, "slot": slot, "score": score}) + "\n")
+
+
+@pytest.mark.parametrize(
+    "mode, plot",
+    [("oracle", False), ("oracle", True), ("scores", False), ("scores", True)],
+    ids=["oracle", "oracle-plot-data", "scores", "scores-plot-data"],
+)
+def test_run_pipeline_matches_manual_steps(workdir, capsys, mode, plot):
     sim = simulate(workdir)
+    plot_flag = ["--emit-plot-data"] if plot else []
+    scores = workdir / "scores.jsonl"
+    _write_score_table(scores, sim / "occupancy_truth.jsonl")
 
     # Manual composition.
-    slots = _detect(workdir, sim)
+    slots = workdir / "slots.json"
+    assert main(
+        [
+            "detect-slots",
+            "--detections", str(sim / "detections.jsonl"),
+            "--config", str(workdir / "run.json"),
+            "--out", str(slots),
+            *plot_flag,
+        ]
+    ) == 0
     assert main(
         [
             "classify",
             "--slots", str(slots),
-            "--mode", "oracle",
-            "--input", str(sim / "occupancy_truth.jsonl"),
+            "--mode", mode,
+            "--input", str(scores if mode == "scores" else sim / "occupancy_truth.jsonl"),
             "--config", str(workdir / "run.json"),
             "--out-records", str(workdir / "occupancy.jsonl"),
             "--out-report", str(workdir / "report.json"),
@@ -376,10 +408,54 @@ def test_run_pipeline_matches_manual_steps(workdir, capsys):
             "--truth-occupancy", str(sim / "occupancy_truth.jsonl"),
             "--config", str(workdir / "run.json"),
             "--out", str(workdir / "metrics.json"),
+            *plot_flag,
         ]
     ) == 0
+    manual_stdout = capsys.readouterr().out
 
     pipe_dir = workdir / "pipe"
+    assert main(
+        [
+            "run-pipeline",
+            "--detections", str(sim / "detections.jsonl"),
+            "--config", str(workdir / "run.json"),
+            "--truth-slots", str(sim / "slots_truth.json"),
+            "--truth-occupancy", str(sim / "occupancy_truth.jsonl"),
+            "--mode", mode,
+            *(["--scores", str(scores)] if mode == "scores" else []),
+            "--out-dir", str(pipe_dir),
+            *plot_flag,
+        ]
+    ) == 0
+    assert capsys.readouterr().out == manual_stdout
+
+    outputs = ["slots.json", "occupancy.jsonl", "report.json", "metrics.json"]
+    if plot:
+        outputs += ["slots.json.clusters.tsv", "slots.json.spreads.tsv", "metrics.json.roc.tsv"]
+    for name in outputs:
+        assert (pipe_dir / name).read_bytes() == (workdir / name).read_bytes(), name
+    assert sorted(p.name for p in pipe_dir.iterdir()) == sorted(outputs)
+
+    metrics = json.loads((pipe_dir / "metrics.json").read_text())
+    assert metrics["detection"]["precision"] == 1.0
+    assert metrics["detection"]["recall"] == 1.0
+    if mode == "oracle":
+        assert metrics["classification"]["accuracy"] == 1.0
+
+
+def test_run_pipeline_reads_each_input_once(workdir, monkeypatch):
+    sim = simulate(workdir)
+    pipe_dir = workdir / "pipe"
+    reads = []
+    real_open = builtins.open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and "r" in mode:
+            reads.append(Path(file).resolve())
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(io, "open", spy_open)
     assert main(
         [
             "run-pipeline",
@@ -390,16 +466,72 @@ def test_run_pipeline_matches_manual_steps(workdir, capsys):
             "--out-dir", str(pipe_dir),
         ]
     ) == 0
+    monkeypatch.undo()
 
-    assert (pipe_dir / "slots.json").read_bytes() == slots.read_bytes()
-    assert (pipe_dir / "occupancy.jsonl").read_bytes() == (workdir / "occupancy.jsonl").read_bytes()
-    assert (pipe_dir / "report.json").read_bytes() == (workdir / "report.json").read_bytes()
-    assert (pipe_dir / "metrics.json").read_bytes() == (workdir / "metrics.json").read_bytes()
+    assert reads.count((sim / "occupancy_truth.jsonl").resolve()) == 1
+    assert reads.count((sim / "detections.jsonl").resolve()) == 1
+    assert (pipe_dir / "slots.json").resolve() not in reads
+    assert (pipe_dir / "occupancy.jsonl").resolve() not in reads
 
-    metrics = json.loads((pipe_dir / "metrics.json").read_text())
-    assert metrics["detection"]["precision"] == 1.0
-    assert metrics["detection"]["recall"] == 1.0
-    assert metrics["classification"]["accuracy"] == 1.0
+
+GOOD_REGISTRY = {
+    "slots": [
+        {"id": i, "cx": 100.0 * i, "cy": 0.0, "w": 20.0, "h": 20.0, "spread": 0.0, "members": 5}
+        for i in range(3)
+    ]
+}
+ONE_BIT_TRUTH = {"frame": "f1", "occupancy": {"0": True}, "vehicles": []}
+SLOT2_RECORD = {"frame": "f1", "slot": 2, "score": 0.9, "status": "OCCUPIED"}
+# One frame whose three coincident boxes form one slot.
+THREE_DETECTIONS = {"frame": "f1", "dets": [{"cx": 0, "cy": 0, "w": 20, "h": 20, "cls": "car", "conf": 0.9}] * 3}
+
+CLASSIFY = ["classify", "--slots", "{d}/slots.json", "--mode", "oracle", "--input", "{d}/truth.jsonl",
+            "--out-records", "{d}/r.jsonl", "--out-report", "{d}/p.json"]
+EVALUATE = ["evaluate", "--pred-slots", "{d}/slots.json", "--truth-slots", "{d}/slots.json",
+            "--records", "{d}/records.jsonl", "--truth-occupancy", "{d}/truth.jsonl", "--out", "{d}/m.json"]
+
+
+@pytest.mark.parametrize(
+    "files, argv, names",
+    [
+        pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1}},
+                     ["run-pipeline", "--detections", "{d}/d.jsonl", "--config", "{d}/run.json",
+                      "--truth-slots", "{d}/slots.json", "--truth-occupancy", "{d}/truth.jsonl",
+                      "--mode", "scores", "--out-dir", "{d}/out"], "--scores",
+                     id="scores-mode-without-scores"),
+        pytest.param({}, CLASSIFY + ["--threshold", "1.5"], "threshold must be", id="threshold-flag"),
+        pytest.param({}, CLASSIFY + ["--iou-threshold", "0"], "iou_threshold must be",
+                     id="iou-threshold-flag"),
+        pytest.param({"run.json": {"threshold": 1.5}}, CLASSIFY + ["--config", "{d}/run.json"],
+                     "threshold must be", id="threshold-config-key"),
+        pytest.param({"run.json": {"iou_threshold": 0}}, CLASSIFY + ["--config", "{d}/run.json"],
+                     "iou_threshold must be", id="iou-threshold-config-key"),
+        pytest.param({"slots.json": {"slots": [{"cx": 0, "cy": 0, "w": 1, "h": 1}]}}, CLASSIFY,
+                     "slot entry 0", id="registry-entry-without-id"),
+        pytest.param({"slots.json": {"slots": 5}}, CLASSIFY, '"slots" list', id="registry-slots-not-a-list"),
+        pytest.param({"slots.json": {"slots": [{"id": 0, "cx": "left", "cy": 0, "w": 1, "h": 1}]}},
+                     CLASSIFY, "slot entry 0", id="registry-non-numeric-field"),
+        pytest.param({"records.jsonl": SLOT2_RECORD}, EVALUATE, "frame 'f1' has no occupancy bit for truth slot 2",
+                     id="truth-frame-missing-slot-bit"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, files, argv, names):
+    docs = {"slots.json": GOOD_REGISTRY, "truth.jsonl": ONE_BIT_TRUTH, **files}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc) + "\n")
+    src = str(Path(parkscan.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "parkscan.cli", *(a.format(d=tmp_path) for a in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert names in lines[0]
 
 
 def test_cli_module_entry_point(workdir):

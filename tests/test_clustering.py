@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_core_partition, core_partition_from_labels
@@ -87,7 +87,13 @@ instance_st = st.fixed_dictionaries(
 )
 
 
+# A pair whose float distance rounds down to exactly eps although its cells,
+# at side eps, would be two apart; padded with far-off points to 70.
+_ROUNDED_PAIR = [(0.0, 1.0), (0.0, -1.3391556943249676e-217)] + [(100.0 + 10 * i, 0.0) for i in range(68)]
+
+
 @given(instance=instance_st)
+@example(instance={"points": _ROUNDED_PAIR, "eps": 1.0, "min_points": 1})
 @settings(max_examples=80, deadline=None)
 def test_matches_brute_force_oracle(instance):
     pts = np.array(instance["points"], dtype=float).reshape(-1, 2)
@@ -128,8 +134,8 @@ def test_labels_stable_under_permutation(instance, seed):
 
 
 def test_grid_and_brute_force_paths_agree():
-    # 100 points crosses the brute-force size threshold; re-run the same
-    # cloud split in two halves that stay under it and compare member sets.
+    # Two 50-point blobs, more points than the hypothesis lists draw: the
+    # grid-indexed clustering must give the O(n^2) reference partition.
     rng = np.random.default_rng(11)
     pts = np.vstack([rng.normal(0, 0.5, (50, 2)), rng.normal(8, 0.5, (50, 2))])
     params = DbscanParams(eps=1.0, min_points=4)

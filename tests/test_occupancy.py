@@ -3,7 +3,7 @@ import io
 import pytest
 
 from parkscan.errors import ValidationError
-from parkscan.geometry import Box, Point2
+from parkscan.geometry import Box
 from parkscan.occupancy import (
     ClassifierAdapter,
     CropSpec,
@@ -19,19 +19,11 @@ from parkscan.occupancy import (
     read_records,
     write_records,
 )
-from parkscan.slots import ParkingSlot, SlotCandidate
+from parkscan.slots import ParkingSlot
 
 
 def make_slot(slot_id, cx=0.0, cy=0.0, w=50.0, h=50.0):
-    cand = SlotCandidate(
-        cluster_id=slot_id,
-        center_birdseye=Point2(cx, cy),
-        spread=0.0,
-        member_count=10,
-        mean_width=w,
-        mean_height=h,
-    )
-    return ParkingSlot(slot_id=slot_id, center=Point2(cx, cy), area=Box(cx, cy, w, h), source_candidate=cand)
+    return ParkingSlot(slot_id=slot_id, area=Box(cx, cy, w, h), spread=0.0, members=10)
 
 
 class ConstantClassifier(ClassifierAdapter):

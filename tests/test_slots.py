@@ -11,7 +11,6 @@ from parkscan.slots import (
     EmptyInputError,
     SlotCandidate,
     SlotDetectionConfig,
-    detect_slots,
     iqr_filter,
     run_slot_detection,
     select_n_bottom,
@@ -106,7 +105,7 @@ def test_select_ties_prefer_more_members_then_smaller_id():
     assert [c.cluster_id for c in selected] == [1, 2, 0]
 
 
-# --- detect_slots -----------------------------------------------------------
+# --- run_slot_detection -----------------------------------------------------
 
 def _noiseless_scenario(rows=3, cols=4, frames=40, camera="identity", seed=5, **kw):
     return ScenarioConfig(
@@ -125,7 +124,7 @@ def _noiseless_scenario(rows=3, cols=4, frames=40, camera="identity", seed=5, **
 def test_detect_slots_recovers_noiseless_grid():
     cfg = _noiseless_scenario()
     frames, truth = generate_scenario(cfg)
-    slots = detect_slots(frames, SlotDetectionConfig(n_bottom=12))
+    slots = run_slot_detection(frames, SlotDetectionConfig(n_bottom=12)).slots
     assert len(slots) == 12
     matched = 0
     for slot in slots:
@@ -146,7 +145,7 @@ def test_detect_slots_excludes_high_spread_violation_site():
         violation_sites=(ViolationSite(x=130.0, y=135.0, center_spread_sigma=5.0, emit_prob=0.8),),
     )
     frames, truth = generate_scenario(cfg)
-    slots = detect_slots(frames, SlotDetectionConfig(n_bottom=12))
+    slots = run_slot_detection(frames, SlotDetectionConfig(n_bottom=12)).slots
     assert len(slots) == 12
     for slot in slots:
         assert np.hypot(slot.center.x - 130.0, slot.center.y - 135.0) > 15.0
@@ -160,13 +159,13 @@ def test_detect_slots_n_bottom_one_returns_min_spread():
     outcome = run_slot_detection(frames, SlotDetectionConfig(n_bottom=1))
     assert len(outcome.slots) == 1
     spreads = [c.spread for c in outcome.candidates]
-    assert outcome.slots[0].source_candidate.spread == min(spreads)
+    assert outcome.slots[0].spread == min(spreads)
 
 
 def test_detect_slots_empty_input_raises():
     frames = [FrameDetections("f1"), FrameDetections("f2")]
     with pytest.raises(EmptyInputError):
-        detect_slots(frames, SlotDetectionConfig(n_bottom=3))
+        run_slot_detection(frames, SlotDetectionConfig(n_bottom=3))
 
 
 def test_detect_slots_all_noise_gives_empty_result():
@@ -189,7 +188,7 @@ def test_output_capped_by_n_bottom():
     cfg = _noiseless_scenario()
     frames, _ = generate_scenario(cfg)
     for n in (1, 5, 12, 40):
-        assert len(detect_slots(frames, SlotDetectionConfig(n_bottom=n))) == min(n, 12)
+        assert len(run_slot_detection(frames, SlotDetectionConfig(n_bottom=n)).slots) == min(n, 12)
 
 
 def test_returned_slots_have_enough_members():
@@ -197,16 +196,16 @@ def test_returned_slots_have_enough_members():
     frames, _ = generate_scenario(cfg)
     outcome = run_slot_detection(frames, SlotDetectionConfig(n_bottom=12))
     for slot in outcome.slots:
-        assert slot.source_candidate.member_count >= outcome.min_points
+        assert slot.members >= outcome.min_points
 
 
 def test_frame_order_invariance_is_exact():
     cfg = _noiseless_scenario(center_noise_sigma=1.5, seed=13)
     frames, _ = generate_scenario(cfg)
     config = SlotDetectionConfig(n_bottom=12)
-    base = detect_slots(frames, config)
+    base = run_slot_detection(frames, config).slots
     shuffled = [frames[i] for i in np.random.default_rng(0).permutation(len(frames))]
-    assert detect_slots(shuffled, config) == base
+    assert run_slot_detection(shuffled, config).slots == base
 
 
 def test_scale_invariance_with_matching_homography():
@@ -215,7 +214,7 @@ def test_scale_invariance_with_matching_homography():
     # are exact), so memberships match and centers scale by exactly 2.
     cfg = _noiseless_scenario(center_noise_sigma=1.5, seed=21)
     frames, _ = generate_scenario(cfg)
-    base = detect_slots(frames, SlotDetectionConfig(n_bottom=12))
+    base = run_slot_detection(frames, SlotDetectionConfig(n_bottom=12)).slots
 
     doubled = [
         FrameDetections(
@@ -229,22 +228,22 @@ def test_scale_invariance_with_matching_homography():
         for f in frames
     ]
     h_scaled = Homography(np.diag([0.5, 0.5, 1.0]))
-    scaled = detect_slots(doubled, SlotDetectionConfig(n_bottom=12, homography=h_scaled))
+    scaled = run_slot_detection(doubled, SlotDetectionConfig(n_bottom=12, homography=h_scaled)).slots
 
     assert len(scaled) == len(base)
     for a, b in zip(base, scaled):
         assert (b.center.x, b.center.y) == (a.center.x * 2, a.center.y * 2)
         assert (b.area.w, b.area.h) == (a.area.w * 2, a.area.h * 2)
-        assert b.source_candidate.member_count == a.source_candidate.member_count
+        assert b.members == a.members
 
 
 def test_tilted_camera_round_trips_through_inverse_homography():
     cfg = _noiseless_scenario(camera="strong-tilt", frames=30)
     frames, truth = generate_scenario(cfg)
     cam = camera_homography("strong-tilt")
-    slots = detect_slots(
+    slots = run_slot_detection(
         frames, SlotDetectionConfig(n_bottom=12, homography=invert_homography(cam))
-    )
+    ).slots
     assert len(slots) == 12
     for slot in slots:
         dists = [np.hypot(slot.center.x - b.cx, slot.center.y - b.cy) for b in truth.slots]
