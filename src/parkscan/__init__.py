@@ -2,7 +2,7 @@
 
 from .clustering import NOISE, ClusterAssignment, ClusterStats, DbscanParams, cluster_stats, dbscan
 from .detections import (
-    Detection,
+    DETECTION_DTYPE,
     DetectionFilter,
     DetectionLogParseError,
     FrameDetections,

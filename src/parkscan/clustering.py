@@ -60,12 +60,12 @@ class ClusterAssignment:
             raise ValidationError("k", "k must be 0 when all points are noise")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterStats:
     cluster_id: int
     mean: Point2
     spread: float
-    member_indices: tuple[int, ...]
+    member_indices: np.ndarray  # ascending point indices
 
 
 def _neighbor_lists_grid(pts: np.ndarray, eps: float) -> list[np.ndarray]:
@@ -158,7 +158,7 @@ def cluster_stats(points: np.ndarray, assignment: ClusterAssignment) -> list[Clu
                 cluster_id=cid,
                 mean=Point2(float(mean[0]), float(mean[1])),
                 spread=spread,
-                member_indices=tuple(int(i) for i in members),
+                member_indices=members,
             )
         )
     return stats

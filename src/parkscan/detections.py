@@ -5,7 +5,9 @@ Log format is line-delimited JSON, one frame per line:
     {"frame": "f000001", "ts": "2026-01-01T08:00:00", "dets":
         [{"cx": 10.0, "cy": 20.0, "w": 5.0, "h": 5.0, "cls": "car", "conf": 0.9}]}
 
-``ts`` is optional.  All coordinates are original-image pixels.
+``ts`` is optional.  All coordinates are original-image pixels.  Each frame's
+boxes are held as one structured array with :data:`DETECTION_DTYPE` fields,
+one row per box.
 """
 
 import json
@@ -13,8 +15,14 @@ import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Union
 
+import numpy as np
+
 from .errors import ValidationError
-from .geometry import Point2
+
+DETECTION_DTYPE = np.dtype(
+    [("cx", float), ("cy", float), ("w", float), ("h", float), ("conf", float), ("cls", object)]
+)
+_NUMBER_FIELDS = ("cx", "cy", "w", "h", "conf")
 
 
 class DetectionLogParseError(ValueError):
@@ -25,37 +33,42 @@ class DetectionLogParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One vehicle bounding box: center, size, class label, confidence."""
-
-    center: Point2
-    width: float
-    height: float
-    class_label: str
-    confidence: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.width) and self.width > 0):
-            raise ValidationError("width", f"width must be > 0, got {self.width!r}")
-        if not (math.isfinite(self.height) and self.height > 0):
-            raise ValidationError("height", f"height must be > 0, got {self.height!r}")
-        if not (math.isfinite(self.confidence) and 0.0 <= self.confidence <= 1.0):
-            raise ValidationError(
-                "confidence", f"confidence must be in [0, 1], got {self.confidence!r}"
-            )
+def _check(values: np.ndarray, ok: np.ndarray, name: str, message: str) -> None:
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValidationError(name, f"{message}, got {float(values[bad[0]])!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameDetections:
+    """One frame's boxes: a read-only :data:`DETECTION_DTYPE` array, or rows
+    ``(cx, cy, w, h, conf, cls)`` to build one from."""
+
     frame_id: str
-    detections: tuple[Detection, ...] = ()
+    detections: np.ndarray = field(default_factory=lambda: np.empty(0, DETECTION_DTYPE))
     timestamp: Union[str, None] = None
 
     def __post_init__(self):
         if not self.frame_id:
             raise ValidationError("frame_id", "frame_id must be non-empty")
-        object.__setattr__(self, "detections", tuple(self.detections))
+        dets = self.detections
+        dets = np.asarray(dets if isinstance(dets, np.ndarray) else list(dets), DETECTION_DTYPE)
+        cx, cy, w, h, conf = (dets[name] for name in _NUMBER_FIELDS)
+        _check(cx, np.isfinite(cx), "x", "x coordinate must be finite")
+        _check(cy, np.isfinite(cy), "y", "y coordinate must be finite")
+        _check(w, np.isfinite(w) & (w > 0), "width", "width must be > 0")
+        _check(h, np.isfinite(h) & (h > 0), "height", "height must be > 0")
+        _check(conf, (conf >= 0.0) & (conf <= 1.0), "confidence", "confidence must be in [0, 1]")
+        dets.setflags(write=False)
+        object.__setattr__(self, "detections", dets)
+
+    def __eq__(self, other):
+        if not isinstance(other, FrameDetections):
+            return NotImplemented
+        return (
+            (self.frame_id, self.timestamp) == (other.frame_id, other.timestamp)
+            and np.array_equal(self.detections, other.detections)
+        )
 
 
 @dataclass(frozen=True)
@@ -74,9 +87,6 @@ class DetectionFilter:
                 "min_confidence", f"min_confidence must be in [0, 1], got {self.min_confidence!r}"
             )
 
-    def keeps(self, det: Detection) -> bool:
-        return det.class_label in self.allowed_classes and det.confidence >= self.min_confidence
-
 
 def _number(record: dict, key: str, line: int) -> float:
     try:
@@ -86,6 +96,24 @@ def _number(record: dict, key: str, line: int) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DetectionLogParseError(line, f'detection field "{key}" must be a number')
     return float(value)
+
+
+def _frame_array(entries: list, line: int) -> np.ndarray:
+    """The log's detection entries as columns of one structured array."""
+    columns = {name: [] for name in DETECTION_DTYPE.names}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise DetectionLogParseError(line, "detection entries must be objects")
+        cls = entry.get("cls")
+        if not isinstance(cls, str):
+            raise DetectionLogParseError(line, '"cls" must be a string')
+        columns["cls"].append(cls)
+        for name in _NUMBER_FIELDS:
+            columns[name].append(_number(entry, name, line))
+    dets = np.empty(len(entries), DETECTION_DTYPE)
+    for name, values in columns.items():
+        dets[name] = values
+    return dets
 
 
 def parse_detections(source: Union[IO[str], IO[bytes], str, bytes]) -> list[FrameDetections]:
@@ -121,28 +149,10 @@ def parse_detections(source: Union[IO[str], IO[bytes], str, bytes]) -> list[Fram
         dets_raw = record.get("dets", [])
         if not isinstance(dets_raw, list):
             raise DetectionLogParseError(line_no, '"dets" must be a list')
-        dets = []
-        for entry in dets_raw:
-            if not isinstance(entry, dict):
-                raise DetectionLogParseError(line_no, "detection entries must be objects")
-            cls = entry.get("cls")
-            if not isinstance(cls, str):
-                raise DetectionLogParseError(line_no, '"cls" must be a string')
-            cx = _number(entry, "cx", line_no)
-            cy = _number(entry, "cy", line_no)
-            try:
-                dets.append(
-                    Detection(
-                        center=Point2(cx, cy),
-                        width=_number(entry, "w", line_no),
-                        height=_number(entry, "h", line_no),
-                        class_label=cls,
-                        confidence=_number(entry, "conf", line_no),
-                    )
-                )
-            except ValidationError as exc:
-                raise ValidationError(exc.field, f"line {line_no}: {exc}") from exc
-        frames.append(FrameDetections(frame_id=frame_id, detections=tuple(dets), timestamp=ts))
+        try:
+            frames.append(FrameDetections(frame_id, _frame_array(dets_raw, line_no), ts))
+        except ValidationError as exc:
+            raise ValidationError(exc.field, f"line {line_no}: {exc}") from exc
     return frames
 
 
@@ -150,19 +160,10 @@ def serialize_detections(frames: Iterable[FrameDetections]) -> str:
     """Inverse of :func:`parse_detections` for valid frame lists."""
     lines = []
     for frame in frames:
+        columns = [frame.detections[name].tolist() for name in DETECTION_DTYPE.names]
         record = {
             "frame": frame.frame_id,
-            "dets": [
-                {
-                    "cx": d.center.x,
-                    "cy": d.center.y,
-                    "w": d.width,
-                    "h": d.height,
-                    "cls": d.class_label,
-                    "conf": d.confidence,
-                }
-                for d in frame.detections
-            ],
+            "dets": [dict(zip(DETECTION_DTYPE.names, row)) for row in zip(*columns)],
         }
         if frame.timestamp is not None:
             record["ts"] = frame.timestamp
@@ -178,11 +179,12 @@ def filter_detections(
     Frames that end up empty are retained: the frame count feeds the
     clustering min-points default and must reflect elapsed capture time.
     """
-    return [
-        FrameDetections(
-            frame_id=f.frame_id,
-            detections=tuple(d for d in f.detections if det_filter.keeps(d)),
-            timestamp=f.timestamp,
-        )
-        for f in frames
-    ]
+    out = []
+    for f in frames:
+        dets = f.detections
+        allowed = np.zeros(len(dets), dtype=bool)
+        for cls in det_filter.allowed_classes:
+            allowed |= dets["cls"] == cls
+        keep = allowed & (dets["conf"] >= det_filter.min_confidence)
+        out.append(FrameDetections(f.frame_id, dets[keep], f.timestamp))
+    return out

@@ -33,7 +33,7 @@ from typing import IO, Mapping, Sequence, Union
 
 import numpy as np
 
-from .detections import Detection, FrameDetections
+from .detections import FrameDetections
 from .errors import ConfigError, ValidationError
 from .geometry import Box, Homography, Point2, apply_homography
 
@@ -203,7 +203,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
     for f in range(config.frame_count):
         frame_id = f"f{f:06d}"
         ts = (_BASE_TIMESTAMP + f * _SAMPLE_INTERVAL).isoformat()
-        dets: list[Detection] = []
+        dets: list[tuple[Box, float]] = []  # (image box, confidence)
         vehicles: list[tuple[Box, str]] = []
         bits = []
 
@@ -229,7 +229,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
                 if missed:
                     continue
                 conf = 0.5 + 0.5 * rng.random()
-                dets.append(_detection_from_box(image_box, conf))
+                dets.append((image_box, conf))
 
         rng_pass = _stream(config.seed, f, STREAM_PASSING)
         for _ in range(rng_pass.poisson(config.passing_rate)):
@@ -237,7 +237,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
             image_box = _project_box(cam, Box(x, lane_y, slot_w, slot_h))
             vehicles.append((image_box, "passing"))
             conf = 0.5 + 0.5 * rng_pass.random()
-            dets.append(_detection_from_box(image_box, conf))
+            dets.append((image_box, conf))
 
         for site_idx, site in enumerate(config.violation_sites):
             rng_v = _stream(config.seed, f, STREAM_VIOLATION, site_idx)
@@ -247,12 +247,11 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
             image_box = _project_box(cam, Box(site.x + dx, site.y + dy, slot_w, slot_h))
             vehicles.append((image_box, "violation"))
             conf = 0.5 + 0.5 * rng_v.random()
-            dets.append(_detection_from_box(image_box, conf))
+            dets.append((image_box, conf))
 
         frame_ids.append(frame_id)
-        frames.append(
-            FrameDetections(frame_id=frame_id, detections=tuple(dets), timestamp=ts)
-        )
+        rows = [(box.cx, box.cy, box.w, box.h, conf, "car") for box, conf in dets]
+        frames.append(FrameDetections(frame_id=frame_id, detections=rows, timestamp=ts))
         occupancy.append(tuple(bits))
         vehicles_all.append(tuple(vehicles))
 
@@ -263,16 +262,6 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
         vehicles=tuple(vehicles_all),
     )
     return frames, truth
-
-
-def _detection_from_box(box: Box, confidence: float) -> Detection:
-    return Detection(
-        center=Point2(box.cx, box.cy),
-        width=box.w,
-        height=box.h,
-        class_label="car",
-        confidence=confidence,
-    )
 
 
 # --- ground truth files ---------------------------------------------------

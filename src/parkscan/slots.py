@@ -150,18 +150,16 @@ def select_n_bottom(
 def run_slot_detection(
     frames: Sequence[FrameDetections], config: SlotDetectionConfig
 ) -> SlotDetectionOutcome:
-    pooled = [
-        (d.center.x, d.center.y, d.width, d.height)
-        for f in frames
-        for d in f.detections
-    ]
-    if not pooled:
+    if sum(len(f.detections) for f in frames) == 0:
         raise EmptyInputError("no detections in any input frame")
-    # Canonical point order: downstream means and cluster ids then depend
-    # only on the multiset of detections, not on frame ordering.
-    pooled.sort()
-    arr = np.array(pooled, dtype=float)
-    centers, widths, heights = arr[:, :2], arr[:, 2], arr[:, 3]
+    cx, cy, widths, heights = (
+        np.concatenate([f.detections[name] for f in frames]) for name in ("cx", "cy", "w", "h")
+    )
+    # Canonical point order (cx, then cy, w, h): downstream means and cluster
+    # ids then depend only on the multiset of detections, not on frame ordering.
+    order = np.lexsort((heights, widths, cy, cx))
+    centers = np.column_stack((cx[order], cy[order]))
+    widths, heights = widths[order], heights[order]
 
     birdseye = apply_homography_array(config.homography, centers)
     normalized, scale, offset = normalize_point_cloud(birdseye)
@@ -188,7 +186,7 @@ def run_slot_detection(
 
     candidates = []
     for st in cluster_stats(normalized, assignment):
-        members = np.array(st.member_indices)
+        members = st.member_indices
         candidates.append(
             SlotCandidate(
                 cluster_id=st.cluster_id,

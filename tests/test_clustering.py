@@ -150,7 +150,7 @@ def test_cluster_stats_hand_cases():
     stats = cluster_stats(pts, ClusterAssignment(labels=np.array([0, 0]), k=1))
     assert (stats[0].mean.x, stats[0].mean.y) == (1.0, 0.0)
     assert stats[0].spread == 1.0  # population std of {0, 2} is 1, y-std 0
-    assert stats[0].member_indices == (0, 1)
+    assert stats[0].member_indices.tolist() == [0, 1]
 
     same = np.array([[4.0, 4.0]] * 5)
     stats = cluster_stats(same, ClusterAssignment(labels=np.zeros(5, dtype=int), k=1))
@@ -167,8 +167,8 @@ def test_cluster_stats_excludes_noise_and_orders_by_id():
     assignment = ClusterAssignment(labels=np.array([0, 1, 0, NOISE]), k=2)
     stats = cluster_stats(pts, assignment)
     assert [s.cluster_id for s in stats] == [0, 1]
-    assert stats[0].member_indices == (0, 2)
-    assert stats[1].member_indices == (1,)
+    assert stats[0].member_indices.tolist() == [0, 2]
+    assert stats[1].member_indices.tolist() == [1]
 
 
 @given(instance=instance_st)
@@ -178,7 +178,7 @@ def test_cluster_stats_match_direct_recomputation(instance):
     params = DbscanParams(instance["eps"], instance["min_points"])
     assignment = dbscan(pts, params)
     for s in cluster_stats(pts, assignment):
-        members = pts[np.array(s.member_indices)]
+        members = pts[s.member_indices]
         assert abs(s.mean.x - members[:, 0].mean()) < 1e-12
         assert abs(s.mean.y - members[:, 1].mean()) < 1e-12
         assert abs(s.spread - (members[:, 0].std() + members[:, 1].std())) < 1e-12

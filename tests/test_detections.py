@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkscan.detections import (
-    Detection,
     DetectionFilter,
     DetectionLogParseError,
     FrameDetections,
@@ -15,11 +14,10 @@ from parkscan.detections import (
     serialize_detections,
 )
 from parkscan.errors import ValidationError
-from parkscan.geometry import Point2
 
 
 def det(cx=10.0, cy=20.0, w=5.0, h=5.0, cls="car", conf=0.9):
-    return Detection(center=Point2(cx, cy), width=w, height=h, class_label=cls, confidence=conf)
+    return (cx, cy, w, h, conf, cls)
 
 
 def test_parse_empty_stream():
@@ -31,7 +29,8 @@ def test_parse_single_record_round_trip():
     frames = parse_detections(io.StringIO(line))
     assert len(frames) == 1
     assert frames[0].frame_id == "f1"
-    assert frames[0].detections == (det(),)
+    assert frames[0] == FrameDetections("f1", [det()])
+    assert frames[0].detections.tolist() == [det()]
 
 
 def test_parse_rejects_out_of_range_confidence():
@@ -64,24 +63,37 @@ def test_parse_rejects_malformed_records(bad_line):
 
 
 def test_detection_invariants():
-    with pytest.raises(ValidationError):
-        det(w=-1.0)
-    with pytest.raises(ValidationError):
-        det(h=0.0)
-    with pytest.raises(ValidationError):
-        Detection(center=Point2(float("nan"), 0.0), width=1, height=1, class_label="car", confidence=0.5)
+    for row, name in [
+        (det(w=-1.0), "width"),
+        (det(h=0.0), "height"),
+        (det(w=float("inf")), "width"),
+        (det(cx=float("nan")), "x"),
+        (det(cy=float("inf")), "y"),
+        (det(conf=-0.1), "confidence"),
+    ]:
+        with pytest.raises(ValidationError) as exc:
+            FrameDetections("f1", [det(), row])
+        assert exc.value.field == name
+
+
+def test_parse_rejects_nan_center_with_line_number():
+    text = '{"frame": "f1", "dets": []}\n{"frame": "f2", "dets": [{"cx": NaN, "cy": 2, "w": 5, "h": 5, "cls": "car", "conf": 0.9}]}\n'
+    with pytest.raises(ValidationError) as exc:
+        parse_detections(text)
+    assert exc.value.field == "x"
+    assert str(exc.value).startswith("line 2: ")
 
 
 def test_filter_keeps_threshold_inclusive():
-    frames = [FrameDetections("f1", (det(conf=0.50), det(conf=0.4999)))]
+    frames = [FrameDetections("f1", [det(conf=0.50), det(conf=0.4999)])]
     out = filter_detections(frames, DetectionFilter(min_confidence=0.5))
-    assert [d.confidence for d in out[0].detections] == [0.50]
+    assert out[0].detections["conf"].tolist() == [0.50]
 
 
 def test_filter_drops_disallowed_class():
-    frames = [FrameDetections("f1", (det(cls="person", conf=0.99),))]
+    frames = [FrameDetections("f1", [det(cls="person", conf=0.99), det(cls="truck")])]
     out = filter_detections(frames, DetectionFilter(allowed_classes={"car", "truck"}))
-    assert out[0].detections == ()
+    assert out[0].detections["cls"].tolist() == ["truck"]
 
 
 def test_filter_retains_empty_frames():
@@ -107,7 +119,7 @@ detection_st = st.builds(
 frame_st = st.builds(
     FrameDetections,
     frame_id=st.text(alphabet="abcdef0123456789", min_size=1, max_size=8),
-    detections=st.lists(detection_st, max_size=6).map(tuple),
+    detections=st.lists(detection_st, max_size=6),
     timestamp=st.none() | st.just("2026-01-01T00:00:00"),
 )
 frames_st = st.lists(frame_st, max_size=8)
@@ -126,8 +138,8 @@ def test_filter_is_idempotent_submultiset(frames, det_filter):
     assert once == twice
     assert len(once) == len(frames)
     for before, after in zip(frames, once):
-        remaining = list(before.detections)
-        for d in after.detections:
+        remaining = before.detections.tolist()
+        for d in after.detections.tolist():
             remaining.remove(d)  # raises if not a sub-multiset
 
 
@@ -139,7 +151,7 @@ def test_serialize_parse_round_trip(frames):
 
 
 def test_serialize_emits_one_json_object_per_line():
-    frames = [FrameDetections("f1", (det(),), timestamp="2026-01-01T00:00:00")]
+    frames = [FrameDetections("f1", [det()], timestamp="2026-01-01T00:00:00")]
     lines = serialize_detections(frames).splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])

@@ -59,7 +59,7 @@ def test_different_seed_changes_output():
 
 def test_zero_probability_means_empty_frames():
     frames, truth = generate_scenario(small_config(occupancy_prob=0.0))
-    assert all(f.detections == () for f in frames)
+    assert all(len(f.detections) == 0 for f in frames)
     assert all(not any(bits) for bits in truth.occupancy)
     assert all(v == () for v in truth.vehicles)
 
@@ -71,8 +71,8 @@ def test_noiseless_identity_camera_hits_exact_centers():
     for frame in frames:
         assert len(frame.detections) == 3
         for det, (cx, cy) in zip(frame.detections, expected):
-            assert (det.center.x, det.center.y) == (cx, cy)
-            assert (det.width, det.height) == cfg.slot_size
+            assert (det["cx"], det["cy"]) == (cx, cy)
+            assert (det["w"], det["h"]) == cfg.slot_size
 
 
 def test_occupancy_bits_match_emitted_detections_when_no_misses():

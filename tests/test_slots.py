@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import quantile_oracle_kept
-from parkscan.detections import Detection, FrameDetections
+from parkscan.detections import FrameDetections
 from parkscan.geometry import Homography, Point2, invert_homography
 from parkscan.simulator import ScenarioConfig, ViolationSite, camera_homography, generate_scenario
 from parkscan.slots import (
@@ -173,7 +173,7 @@ def test_detect_slots_all_noise_gives_empty_result():
     frames = [
         FrameDetections(
             f"f{i}",
-            (Detection(Point2(i * 100.0, 0.0), 10.0, 10.0, "car", 0.9),),
+            [(i * 100.0, 0.0, 10.0, 10.0, 0.9, "car")],
         )
         for i in range(10)
     ]
@@ -216,17 +216,12 @@ def test_scale_invariance_with_matching_homography():
     frames, _ = generate_scenario(cfg)
     base = run_slot_detection(frames, SlotDetectionConfig(n_bottom=12)).slots
 
-    doubled = [
-        FrameDetections(
-            f.frame_id,
-            tuple(
-                Detection(Point2(d.center.x * 2, d.center.y * 2), d.width * 2, d.height * 2, d.class_label, d.confidence)
-                for d in f.detections
-            ),
-            f.timestamp,
-        )
-        for f in frames
-    ]
+    doubled = []
+    for f in frames:
+        dets = f.detections.copy()
+        for name in ("cx", "cy", "w", "h"):
+            dets[name] *= 2
+        doubled.append(FrameDetections(f.frame_id, dets, f.timestamp))
     h_scaled = Homography(np.diag([0.5, 0.5, 1.0]))
     scaled = run_slot_detection(doubled, SlotDetectionConfig(n_bottom=12, homography=h_scaled)).slots
 
