@@ -272,7 +272,6 @@ def cmd_detect(args) -> int:
         n_bottom=args.n_bottom,
         eps=args.eps,
         min_points=args.min_points,
-        iqr_one_sided=True if args.iqr_one_sided else None,
         classes=args.classes.split(",") if args.classes else None,
         min_confidence=args.min_confidence,
     )
@@ -332,8 +331,15 @@ def cmd_run_pipeline(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error:`` line and exit 2, like the program's own."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parkscan",
         description="Parking-slot discovery from detection logs plus occupancy classification.",
     )
@@ -355,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-points", type=int, default=None)
     p.add_argument("--min-confidence", type=float, default=None)
     p.add_argument("--classes", default=None, help="comma-separated class allow-list")
-    p.add_argument("--iqr-one-sided", action="store_true")
     p.add_argument("--emit-plot-data", action="store_true")
     p.set_defaults(func=cmd_detect)
 

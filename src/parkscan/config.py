@@ -8,7 +8,6 @@ Precedence is CLI flag > config key > built-in default.  Example document:
       "eps": null,
       "min_points": null,
       "n_bottom": 40,
-      "iqr_one_sided": false,
       "threshold": 0.5,
       "iou_threshold": 0.3,
       "tolerance": null
@@ -34,7 +33,6 @@ class RunConfig:
     n_bottom: Union[int, None] = None
     eps: Union[float, None] = None
     min_points: Union[int, None] = None
-    iqr_one_sided: bool = False
     threshold: float = DEFAULT_DECISION_THRESHOLD
     iou_threshold: float = DEFAULT_IOU_THRESHOLD
     tolerance: Union[float, None] = None
@@ -53,7 +51,6 @@ class RunConfig:
             homography=self.homography,
             eps=self.eps,
             min_points=self.min_points,
-            iqr_one_sided=self.iqr_one_sided,
         )
 
 
@@ -61,11 +58,24 @@ def default_run_config() -> RunConfig:
     return RunConfig(det_filter=DetectionFilter(), homography=Homography.identity())
 
 
-def run_config_from_document(doc: Mapping) -> RunConfig:
+_KEYS = {"filter", "homography", "n_bottom", "eps", "min_points", "threshold", "iou_threshold",
+         "tolerance"}
+_FILTER_KEYS = {"classes", "min_confidence"}
+
+
+def _check_keys(doc, known, where: str) -> None:
     if not isinstance(doc, Mapping):
-        raise ConfigError("run config must be a JSON object")
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys {unknown}; known: {sorted(known)}")
+
+
+def run_config_from_document(doc: Mapping) -> RunConfig:
+    _check_keys(doc, _KEYS, "run config")
+    filter_doc = doc.get("filter", {})
+    _check_keys(filter_doc, _FILTER_KEYS, 'run config "filter"')
     try:
-        filter_doc = doc.get("filter", {})
         det_filter = DetectionFilter(
             allowed_classes=frozenset(filter_doc.get("classes", ("car", "truck"))),
             min_confidence=float(filter_doc.get("min_confidence", 0.5)),
@@ -81,7 +91,6 @@ def run_config_from_document(doc: Mapping) -> RunConfig:
             n_bottom=None if doc.get("n_bottom") is None else int(doc["n_bottom"]),
             eps=None if doc.get("eps") is None else float(doc["eps"]),
             min_points=None if doc.get("min_points") is None else int(doc["min_points"]),
-            iqr_one_sided=bool(doc.get("iqr_one_sided", False)),
             threshold=float(doc.get("threshold", DEFAULT_DECISION_THRESHOLD)),
             iou_threshold=float(doc.get("iou_threshold", DEFAULT_IOU_THRESHOLD)),
             tolerance=None if doc.get("tolerance") is None else float(doc["tolerance"]),
@@ -132,5 +141,4 @@ def config_echo(cfg: RunConfig, eps: float, min_points: int) -> dict:
         "n_bottom": cfg.n_bottom,
         "eps": eps,
         "min_points": min_points,
-        "iqr_one_sided": cfg.iqr_one_sided,
     }

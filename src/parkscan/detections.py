@@ -119,9 +119,10 @@ def _frame_array(entries: list, line: int) -> np.ndarray:
 def parse_detections(source: Union[IO[str], IO[bytes], str, bytes]) -> list[FrameDetections]:
     """Parse a detection log into frames, preserving record and detection order.
 
-    Malformed records raise :class:`DetectionLogParseError` with the line
-    number; invariant violations raise :class:`ValidationError` naming the
-    field.  Blank lines are ignored.
+    Malformed records and repeated frame ids raise
+    :class:`DetectionLogParseError` with the line number; invariant
+    violations raise :class:`ValidationError` naming the field.  Blank
+    lines are ignored.
     """
     if isinstance(source, (str, bytes)):
         data = source
@@ -131,6 +132,7 @@ def parse_detections(source: Union[IO[str], IO[bytes], str, bytes]) -> list[Fram
         data = data.decode("utf-8")
 
     frames = []
+    first_line = {}
     for line_no, line in enumerate(data.splitlines(), start=1):
         if not line.strip():
             continue
@@ -143,6 +145,11 @@ def parse_detections(source: Union[IO[str], IO[bytes], str, bytes]) -> list[Fram
         frame_id = record.get("frame")
         if not isinstance(frame_id, str) or not frame_id:
             raise DetectionLogParseError(line_no, '"frame" must be a non-empty string')
+        if frame_id in first_line:
+            raise DetectionLogParseError(
+                line_no, f"frame {frame_id!r} repeats line {first_line[frame_id]}"
+            )
+        first_line[frame_id] = line_no
         ts = record.get("ts")
         if ts is not None and not isinstance(ts, str):
             raise DetectionLogParseError(line_no, '"ts" must be a string when present')

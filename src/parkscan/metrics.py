@@ -129,13 +129,10 @@ def format_percent(value: Union[Fraction, float, None]) -> str:
     return str((dec * 100).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
-    """Area under the ROC curve via the rank (Mann-Whitney) statistic.
-
-    Equals (number of positive/negative pairs ranked correctly + half the
-    ties) / (P * N), computed with average ranks so ties are handled without
-    enumerating pairs.
-    """
+def _score_groups(scores: Sequence[float], labels: Sequence[bool]):
+    """After one stable ascending sort: the distinct scores, each one's first and last
+    sorted position, the positives among the first k sorted scores (k = 0..n), and
+    the class totals P and N.  Every count is an integer."""
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=bool)
     if s.shape != y.shape or s.ndim != 1:
@@ -143,20 +140,27 @@ def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
     pos = int(y.sum())
     neg = int(y.size - pos)
     if pos == 0 or neg == 0:
-        raise UndefinedAucError("labels contain a single class; AUC is undefined")
+        raise UndefinedAucError("labels contain a single class; AUC and ROC are undefined")
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    last = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+    first = np.append(0, last[:-1] + 1)
+    pos_below = np.append(0, np.cumsum(y[order]))
+    return ordered[first], first, last, pos_below, pos, neg
 
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.size, dtype=float)
-    sorted_scores = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # 1-based ranks i+1..j+1 share the average rank.
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
-    rank_sum = float(ranks[y].sum())
+
+def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
+    """Area under the ROC curve via the rank (Mann-Whitney) statistic.
+
+    Equals (number of positive/negative pairs ranked correctly + half the
+    ties) / (P * N), computed with average ranks so ties are handled without
+    enumerating pairs.
+    """
+    _, first, last, pos_below, pos, neg = _score_groups(scores, labels)
+    # A tie group shares the 1-based rank (first + last + 2) / 2, so twice the
+    # positives' rank sum is an exact integer.
+    pos_in_group = pos_below[last + 1] - pos_below[first]
+    rank_sum = int((pos_in_group * (first + last + 2)).sum()) / 2
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 
 
@@ -164,19 +168,12 @@ def roc_points(
     scores: Sequence[float], labels: Sequence[bool]
 ) -> list[tuple[float, float, float]]:
     """(threshold, fpr, tpr) sweep over the distinct scores, for plotting."""
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=bool)
-    pos = int(y.sum())
-    neg = int(y.size - pos)
-    if pos == 0 or neg == 0:
-        raise UndefinedAucError("labels contain a single class; ROC is undefined")
-    points = [(math.inf, 0.0, 0.0)]
-    for thr in sorted(set(float(v) for v in s), reverse=True):
-        predicted = s >= thr
-        tpr = float((predicted & y).sum()) / pos
-        fpr = float((predicted & ~y).sum()) / neg
-        points.append((thr, fpr, tpr))
-    return points
+    values, first, _, pos_below, pos, neg = _score_groups(scores, labels)
+    # Descending thresholds; a score predicts occupied iff it is >= the threshold.
+    tp = (pos - pos_below[first])[::-1]
+    fp = (pos + neg - first)[::-1] - tp
+    sweep = zip(values[::-1].tolist(), (fp / neg).tolist(), (tp / pos).tolist())
+    return [(math.inf, 0.0, 0.0), *sweep]
 
 
 def classification_counts(

@@ -196,18 +196,13 @@ def aggregate_report(records: Iterable[OccupancyRecord]) -> dict[str, FrameRepor
 
 
 def write_records(stream: IO[str], records: Iterable[OccupancyRecord]) -> None:
+    """One JSON line per record; ERROR records also carry their ``"error"`` reason."""
     for rec in records:
-        stream.write(
-            json.dumps(
-                {
-                    "frame": rec.frame_id,
-                    "slot": rec.slot_id,
-                    "score": rec.score,
-                    "status": rec.status.value,
-                },
-                sort_keys=True,
-            )
-        )
+        doc = {"frame": rec.frame_id, "slot": rec.slot_id, "score": rec.score,
+               "status": rec.status.value}
+        if rec.status is OccupancyStatus.ERROR:
+            doc["error"] = rec.error
+        stream.write(json.dumps(doc, sort_keys=True))
         stream.write("\n")
 
 
@@ -224,6 +219,7 @@ def read_records(stream: IO[str]) -> list[OccupancyRecord]:
                     frame_id=str(raw["frame"]),
                     score=None if raw["score"] is None else float(raw["score"]),
                     status=OccupancyStatus(raw["status"]),
+                    error=raw.get("error"),
                 )
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

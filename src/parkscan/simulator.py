@@ -203,7 +203,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
     for f in range(config.frame_count):
         frame_id = f"f{f:06d}"
         ts = (_BASE_TIMESTAMP + f * _SAMPLE_INTERVAL).isoformat()
-        dets: list[tuple[Box, float]] = []  # (image box, confidence)
+        dets: list[tuple[Box, float]] = []
         vehicles: list[tuple[Box, str]] = []
         bits = []
 

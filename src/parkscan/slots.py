@@ -47,7 +47,6 @@ class SlotDetectionConfig:
     homography: Homography = field(default_factory=Homography.identity)
     eps: Union[float, None] = None
     min_points: Union[int, None] = None
-    iqr_one_sided: bool = False
 
     def __post_init__(self):
         if int(self.n_bottom) != self.n_bottom or self.n_bottom < 1:
@@ -114,25 +113,20 @@ def _quantile(sorted_values: Sequence[float], q: float) -> float:
     return float(sorted_values[lo] + (sorted_values[lo + 1] - sorted_values[lo]) * frac)
 
 
-def iqr_filter(values: Sequence[float], one_sided: bool = False) -> set[int]:
-    """Indices of values inside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] (closed interval).
+def iqr_filter(values: Sequence[float]) -> set[int]:
+    """Indices of values at or below the upper fence Q3 + 1.5*IQR.
 
-    With ``one_sided`` only the upper fence applies, so unusually small
-    values survive.
+    Only high-spread outliers are dropped: as frames accumulate, real slot
+    spreads concentrate, and a lower fence would start cutting the tightest
+    (best) clusters.
     """
     if len(values) == 0:
         raise ValueError("values must be non-empty")
     ordered = sorted(values)
     q1 = _quantile(ordered, 0.25)
     q3 = _quantile(ordered, 0.75)
-    iqr = q3 - q1
-    lo = q1 - 1.5 * iqr
-    hi = q3 + 1.5 * iqr
-    return {
-        i
-        for i, v in enumerate(values)
-        if v <= hi and (one_sided or v >= lo)
-    }
+    hi = q3 + 1.5 * (q3 - q1)
+    return {i for i, v in enumerate(values) if v <= hi}
 
 
 def select_n_bottom(
@@ -200,7 +194,7 @@ def run_slot_detection(
             )
         )
 
-    kept = iqr_filter([c.spread for c in candidates], one_sided=config.iqr_one_sided)
+    kept = iqr_filter([c.spread for c in candidates])
     survivors = [c for i, c in enumerate(candidates) if i in kept]
     selected, shortfall = select_n_bottom(survivors, config.n_bottom)
 

@@ -64,16 +64,26 @@ def pairwise_auc(scores, labels):
     return (wins + 0.5 * ties) / (pos.size * neg.size)
 
 
-def quantile_oracle_kept(values, one_sided=False):
-    """IQR-filter survivors recomputed with numpy's linear-interpolation quantiles."""
+def roc_points_by_rescan(scores, labels):
+    """ROC sweep that re-thresholds every score at each distinct score, highest first."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=bool)
+    pos, neg = int(y.sum()), int((~y).sum())
+    points = [(float("inf"), 0.0, 0.0)]
+    for thr in sorted(set(s.tolist()), reverse=True):
+        predicted = s >= thr
+        points.append((thr, int((predicted & ~y).sum()) / neg, int((predicted & y).sum()) / pos))
+    return points
+
+
+def quantile_oracle_kept(values):
+    """IQR-filter survivors (upper fence only) recomputed with numpy's
+    linear-interpolation quantiles."""
     arr = np.asarray(values, dtype=float)
     q1 = np.quantile(arr, 0.25, method="linear")
     q3 = np.quantile(arr, 0.75, method="linear")
-    iqr = q3 - q1
-    lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    return {
-        i for i, v in enumerate(arr) if v <= hi and (one_sided or v >= lo)
-    }
+    hi = q3 + 1.5 * (q3 - q1)
+    return {i for i, v in enumerate(arr) if v <= hi}
 
 
 def random_well_conditioned_homography(rng):

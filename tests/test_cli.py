@@ -487,6 +487,8 @@ THREE_DETECTIONS = {"frame": "f1", "dets": [{"cx": 0, "cy": 0, "w": 20, "h": 20,
 
 CLASSIFY = ["classify", "--slots", "{d}/slots.json", "--mode", "oracle", "--input", "{d}/truth.jsonl",
             "--out-records", "{d}/r.jsonl", "--out-report", "{d}/p.json"]
+DETECT = ["detect-slots", "--detections", "{d}/d.jsonl", "--config", "{d}/run.json", "--out", "{d}/s.json"]
+NAN_DETECTION = {"frame": "f1", "dets": [{"cx": float("nan"), "cy": 0, "w": 20, "h": 20, "cls": "car", "conf": 0.9}]}
 EVALUATE = ["evaluate", "--pred-slots", "{d}/slots.json", "--truth-slots", "{d}/slots.json",
             "--records", "{d}/records.jsonl", "--truth-occupancy", "{d}/truth.jsonl", "--out", "{d}/m.json"]
 
@@ -513,12 +515,27 @@ EVALUATE = ["evaluate", "--pred-slots", "{d}/slots.json", "--truth-slots", "{d}/
                      CLASSIFY, "slot entry 0", id="registry-non-numeric-field"),
         pytest.param({"records.jsonl": SLOT2_RECORD}, EVALUATE, "frame 'f1' has no occupancy bit for truth slot 2",
                      id="truth-frame-missing-slot-bit"),
+        pytest.param({}, ["classify", "--mode", "banana"] + CLASSIFY[3:], "invalid choice: 'banana'",
+                     id="argparse-usage-error"),
+        pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1}}, DETECT + ["--iqr-one-sided"],
+                     "unrecognized arguments: --iqr-one-sided", id="removed-iqr-flag"),
+        pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1, "epsilon": 99}}, DETECT,
+                     "unknown keys ['epsilon']", id="unknown-config-key"),
+        pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1, "iqr_one_sided": True}}, DETECT,
+                     "unknown keys ['iqr_one_sided']", id="stale-iqr-config-key"),
+        pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1, "filter": {"min_conf": 0.2}}},
+                     DETECT, "unknown keys ['min_conf']", id="unknown-filter-key"),
+        pytest.param({"d.jsonl": [THREE_DETECTIONS] * 3, "run.json": {"n_bottom": 1}}, DETECT,
+                     "line 2: frame 'f1' repeats line 1", id="repeated-frame-id"),
+        pytest.param({"d.jsonl": NAN_DETECTION, "run.json": {"n_bottom": 1}}, DETECT,
+                     "line 1: x coordinate must be finite", id="nan-center"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, files, argv, names):
     docs = {"slots.json": GOOD_REGISTRY, "truth.jsonl": ONE_BIT_TRUTH, **files}
-    for name, doc in docs.items():
-        (tmp_path / name).write_text(json.dumps(doc) + "\n")
+    for name, doc in docs.items():  # a list is written as JSON lines
+        lines = doc if isinstance(doc, list) else [doc]
+        (tmp_path / name).write_text("".join(json.dumps(line) + "\n" for line in lines))
     src = str(Path(parkscan.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-m", "parkscan.cli", *(a.format(d=tmp_path) for a in argv)],

@@ -29,15 +29,14 @@ def test_document_round_trip():
         "n_bottom": 12,
         "eps": 10.0,
         "min_points": 4,
-        "iqr_one_sided": True,
         "tolerance": 7.5,
     }
     cfg = run_config_from_document(doc)
     assert cfg.det_filter.allowed_classes == {"car"}
     assert cfg.n_bottom == 12 and cfg.eps == 10.0 and cfg.min_points == 4
-    assert cfg.iqr_one_sided and cfg.tolerance == 7.5
+    assert cfg.tolerance == 7.5
     slot_cfg = cfg.slot_detection_config()
-    assert slot_cfg.n_bottom == 12 and slot_cfg.iqr_one_sided
+    assert slot_cfg.n_bottom == 12 and (slot_cfg.eps, slot_cfg.min_points) == (10.0, 4)
 
 
 def test_missing_n_bottom_raises_at_detection_time():

@@ -84,6 +84,13 @@ def test_parse_rejects_nan_center_with_line_number():
     assert str(exc.value).startswith("line 2: ")
 
 
+def test_parse_rejects_repeated_frame_id():
+    text = '{"frame": "f1", "dets": []}\n{"frame": "f2", "dets": []}\n{"frame": "f1", "dets": []}\n'
+    with pytest.raises(DetectionLogParseError) as exc:
+        parse_detections(text)
+    assert exc.value.line == 3
+
+
 def test_filter_keeps_threshold_inclusive():
     frames = [FrameDetections("f1", [det(conf=0.50), det(conf=0.4999)])]
     out = filter_detections(frames, DetectionFilter(min_confidence=0.5))
@@ -122,7 +129,7 @@ frame_st = st.builds(
     detections=st.lists(detection_st, max_size=6),
     timestamp=st.none() | st.just("2026-01-01T00:00:00"),
 )
-frames_st = st.lists(frame_st, max_size=8)
+frames_st = st.lists(frame_st, max_size=8, unique_by=lambda f: f.frame_id)
 filter_st = st.builds(
     DetectionFilter,
     allowed_classes=st.sets(class_label, min_size=1).map(frozenset),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pairwise_auc
+from helpers import pairwise_auc, roc_points_by_rescan
 from parkscan.geometry import Point2
 from parkscan.metrics import (
     ClassificationCounts,
@@ -208,3 +208,12 @@ def test_roc_points_sweep():
     assert points[-1][1:] == (1.0, 1.0)
     thresholds = [p[0] for p in points]
     assert thresholds == sorted(thresholds, reverse=True)
+
+
+@given(scores=score_sets, data=st.data())
+@settings(max_examples=100)
+def test_roc_points_match_per_threshold_rescan(scores, data):
+    labels = data.draw(st.lists(st.booleans(), min_size=len(scores), max_size=len(scores)))
+    if not (any(labels) and not all(labels)):
+        labels[0], labels[-1] = True, False
+    assert roc_points(scores, labels) == roc_points_by_rescan(scores, labels)

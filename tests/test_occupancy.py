@@ -183,6 +183,11 @@ def test_aggregate_rejects_duplicates():
 
 def test_records_round_trip():
     records = classify_frame(SLOTS, "f1", ConstantClassifier(0.75))
+    # An out-of-range score gives ERROR records that carry the reason.
+    records += classify_frame(SLOTS, "f2", ConstantClassifier(1.5))
+    assert records[-1].status is OccupancyStatus.ERROR and "outside [0, 1]" in records[-1].error
     buf = io.StringIO()
     write_records(buf, records)
     assert read_records(io.StringIO(buf.getvalue())) == records
+    lines = buf.getvalue().splitlines()
+    assert ['"error"' in line for line in lines] == [r.status is OccupancyStatus.ERROR for r in records]
