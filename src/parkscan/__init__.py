@@ -35,7 +35,6 @@ from .metrics import (
 )
 from .occupancy import (
     ClassifierAdapter,
-    CropSpec,
     FileScoreClassifier,
     GeometricOracleClassifier,
     OccupancyRecord,

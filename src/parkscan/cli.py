@@ -34,7 +34,6 @@ from .occupancy import (
     FileScoreClassifier,
     GeometricOracleClassifier,
     MissingGroundTruthError,
-    MissingScoreError,
     OccupancyStatus,
     aggregate_report,
     classify_frame,
@@ -117,7 +116,7 @@ def _classifier(mode, source, truth, cfg):
         table = FileScoreClassifier.from_stream(fh)
     frame_ids = table.frames()
     if not frame_ids:
-        raise MissingScoreError(f"score table {source} is empty")
+        raise EmptyInputError(f"score table {source} is empty")
     return table, cfg.threshold, frame_ids
 
 
@@ -168,9 +167,9 @@ def classify_stage(slots, classifier, threshold, frame_ids, out_records, out_rep
     for frame_id in frame_ids:
         records.extend(classify_frame(slots, frame_id, classifier, threshold=threshold))
 
+    report = aggregate_report(records)  # rejects duplicate records before any file is written
     with open(out_records, "w", encoding="utf-8") as fh:
         write_records(fh, records)
-    report = aggregate_report(records)
     doc = {
         fid: {
             "occupied": rep.occupied,
@@ -423,7 +422,6 @@ def main(argv=None) -> int:
     except (
         EmptyInputError,
         MissingGroundTruthError,
-        MissingScoreError,
         DuplicateRecordError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

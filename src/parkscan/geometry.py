@@ -64,29 +64,29 @@ class Box:
         if self.h <= 0:
             raise ValidationError("h", f"height must be > 0, got {self.h!r}")
 
-    @property
-    def corners(self) -> tuple[float, float, float, float]:
-        """(x1, y1, x2, y2) with x1 < x2 and y1 < y2."""
-        return (
-            self.cx - self.w / 2.0,
-            self.cy - self.h / 2.0,
-            self.cx + self.w / 2.0,
-            self.cy + self.h / 2.0,
-        )
+
+def boxes_array(boxes: Sequence[Box]) -> np.ndarray:
+    """An ``(n, 4)`` float array of the boxes' (cx, cy, w, h) rows."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
 
 
-def box_iou(a: Box, b: Box) -> float:
-    """Intersection over union of two axis-aligned boxes (0 when disjoint)."""
-    ax1, ay1, ax2, ay2 = a.corners
-    bx1, by1, bx2, by2 = b.corners
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
+def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union of (cx, cy, w, h) boxes in ``(..., 4)`` arrays.
+
+    ``a`` and ``b`` broadcast against each other, so ``a[:, None]`` against
+    ``b[None]`` gives the full pairwise matrix. Disjoint or touching boxes
+    score exactly 0.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    acx, acy, aw, ah = np.moveaxis(a, -1, 0)
+    bcx, bcy, bw, bh = np.moveaxis(b, -1, 0)
+    iw = np.minimum(acx + aw / 2.0, bcx + bw / 2.0) - np.maximum(acx - aw / 2.0, bcx - bw / 2.0)
+    ih = np.minimum(acy + ah / 2.0, bcy + bh / 2.0) - np.maximum(acy - ah / 2.0, bcy - bh / 2.0)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = aw * ah + bw * bh - inter
     # Rounding can nudge the ratio past 1 for near-identical boxes.
-    return min(inter / union, 1.0)
+    return np.minimum(inter / union, 1.0)
 
 
 def _cofactor_matrix(m: np.ndarray) -> np.ndarray:

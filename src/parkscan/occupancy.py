@@ -6,8 +6,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 from .errors import ValidationError
-from .geometry import Box, box_iou
+from .geometry import Box, box_iou, boxes_array
 from .slots import ParkingSlot
 
 DEFAULT_DECISION_THRESHOLD = 0.5
@@ -16,10 +18,6 @@ DEFAULT_IOU_THRESHOLD = 0.3
 
 class MissingGroundTruthError(LookupError):
     """The oracle has no ground truth for the queried frame."""
-
-
-class MissingScoreError(LookupError):
-    """The score table has no entry for the queried (frame, slot)."""
 
 
 class DuplicateRecordError(ValueError):
@@ -32,19 +30,11 @@ class OccupancyStatus(str, Enum):
     ERROR = "ERROR"
 
 
-@dataclass(frozen=True)
-class CropSpec:
-    """The image region a classifier should judge: a slot's area in one frame."""
-
-    slot_id: int
-    frame_id: str
-    region: Box
-
-
 class ClassifierAdapter:
-    """Contract: deterministic probability-of-occupied in [0, 1] per crop."""
+    """Contract: deterministic probability-of-occupied in [0, 1] per slot of a frame."""
 
-    def classify(self, crop: CropSpec) -> float:
+    def classify(self, frame_id: str, slots: Sequence[ParkingSlot]) -> Sequence[float]:
+        """One score per slot, in slot order; NaN for a slot it has no score for."""
         raise NotImplementedError
 
 
@@ -65,40 +55,41 @@ def classify_frame(
 ) -> list[OccupancyRecord]:
     """One record per slot, in slot order. OCCUPIED iff score >= threshold.
 
-    A classifier failure on one crop yields an ERROR record for that slot
-    and leaves the others untouched.
+    A NaN or out-of-range score yields an ERROR record for that slot. If the
+    classifier raises or returns the wrong number of scores, every slot of
+    the frame gets an ERROR record with that reason.
     """
     if not slots:
         raise ValueError("slots must be non-empty")
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
-    records = []
-    for slot in slots:
-        crop = CropSpec(slot_id=slot.slot_id, frame_id=frame_id, region=slot.area)
-        try:
-            score = float(classifier.classify(crop))
-            if not (math.isfinite(score) and 0.0 <= score <= 1.0):
-                raise ValidationError("score", f"classifier returned {score!r}, outside [0, 1]")
-        except Exception as exc:
-            records.append(
-                OccupancyRecord(
-                    slot_id=slot.slot_id,
-                    frame_id=frame_id,
-                    score=None,
-                    status=OccupancyStatus.ERROR,
-                    error=str(exc),
-                )
+    try:
+        scores = np.asarray(classifier.classify(frame_id, slots), dtype=float)
+        if scores.shape != (len(slots),):
+            raise ValidationError(
+                "score", f"classifier returned scores of shape {scores.shape} for {len(slots)} slots"
             )
+    except Exception as exc:
+        return [
+            OccupancyRecord(slot.slot_id, frame_id, None, OccupancyStatus.ERROR, str(exc))
+            for slot in slots
+        ]
+    records = []
+    for slot, score in zip(slots, scores.tolist()):
+        if math.isnan(score):
+            error = f"no score for frame {frame_id!r}, slot {slot.slot_id}"
+        elif not 0.0 <= score <= 1.0:
+            error = f"classifier returned {score!r}, outside [0, 1]"
+        else:
+            status = OccupancyStatus.OCCUPIED if score >= threshold else OccupancyStatus.VACANT
+            records.append(OccupancyRecord(slot.slot_id, frame_id, score, status))
             continue
-        status = OccupancyStatus.OCCUPIED if score >= threshold else OccupancyStatus.VACANT
-        records.append(
-            OccupancyRecord(slot_id=slot.slot_id, frame_id=frame_id, score=score, status=status)
-        )
+        records.append(OccupancyRecord(slot.slot_id, frame_id, None, OccupancyStatus.ERROR, error))
     return records
 
 
 class GeometricOracleClassifier(ClassifierAdapter):
-    """Scores a crop by its best IoU against the frame's true vehicle boxes.
+    """Scores each slot by its best IoU against the frame's true vehicle boxes.
 
     Stand-in for an image classifier on simulated data: the score is the raw
     max IoU, and the recommended decision threshold binarizes it.
@@ -111,19 +102,16 @@ class GeometricOracleClassifier(ClassifierAdapter):
     ):
         if not (0.0 < iou_threshold < 1.0):
             raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold!r}")
-        self._vehicles = {k: tuple(v) for k, v in vehicles_by_frame.items()}
+        self._vehicles = {k: boxes_array(v) for k, v in vehicles_by_frame.items()}
         self.decision_threshold = iou_threshold
 
-    def classify(self, crop: CropSpec) -> float:
+    def classify(self, frame_id: str, slots: Sequence[ParkingSlot]) -> np.ndarray:
         try:
-            vehicles = self._vehicles[crop.frame_id]
+            vehicles = self._vehicles[frame_id]
         except KeyError:
-            raise MissingGroundTruthError(
-                f"no ground truth for frame {crop.frame_id!r}"
-            ) from None
-        if not vehicles:
-            return 0.0
-        return max(box_iou(crop.region, v) for v in vehicles)
+            raise MissingGroundTruthError(f"no ground truth for frame {frame_id!r}") from None
+        areas = boxes_array([s.area for s in slots])
+        return box_iou(areas[:, None], vehicles[None]).max(axis=1, initial=0.0)
 
 
 class FileScoreClassifier(ClassifierAdapter):
@@ -139,8 +127,12 @@ class FileScoreClassifier(ClassifierAdapter):
 
     @classmethod
     def from_stream(cls, stream: IO[str]) -> "FileScoreClassifier":
-        """Load a line-delimited table: {"frame": str, "slot": int, "score": num}."""
+        """Load a line-delimited table: {"frame": str, "slot": int, "score": num}.
+
+        A (frame, slot) key given twice is rejected, naming both lines.
+        """
         table = {}
+        first_line = {}
         for line_no, line in enumerate(stream.read().splitlines(), start=1):
             if not line.strip():
                 continue
@@ -150,19 +142,20 @@ class FileScoreClassifier(ClassifierAdapter):
                 score = record["score"]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValidationError("score_table", f"line {line_no}: bad record ({exc})") from exc
+            if key in first_line:
+                raise ValidationError(
+                    "score_table",
+                    f"line {line_no}: frame {key[0]!r}, slot {key[1]} repeats line {first_line[key]}",
+                )
+            first_line[key] = line_no
             table[key] = score
         return cls(table)
 
     def frames(self) -> list[str]:
         return sorted({frame for frame, _ in self._table})
 
-    def classify(self, crop: CropSpec) -> float:
-        try:
-            return float(self._table[(crop.frame_id, crop.slot_id)])
-        except KeyError:
-            raise MissingScoreError(
-                f"no score for frame {crop.frame_id!r}, slot {crop.slot_id}"
-            ) from None
+    def classify(self, frame_id: str, slots: Sequence[ParkingSlot]) -> list[float]:
+        return [self._table.get((frame_id, s.slot_id), math.nan) for s in slots]
 
 
 @dataclass(frozen=True)

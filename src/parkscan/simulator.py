@@ -36,6 +36,7 @@ import numpy as np
 from .detections import FrameDetections
 from .errors import ConfigError, ValidationError
 from .geometry import Box, Homography, Point2, apply_homography
+from .slots import ParkingSlot, slot_registry_document
 
 STREAM_SLOT = 0
 STREAM_PASSING = 1
@@ -268,26 +269,12 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
 
 def write_ground_truth_slots(stream: IO[str], truth: GroundTruth) -> None:
     """Slot layout in the slot-registry schema (spread 0, members = frames occupied)."""
-    occupied_counts = [0] * len(truth.slots)
-    for bits in truth.occupancy:
-        for i, bit in enumerate(bits):
-            occupied_counts[i] += int(bit)
-    doc = {
-        "slots": [
-            {
-                "id": i,
-                "cx": box.cx,
-                "cy": box.cy,
-                "w": box.w,
-                "h": box.h,
-                "spread": 0.0,
-                "members": occupied_counts[i],
-            }
-            for i, box in enumerate(truth.slots)
-        ],
-        "config_echo": {"source": "simulator-ground-truth"},
-    }
-    json.dump(doc, stream, sort_keys=True, indent=2)
+    slots = [
+        ParkingSlot(slot_id=i, area=box, spread=0.0, members=sum(bits[i] for bits in truth.occupancy))
+        for i, box in enumerate(truth.slots)
+    ]
+    json.dump(slot_registry_document(slots, {"source": "simulator-ground-truth"}),
+              stream, sort_keys=True, indent=2)
     stream.write("\n")
 
 
@@ -306,25 +293,12 @@ def write_ground_truth_occupancy(stream: IO[str], truth: GroundTruth) -> None:
         stream.write("\n")
 
 
-def read_ground_truth(slots_stream: IO[str], occupancy_stream: IO[str]) -> GroundTruth:
-    slots_doc = json.load(slots_stream)
-    slot_entries = sorted(slots_doc["slots"], key=lambda e: int(e["id"]))
-    slots = tuple(
-        Box(float(e["cx"]), float(e["cy"]), float(e["w"]), float(e["h"]))
-        for e in slot_entries
-    )
-    partial = read_ground_truth_occupancy(occupancy_stream)
-    return GroundTruth(
-        frame_ids=partial.frame_ids,
-        slots=slots,
-        occupancy=partial.occupancy,
-        vehicles=partial.vehicles,
-    )
-
-
 def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
-    """Ground truth from the per-frame occupancy file alone (empty slot layout)."""
-    frame_ids = []
+    """Ground truth from the per-frame occupancy file alone (empty slot layout).
+
+    A frame id given twice is rejected, naming both lines.
+    """
+    first_line = {}  # frame id -> line number, in file order
     occupancy = []
     vehicles = []
     for line_no, line in enumerate(occupancy_stream.read().splitlines(), start=1):
@@ -332,24 +306,27 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
             continue
         try:
             record = json.loads(line)
-            frame_ids.append(str(record["frame"]))
+            frame_id = str(record["frame"])
             bits = record["occupancy"]
-            occupancy.append(
-                tuple(bool(bits[str(i)]) for i in range(len(bits)))
-            )
-            vehicles.append(
-                tuple(
-                    (
-                        Box(float(v["cx"]), float(v["cy"]), float(v["w"]), float(v["h"])),
-                        str(v["kind"]),
-                    )
-                    for v in record["vehicles"]
+            frame_bits = tuple(bool(bits[str(i)]) for i in range(len(bits)))
+            frame_vehicles = tuple(
+                (
+                    Box(float(v["cx"]), float(v["cy"]), float(v["w"]), float(v["h"])),
+                    str(v["kind"]),
                 )
+                for v in record["vehicles"]
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
+        if frame_id in first_line:
+            raise ValidationError(
+                "occupancy", f"line {line_no}: frame {frame_id!r} repeats line {first_line[frame_id]}"
+            )
+        first_line[frame_id] = line_no
+        occupancy.append(frame_bits)
+        vehicles.append(frame_vehicles)
     return GroundTruth(
-        frame_ids=tuple(frame_ids),
+        frame_ids=tuple(first_line),
         slots=(),
         occupancy=tuple(occupancy),
         vehicles=tuple(vehicles),

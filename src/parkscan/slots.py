@@ -255,16 +255,22 @@ def read_slot_registry(stream: IO[str]) -> list[ParkingSlot]:
     if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
         raise ValidationError("slots", 'slot registry must be an object with a "slots" list')
     out = []
+    first_entry = {}  # slot id -> entry index
     for index, entry in enumerate(doc["slots"]):
         try:
-            out.append(
-                ParkingSlot(
-                    slot_id=int(entry["id"]),
-                    area=Box(float(entry["cx"]), float(entry["cy"]), float(entry["w"]), float(entry["h"])),
-                    spread=float(entry.get("spread", 0.0)),
-                    members=int(entry.get("members", 0)),
-                )
+            slot = ParkingSlot(
+                slot_id=int(entry["id"]),
+                area=Box(float(entry["cx"]), float(entry["cy"]), float(entry["w"]), float(entry["h"])),
+                spread=float(entry.get("spread", 0.0)),
+                members=int(entry.get("members", 0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("slots", f"slot entry {index}: bad entry ({exc})") from exc
+        if slot.slot_id in first_entry:
+            raise ValidationError(
+                "slots",
+                f"slot entry {index}: id {slot.slot_id} repeats slot entry {first_entry[slot.slot_id]}",
+            )
+        first_entry[slot.slot_id] = index
+        out.append(slot)
     return out

@@ -100,3 +100,20 @@ def random_well_conditioned_homography(rng):
         ]
     )
     return h
+
+
+def box_iou_scalar(a, b):
+    """IoU of two (cx, cy, w, h) boxes, one pair at a time with Python floats.
+
+    The reference for the array ``box_iou``: the same operations in the same
+    order, so the two must agree bit for bit.
+    """
+    acx, acy, aw, ah = (float(v) for v in a)
+    bcx, bcy, bw, bh = (float(v) for v in b)
+    iw = min(acx + aw / 2.0, bcx + bw / 2.0) - max(acx - aw / 2.0, bcx - bw / 2.0)
+    ih = min(acy + ah / 2.0, bcy + bh / 2.0) - max(acy - ah / 2.0, bcy - bh / 2.0)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = aw * ah + bw * bh - inter
+    return min(inter / union, 1.0)

@@ -489,6 +489,9 @@ CLASSIFY = ["classify", "--slots", "{d}/slots.json", "--mode", "oracle", "--inpu
             "--out-records", "{d}/r.jsonl", "--out-report", "{d}/p.json"]
 DETECT = ["detect-slots", "--detections", "{d}/d.jsonl", "--config", "{d}/run.json", "--out", "{d}/s.json"]
 NAN_DETECTION = {"frame": "f1", "dets": [{"cx": float("nan"), "cy": 0, "w": 20, "h": 20, "cls": "car", "conf": 0.9}]}
+CLASSIFY_SCORES = CLASSIFY[:4] + ["scores", "--input", "{d}/scores.jsonl"] + CLASSIFY[7:]
+F1_SLOT0_SCORE = {"frame": "f1", "slot": 0, "score": 0.9}
+PARKED_AT_SLOT0 = {"cx": 0.0, "cy": 0.0, "w": 20.0, "h": 20.0, "kind": "parked"}
 EVALUATE = ["evaluate", "--pred-slots", "{d}/slots.json", "--truth-slots", "{d}/slots.json",
             "--records", "{d}/records.jsonl", "--truth-occupancy", "{d}/truth.jsonl", "--out", "{d}/m.json"]
 
@@ -529,6 +532,13 @@ EVALUATE = ["evaluate", "--pred-slots", "{d}/slots.json", "--truth-slots", "{d}/
                      "line 2: frame 'f1' repeats line 1", id="repeated-frame-id"),
         pytest.param({"d.jsonl": NAN_DETECTION, "run.json": {"n_bottom": 1}}, DETECT,
                      "line 1: x coordinate must be finite", id="nan-center"),
+        pytest.param({"truth.jsonl": [ONE_BIT_TRUTH, {**ONE_BIT_TRUTH, "vehicles": [PARKED_AT_SLOT0]}]},
+                     CLASSIFY, "line 2: frame 'f1' repeats line 1", id="repeated-truth-frame"),
+        pytest.param({"slots.json": {"slots": GOOD_REGISTRY["slots"] + GOOD_REGISTRY["slots"][:1]}},
+                     CLASSIFY, "slot entry 3: id 0 repeats slot entry 0", id="repeated-registry-id"),
+        pytest.param({"scores.jsonl": [F1_SLOT0_SCORE, {**F1_SLOT0_SCORE, "slot": 1},
+                                       {**F1_SLOT0_SCORE, "score": 0.1}]},
+                     CLASSIFY_SCORES, "line 3: frame 'f1', slot 0 repeats line 1", id="repeated-score-key"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, files, argv, names):
@@ -549,6 +559,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, files, argv, names):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert names in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(docs)  # no output written
 
 
 def test_cli_module_entry_point(workdir):

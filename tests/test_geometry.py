@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_well_conditioned_homography
+from helpers import box_iou_scalar, random_well_conditioned_homography
 from parkscan.errors import ConfigError
 from parkscan.geometry import (
     NORMALIZED_EXTENT,
@@ -18,6 +18,7 @@ from parkscan.geometry import (
     apply_homography,
     apply_homography_array,
     box_iou,
+    boxes_array,
     estimate_homography_dlt,
     homography_from_config,
     invert_homography,
@@ -204,11 +205,39 @@ def test_normalize_point_cloud_properties(cloud):
 
 
 def test_box_iou_cases():
-    a = Box(0.0, 0.0, 50.0, 50.0)
+    a = (0.0, 0.0, 50.0, 50.0)
     assert box_iou(a, a) == 1.0
-    assert box_iou(a, Box(100.0, 0.0, 10.0, 10.0)) == 0.0
+    assert box_iou(a, (100.0, 0.0, 10.0, 10.0)) == 0.0
     # Half-overlapping squares: intersection 25x50, union 3750.
-    assert box_iou(a, Box(25.0, 0.0, 50.0, 50.0)) == pytest.approx(1250.0 / 3750.0)
+    assert box_iou(a, (25.0, 0.0, 50.0, 50.0)) == pytest.approx(1250.0 / 3750.0)
+    # One broadcast scores every pair: slots down the rows, vehicles across.
+    slots = boxes_array([Box(*a), Box(100.0, 0.0, 10.0, 10.0)])
+    vehicles = boxes_array([Box(25.0, 0.0, 50.0, 50.0), Box(*a)])
+    pairwise = box_iou(slots[:, None], vehicles[None])
+    assert pairwise.shape == (2, 2)
+    assert pairwise.tolist() == [[box_iou_scalar(s, v) for v in vehicles] for s in slots]
+
+
+_coord = st.floats(-1e3, 1e3)
+_side = st.floats(1e-3, 1e3)
+_box = st.tuples(_coord, _coord, _side, _side)
+
+
+@given(a=_box, b=_box)
+@example(a=(0.0, 0.0, 50.0, 50.0), b=(100.0, 0.0, 10.0, 10.0))  # disjoint
+@example(a=(0.0, 0.0, 50.0, 50.0), b=(50.0, 0.0, 50.0, 50.0))  # touching edges
+@example(a=(0.0, 0.0, 50.0, 50.0), b=(50.0, 50.0, 50.0, 50.0))  # touching corners
+@example(a=(0.0, 0.0, 50.0, 50.0), b=(5.0, -3.0, 10.0, 20.0))  # nested
+@example(a=(0.1, 0.2, 0.3, 0.7), b=(0.1 + 1e-17, 0.2, 0.3, 0.7 + 1e-16))  # near-identical
+@example(a=(1e3, -1e3, 1e-3, 1e3), b=(1e3, -1e3, 1e-3, 1e3))  # identical, extreme sides
+@settings(max_examples=300, deadline=None)
+def test_box_iou_matches_scalar_reference(a, b):
+    expected = box_iou_scalar(a, b)
+    assert box_iou(a, b) == expected  # bit for bit
+    assert box_iou(np.array([a]), np.array([b])).tolist() == [expected]
+    if expected == 0.0:
+        assert math.copysign(1.0, box_iou(a, b)) == 1.0  # +0.0, never -0.0
+    assert 0.0 <= expected <= 1.0
 
 
 def test_homography_from_config_forms():

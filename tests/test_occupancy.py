@@ -1,17 +1,19 @@
 import io
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import box_iou_scalar
 from parkscan.errors import ValidationError
 from parkscan.geometry import Box
 from parkscan.occupancy import (
     ClassifierAdapter,
-    CropSpec,
     DuplicateRecordError,
     FileScoreClassifier,
     GeometricOracleClassifier,
     MissingGroundTruthError,
-    MissingScoreError,
     OccupancyRecord,
     OccupancyStatus,
     aggregate_report,
@@ -30,16 +32,16 @@ class ConstantClassifier(ClassifierAdapter):
     def __init__(self, score):
         self.score = score
 
-    def classify(self, crop):
-        return self.score
+    def classify(self, frame_id, slots):
+        return [self.score] * len(slots)
 
 
 class TableClassifier(ClassifierAdapter):
     def __init__(self, by_slot):
         self.by_slot = by_slot
 
-    def classify(self, crop):
-        return self.by_slot[crop.slot_id]
+    def classify(self, frame_id, slots):
+        return [self.by_slot[s.slot_id] for s in slots]
 
 
 SLOTS = [make_slot(0), make_slot(1, cx=100.0), make_slot(2, cx=200.0)]
@@ -68,15 +70,10 @@ def test_record_order_matches_slot_order():
 
 
 def test_failing_crop_yields_error_record_only():
-    class Flaky(ClassifierAdapter):
-        def classify(self, crop):
-            if crop.slot_id == 1:
-                raise RuntimeError("boom")
-            return 0.9
-
-    records = classify_frame(SLOTS, "f1", Flaky())
+    # A classifier with no score for one slot returns NaN there.
+    records = classify_frame(SLOTS, "f1", TableClassifier({0: 0.9, 1: math.nan, 2: 0.9}))
     assert records[1].status is OccupancyStatus.ERROR
-    assert records[1].score is None and "boom" in records[1].error
+    assert records[1].score is None and records[1].error == "no score for frame 'f1', slot 1"
     assert records[0].status is OccupancyStatus.OCCUPIED
     assert records[2].status is OccupancyStatus.OCCUPIED
 
@@ -84,6 +81,40 @@ def test_failing_crop_yields_error_record_only():
 def test_out_of_range_score_becomes_error_record():
     records = classify_frame(SLOTS[:1], "f1", ConstantClassifier(1.5))
     assert records[0].status is OccupancyStatus.ERROR
+    assert records[0].error == "classifier returned 1.5, outside [0, 1]"
+    records = classify_frame(SLOTS, "f1", TableClassifier({0: -0.25, 1: 0.5, 2: math.inf}))
+    assert [r.status for r in records] == [
+        OccupancyStatus.ERROR, OccupancyStatus.OCCUPIED, OccupancyStatus.ERROR
+    ]
+    assert records[0].error == "classifier returned -0.25, outside [0, 1]"
+    assert records[2].error == "classifier returned inf, outside [0, 1]"
+    assert records[0].score is None and records[1].score == 0.5
+
+
+def test_raising_classifier_errors_every_slot_of_the_frame():
+    class Broken(ClassifierAdapter):
+        def classify(self, frame_id, slots):
+            raise RuntimeError("boom")
+
+    records = classify_frame(SLOTS, "f1", Broken())
+    assert [r.slot_id for r in records] == [0, 1, 2]
+    assert all(r.status is OccupancyStatus.ERROR and r.score is None for r in records)
+    assert all(r.error == "boom" and r.frame_id == "f1" for r in records)
+
+
+@pytest.mark.parametrize(
+    "scores, shape",
+    [([0.9, 0.9], "(2,)"), ([0.9] * 4, "(4,)"), (0.9, "()"), ([[0.9, 0.9, 0.9]], "(1, 3)")],
+)
+def test_wrong_score_count_errors_every_slot_of_the_frame(scores, shape):
+    class Miscounting(ClassifierAdapter):
+        def classify(self, frame_id, slots):
+            return scores
+
+    records = classify_frame(SLOTS, "f1", Miscounting())
+    assert all(r.status is OccupancyStatus.ERROR and r.score is None for r in records)
+    assert all(r.error == records[0].error for r in records)
+    assert records[0].error == f"classifier returned scores of shape {shape} for 3 slots"
 
 
 def test_classify_frame_requires_slots_and_sane_threshold():
@@ -120,17 +151,41 @@ def test_oracle_half_overlap_hand_case():
 
 def test_oracle_unknown_frame_raises():
     oracle = GeometricOracleClassifier({"f1": []})
-    with pytest.raises(MissingGroundTruthError):
-        oracle.classify(CropSpec(slot_id=0, frame_id="f2", region=Box(0, 0, 1, 1)))
+    with pytest.raises(MissingGroundTruthError, match="no ground truth for frame 'f2'"):
+        oracle.classify("f2", [make_slot(0, w=1.0, h=1.0)])
+    records = classify_frame(SLOTS, "f2", oracle, threshold=oracle.decision_threshold)
+    assert [r.error for r in records] == ["no ground truth for frame 'f2'"] * 3
+
+
+_coord = st.floats(-100.0, 100.0)
+_side = st.floats(1.0, 80.0)
+_box = st.builds(Box, _coord, _coord, _side, _side)
+
+
+@given(areas=st.lists(_box, min_size=1, max_size=5), vehicles=st.lists(_box, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_oracle_scores_are_max_scalar_iou(areas, vehicles):
+    slots = [ParkingSlot(slot_id=i, area=a, spread=0.0, members=1) for i, a in enumerate(areas)]
+    oracle = GeometricOracleClassifier({"f1": vehicles})
+    expected = [
+        max((box_iou_scalar((a.cx, a.cy, a.w, a.h), (v.cx, v.cy, v.w, v.h)) for v in vehicles),
+            default=0.0)
+        for a in areas
+    ]
+    assert oracle.classify("f1", slots).tolist() == expected
+    records = classify_frame(slots, "f1", oracle, threshold=oracle.decision_threshold)
+    assert [r.score for r in records] == expected
 
 
 # --- file-backed scores -------------------------------------------------------
 
 def test_file_scores_lookup_and_missing():
     clf = FileScoreClassifier({("f1", 0): 0.9})
-    assert clf.classify(CropSpec(0, "f1", Box(0, 0, 1, 1))) == 0.9
-    with pytest.raises(MissingScoreError):
-        clf.classify(CropSpec(0, "f2", Box(0, 0, 1, 1)))
+    assert clf.classify("f1", [make_slot(0)]) == [0.9]
+    assert math.isnan(clf.classify("f2", [make_slot(0)])[0])
+    records = classify_frame([make_slot(0)], "f2", clf)
+    assert records[0].status is OccupancyStatus.ERROR
+    assert records[0].error == "no score for frame 'f2', slot 0"
 
 
 def test_file_scores_validate_range_at_load():
@@ -144,7 +199,7 @@ def test_file_scores_from_stream():
     text = '{"frame": "f1", "slot": 0, "score": 0.25}\n{"frame": "f2", "slot": 1, "score": 1.0}\n'
     clf = FileScoreClassifier.from_stream(io.StringIO(text))
     assert clf.frames() == ["f1", "f2"]
-    assert clf.classify(CropSpec(1, "f2", Box(0, 0, 1, 1))) == 1.0
+    assert clf.classify("f2", [make_slot(1)]) == [1.0]
 
 
 # --- aggregation ------------------------------------------------------------

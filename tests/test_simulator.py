@@ -1,11 +1,12 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
 from parkscan.detections import serialize_detections
 from parkscan.errors import ConfigError, ValidationError
-from parkscan.geometry import box_iou
+from parkscan.geometry import box_iou, boxes_array
 from parkscan.simulator import (
     CAMERA_PRESETS,
     GroundTruth,
@@ -13,11 +14,12 @@ from parkscan.simulator import (
     ViolationSite,
     camera_homography,
     generate_scenario,
-    read_ground_truth,
+    read_ground_truth_occupancy,
     scenario_from_document,
     write_ground_truth_occupancy,
     write_ground_truth_slots,
 )
+from parkscan.slots import read_slot_registry
 
 
 def small_config(**kw):
@@ -106,8 +108,19 @@ def test_ground_truth_files_round_trip():
     slots_buf, occ_buf = io.StringIO(), io.StringIO()
     write_ground_truth_slots(slots_buf, truth)
     write_ground_truth_occupancy(occ_buf, truth)
-    parsed = read_ground_truth(io.StringIO(slots_buf.getvalue()), io.StringIO(occ_buf.getvalue()))
+    registry = read_slot_registry(io.StringIO(slots_buf.getvalue()))
+    occupancy = read_ground_truth_occupancy(io.StringIO(occ_buf.getvalue()))
+    parsed = GroundTruth(
+        frame_ids=occupancy.frame_ids,
+        slots=tuple(slot.area for slot in registry),
+        occupancy=occupancy.occupancy,
+        vehicles=occupancy.vehicles,
+    )
     assert parsed == truth
+    assert [slot.slot_id for slot in registry] == list(range(len(truth.slots)))
+    assert [slot.members for slot in registry] == np.array(truth.occupancy).sum(axis=0).tolist()
+    assert all(slot.spread == 0.0 for slot in registry)
+    assert json.loads(slots_buf.getvalue())["config_echo"] == {"source": "simulator-ground-truth"}
 
 
 def test_slot_streams_stable_when_grid_grows():
@@ -136,11 +149,12 @@ def test_oracle_consistency_on_noiseless_data():
     # against ground-truth vehicles reproduces the occupancy bits exactly.
     cfg = small_config(rows=2, cols=3, occupancy_prob=0.5, frame_count=25)
     _, truth = generate_scenario(cfg)
+    slots = boxes_array(truth.slots)
     for bits, vehicles in zip(truth.occupancy, truth.vehicles):
-        boxes = [b for b, _ in vehicles]
+        boxes = boxes_array([b for b, _ in vehicles])
+        best = box_iou(slots[:, None], boxes[None]).max(axis=1, initial=0.0)
         for slot_idx, bit in enumerate(bits):
-            best = max((box_iou(truth.slots[slot_idx], b) for b in boxes), default=0.0)
-            assert (best >= 0.3) == bit
+            assert (best[slot_idx] >= 0.3) == bit
 
 
 def test_camera_presets():
