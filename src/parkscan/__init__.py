@@ -4,7 +4,6 @@ from .clustering import NOISE, ClusterAssignment, ClusterStats, DbscanParams, cl
 from .detections import (
     DETECTION_DTYPE,
     DetectionFilter,
-    DetectionLogParseError,
     FrameDetections,
     filter_detections,
     parse_detections,

@@ -11,12 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import apply_overrides, config_echo, load_run_config
-from .detections import (
-    DetectionLogParseError,
-    filter_detections,
-    parse_detections,
-    serialize_detections,
-)
+from .detections import filter_detections, parse_detections, serialize_detections
 from .errors import ConfigError, ValidationError
 from .metrics import (
     UndefinedAucError,
@@ -410,7 +405,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, DetectionLogParseError, ValidationError) as exc:
+    except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FileNotFoundError, IsADirectoryError) as exc:

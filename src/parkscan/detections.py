@@ -17,20 +17,12 @@ from typing import IO, Iterable, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_lines, note_first_line
 
 DETECTION_DTYPE = np.dtype(
     [("cx", float), ("cy", float), ("w", float), ("h", float), ("conf", float), ("cls", object)]
 )
 _NUMBER_FIELDS = ("cx", "cy", "w", "h", "conf")
-
-
-class DetectionLogParseError(ValueError):
-    """Malformed detection-log record; ``line`` is the 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 def _check(values: np.ndarray, ok: np.ndarray, name: str, message: str) -> None:
@@ -88,13 +80,17 @@ class DetectionFilter:
             )
 
 
+def _log_error(line: int, message: str) -> ValidationError:
+    return ValidationError("detections", f"line {line}: {message}")
+
+
 def _number(record: dict, key: str, line: int) -> float:
     try:
         value = record[key]
     except KeyError:
-        raise DetectionLogParseError(line, f'missing detection field "{key}"') from None
+        raise _log_error(line, f'missing detection field "{key}"') from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DetectionLogParseError(line, f'detection field "{key}" must be a number')
+        raise _log_error(line, f'detection field "{key}" must be a number')
     return float(value)
 
 
@@ -103,10 +99,10 @@ def _frame_array(entries: list, line: int) -> np.ndarray:
     columns = {name: [] for name in DETECTION_DTYPE.names}
     for entry in entries:
         if not isinstance(entry, dict):
-            raise DetectionLogParseError(line, "detection entries must be objects")
+            raise _log_error(line, "detection entries must be objects")
         cls = entry.get("cls")
         if not isinstance(cls, str):
-            raise DetectionLogParseError(line, '"cls" must be a string')
+            raise _log_error(line, '"cls" must be a string')
         columns["cls"].append(cls)
         for name in _NUMBER_FIELDS:
             columns[name].append(_number(entry, name, line))
@@ -116,48 +112,29 @@ def _frame_array(entries: list, line: int) -> np.ndarray:
     return dets
 
 
-def parse_detections(source: Union[IO[str], IO[bytes], str, bytes]) -> list[FrameDetections]:
-    """Parse a detection log into frames, preserving record and detection order.
+def parse_detections(stream: IO[str]) -> list[FrameDetections]:
+    """Parse a detection log text stream into frames, preserving record and detection order.
 
-    Malformed records and repeated frame ids raise
-    :class:`DetectionLogParseError` with the line number; invariant
-    violations raise :class:`ValidationError` naming the field.  Blank
-    lines are ignored.
+    Malformed records and repeated frame ids raise :class:`ValidationError`
+    on ``detections``; invariant violations raise it naming the field.  Every
+    message starts ``line N:``.  Blank lines are ignored.
     """
-    if isinstance(source, (str, bytes)):
-        data = source
-    else:
-        data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-
     frames = []
     first_line = {}
-    for line_no, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DetectionLogParseError(line_no, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise DetectionLogParseError(line_no, "record must be a JSON object")
+    for line_no, record in json_lines(stream, "detections"):
         frame_id = record.get("frame")
         if not isinstance(frame_id, str) or not frame_id:
-            raise DetectionLogParseError(line_no, '"frame" must be a non-empty string')
-        if frame_id in first_line:
-            raise DetectionLogParseError(
-                line_no, f"frame {frame_id!r} repeats line {first_line[frame_id]}"
-            )
-        first_line[frame_id] = line_no
+            raise _log_error(line_no, '"frame" must be a non-empty string')
+        note_first_line(first_line, frame_id, line_no, "detections")
         ts = record.get("ts")
         if ts is not None and not isinstance(ts, str):
-            raise DetectionLogParseError(line_no, '"ts" must be a string when present')
+            raise _log_error(line_no, '"ts" must be a string when present')
         dets_raw = record.get("dets", [])
         if not isinstance(dets_raw, list):
-            raise DetectionLogParseError(line_no, '"dets" must be a list')
+            raise _log_error(line_no, '"dets" must be a list')
+        dets = _frame_array(dets_raw, line_no)
         try:
-            frames.append(FrameDetections(frame_id, _frame_array(dets_raw, line_no), ts))
+            frames.append(FrameDetections(frame_id, dets, ts))
         except ValidationError as exc:
             raise ValidationError(exc.field, f"line {line_no}: {exc}") from exc
     return frames

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks every input reader shares."""
+
+import json
+from typing import IO, Iterator
 
 
 class ValidationError(ValueError):
@@ -11,3 +14,34 @@ class ValidationError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration document is missing, malformed, or inconsistent."""
+
+
+def json_lines(stream: IO[str], field: str) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line of a JSON-lines text stream.
+
+    The stream is read one line at a time and split at newlines only, so a raw
+    U+2028 inside a JSON string stays part of its line.  A line that is not
+    valid JSON, or not a JSON object, raises :class:`ValidationError` on
+    ``field`` with a ``line N:`` prefix.
+    """
+    for line_no, line in enumerate(stream, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(field, f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise ValidationError(field, f"line {line_no}: record must be a JSON object")
+        yield line_no, record
+
+
+def note_first_line(first_line: dict, key, line_no: int, field: str) -> None:
+    """Record that ``key`` is on ``line_no``; a key already seen raises, naming both lines.
+
+    ``key`` is a frame id or a ``(frame id, slot id)`` pair.
+    """
+    first = first_line.setdefault(key, line_no)
+    if first != line_no:
+        name = f"frame {key!r}" if isinstance(key, str) else f"frame {key[0]!r}, slot {key[1]}"
+        raise ValidationError(field, f"line {line_no}: {name} repeats line {first}")

@@ -8,7 +8,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_lines, note_first_line
 from .geometry import Box, box_iou, boxes_array
 from .slots import ParkingSlot
 
@@ -133,21 +133,13 @@ class FileScoreClassifier(ClassifierAdapter):
         """
         table = {}
         first_line = {}
-        for line_no, line in enumerate(stream.read().splitlines(), start=1):
-            if not line.strip():
-                continue
+        for line_no, record in json_lines(stream, "score_table"):
             try:
-                record = json.loads(line)
                 key = (str(record["frame"]), int(record["slot"]))
                 score = record["score"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError("score_table", f"line {line_no}: bad record ({exc})") from exc
-            if key in first_line:
-                raise ValidationError(
-                    "score_table",
-                    f"line {line_no}: frame {key[0]!r}, slot {key[1]} repeats line {first_line[key]}",
-                )
-            first_line[key] = line_no
+            note_first_line(first_line, key, line_no, "score_table")
             table[key] = score
         return cls(table)
 
@@ -201,11 +193,8 @@ def write_records(stream: IO[str], records: Iterable[OccupancyRecord]) -> None:
 
 def read_records(stream: IO[str]) -> list[OccupancyRecord]:
     records = []
-    for line_no, line in enumerate(stream.read().splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, raw in json_lines(stream, "records"):
         try:
-            raw = json.loads(line)
             records.append(
                 OccupancyRecord(
                     slot_id=int(raw["slot"]),
@@ -215,6 +204,6 @@ def read_records(stream: IO[str]) -> list[OccupancyRecord]:
                     error=raw.get("error"),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("records", f"line {line_no}: bad record ({exc})") from exc
     return records

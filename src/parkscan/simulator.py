@@ -34,7 +34,7 @@ from typing import IO, Mapping, Sequence, Union
 import numpy as np
 
 from .detections import FrameDetections
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, json_lines, note_first_line
 from .geometry import Box, Homography, Point2, apply_homography
 from .slots import ParkingSlot, slot_registry_document
 
@@ -301,11 +301,8 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
     first_line = {}  # frame id -> line number, in file order
     occupancy = []
     vehicles = []
-    for line_no, line in enumerate(occupancy_stream.read().splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, record in json_lines(occupancy_stream, "occupancy"):
         try:
-            record = json.loads(line)
             frame_id = str(record["frame"])
             bits = record["occupancy"]
             frame_bits = tuple(bool(bits[str(i)]) for i in range(len(bits)))
@@ -316,13 +313,9 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
                 )
                 for v in record["vehicles"]
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
-        if frame_id in first_line:
-            raise ValidationError(
-                "occupancy", f"line {line_no}: frame {frame_id!r} repeats line {first_line[frame_id]}"
-            )
-        first_line[frame_id] = line_no
+        note_first_line(first_line, frame_id, line_no, "occupancy")
         occupancy.append(frame_bits)
         vehicles.append(frame_vehicles)
     return GroundTruth(

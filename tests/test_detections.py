@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from parkscan.detections import (
     DetectionFilter,
-    DetectionLogParseError,
     FrameDetections,
     filter_detections,
     parse_detections,
@@ -36,15 +35,15 @@ def test_parse_single_record_round_trip():
 def test_parse_rejects_out_of_range_confidence():
     line = '{"frame": "f1", "dets": [{"cx": 1, "cy": 2, "w": 5, "h": 5, "cls": "car", "conf": 1.2}]}'
     with pytest.raises(ValidationError) as exc:
-        parse_detections(line)
+        parse_detections(io.StringIO(line))
     assert exc.value.field == "confidence"
 
 
 def test_parse_error_carries_line_number():
     text = '{"frame": "f1", "dets": []}\nnot json at all\n'
-    with pytest.raises(DetectionLogParseError) as exc:
-        parse_detections(text)
-    assert exc.value.line == 2
+    with pytest.raises(ValidationError) as exc:
+        parse_detections(io.StringIO(text))
+    assert str(exc.value).startswith("line 2: ")
 
 
 @pytest.mark.parametrize(
@@ -58,8 +57,9 @@ def test_parse_error_carries_line_number():
     ],
 )
 def test_parse_rejects_malformed_records(bad_line):
-    with pytest.raises(DetectionLogParseError):
-        parse_detections(bad_line)
+    with pytest.raises(ValidationError) as exc:
+        parse_detections(io.StringIO(bad_line))
+    assert exc.value.field == "detections" and str(exc.value).startswith("line 1: ")
 
 
 def test_detection_invariants():
@@ -79,16 +79,16 @@ def test_detection_invariants():
 def test_parse_rejects_nan_center_with_line_number():
     text = '{"frame": "f1", "dets": []}\n{"frame": "f2", "dets": [{"cx": NaN, "cy": 2, "w": 5, "h": 5, "cls": "car", "conf": 0.9}]}\n'
     with pytest.raises(ValidationError) as exc:
-        parse_detections(text)
+        parse_detections(io.StringIO(text))
     assert exc.value.field == "x"
     assert str(exc.value).startswith("line 2: ")
 
 
 def test_parse_rejects_repeated_frame_id():
     text = '{"frame": "f1", "dets": []}\n{"frame": "f2", "dets": []}\n{"frame": "f1", "dets": []}\n'
-    with pytest.raises(DetectionLogParseError) as exc:
-        parse_detections(text)
-    assert exc.value.line == 3
+    with pytest.raises(ValidationError) as exc:
+        parse_detections(io.StringIO(text))
+    assert str(exc.value) == "line 3: frame 'f1' repeats line 1"
 
 
 def test_filter_keeps_threshold_inclusive():
