@@ -13,6 +13,7 @@ from pathlib import Path
 from .config import apply_overrides, config_echo, load_run_config
 from .detections import filter_detections, parse_detections, serialize_detections
 from .errors import ConfigError, ValidationError
+from .geometry import SingularProjectionError
 from .metrics import (
     UndefinedAucError,
     accuracy,
@@ -285,11 +286,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if (args.records is None) != (args.truth_occupancy is None):
+        raise ConfigError("evaluate needs both --records and --truth-occupancy, or neither")
     pred = _read_registry(args.pred_slots)
     truth = _read_registry(args.truth_slots)
     cfg = apply_overrides(load_run_config(args.config), tolerance=args.tolerance)
     records = gt = None
-    if args.records and args.truth_occupancy:
+    if args.records is not None:
         with open(args.records, encoding="utf-8") as fh:
             records = read_records(fh)
         gt = _read_truth(args.truth_occupancy)
@@ -405,11 +408,11 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, SingularProjectionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text ({exc})", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input ({exc.msg}, line {exc.lineno})", file=sys.stderr)

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Mapping, Union
 
 from .detections import DetectionFilter
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_keys
 from .geometry import Homography, homography_from_config
 from .occupancy import DEFAULT_DECISION_THRESHOLD, DEFAULT_IOU_THRESHOLD
 from .slots import SlotDetectionConfig
@@ -63,18 +63,10 @@ _KEYS = {"filter", "homography", "n_bottom", "eps", "min_points", "threshold", "
 _FILTER_KEYS = {"classes", "min_confidence"}
 
 
-def _check_keys(doc, known, where: str) -> None:
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys {unknown}; known: {sorted(known)}")
-
-
 def run_config_from_document(doc: Mapping) -> RunConfig:
-    _check_keys(doc, _KEYS, "run config")
+    check_keys(doc, _KEYS, "run config")
     filter_doc = doc.get("filter", {})
-    _check_keys(filter_doc, _FILTER_KEYS, 'run config "filter"')
+    check_keys(filter_doc, _FILTER_KEYS, 'run config "filter"')
     try:
         det_filter = DetectionFilter(
             allowed_classes=frozenset(filter_doc.get("classes", ("car", "truck"))),

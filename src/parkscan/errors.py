@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the checks every input reader shares."""
 
 import json
-from typing import IO, Iterator
+from typing import IO, Iterator, Mapping
 
 
 class ValidationError(ValueError):
@@ -14,6 +14,22 @@ class ValidationError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration document is missing, malformed, or inconsistent."""
+
+
+def check_keys(doc, known, where: str) -> None:
+    """``doc`` must be a JSON object whose keys are all in ``known``."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys {unknown}; known: {sorted(known)}")
+
+
+def json_number(value, what: str, kind=(int, float)):
+    """``value`` if it is a JSON number of ``kind`` (a bool is not one); else TypeError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return value
 
 
 def json_lines(stream: IO[str], field: str) -> Iterator[tuple[int, dict]]:

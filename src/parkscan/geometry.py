@@ -173,7 +173,7 @@ def apply_homography_array(h: Homography, points: np.ndarray) -> np.ndarray:
     if bad.any():
         idx = int(np.argmax(bad))
         raise SingularProjectionError(
-            f"point index {idx} projects to infinity (denominator {denom[idx]:.3e})"
+            f"point ({pts[idx, 0]}, {pts[idx, 1]}) projects to infinity (denominator {denom[idx]:.3e})"
         )
     return mapped[:, :2] / denom[:, None]
 

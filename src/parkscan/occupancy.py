@@ -8,7 +8,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError, json_lines, note_first_line
+from .errors import ValidationError, json_lines, json_number, note_first_line
 from .geometry import Box, box_iou, boxes_array
 from .slots import ParkingSlot
 
@@ -135,9 +135,9 @@ class FileScoreClassifier(ClassifierAdapter):
         first_line = {}
         for line_no, record in json_lines(stream, "score_table"):
             try:
-                key = (str(record["frame"]), int(record["slot"]))
-                score = record["score"]
-            except (KeyError, TypeError, ValueError) as exc:
+                key = (str(record["frame"]), json_number(record["slot"], "slot", int))
+                score = json_number(record["score"], "score")
+            except (KeyError, TypeError) as exc:
                 raise ValidationError("score_table", f"line {line_no}: bad record ({exc})") from exc
             note_first_line(first_line, key, line_no, "score_table")
             table[key] = score
@@ -197,9 +197,9 @@ def read_records(stream: IO[str]) -> list[OccupancyRecord]:
         try:
             records.append(
                 OccupancyRecord(
-                    slot_id=int(raw["slot"]),
+                    slot_id=json_number(raw["slot"], "slot", int),
                     frame_id=str(raw["frame"]),
-                    score=None if raw["score"] is None else float(raw["score"]),
+                    score=None if raw["score"] is None else json_number(raw["score"], "score"),
                     status=OccupancyStatus(raw["status"]),
                     error=raw.get("error"),
                 )

@@ -27,14 +27,14 @@ stable.  Identical seed and config give byte-identical logs.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from typing import IO, Mapping, Sequence, Union
 
 import numpy as np
 
 from .detections import FrameDetections
-from .errors import ConfigError, ValidationError, json_lines, note_first_line
+from .errors import ConfigError, ValidationError, check_keys, json_lines, note_first_line
 from .geometry import Box, Homography, Point2, apply_homography
 from .slots import ParkingSlot, slot_registry_document
 
@@ -305,7 +305,9 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
         try:
             frame_id = str(record["frame"])
             bits = record["occupancy"]
-            frame_bits = tuple(bool(bits[str(i)]) for i in range(len(bits)))
+            frame_bits = tuple(bits[str(i)] for i in range(len(bits)))
+            if not all(isinstance(bit, bool) for bit in frame_bits):
+                raise TypeError("occupancy bits must be true or false")
             frame_vehicles = tuple(
                 (
                     Box(float(v["cx"]), float(v["cy"]), float(v["w"]), float(v["h"])),
@@ -330,18 +332,12 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
 
 def scenario_from_document(doc: Mapping) -> ScenarioConfig:
     """Build a ScenarioConfig from its JSON document (field names mirror the class)."""
-    if not isinstance(doc, Mapping):
-        raise ConfigError("scenario config must be a JSON object")
+    check_keys(doc, {f.name for f in fields(ScenarioConfig)}, "scenario config")
     try:
-        sites = tuple(
-            ViolationSite(
-                x=float(s["x"]),
-                y=float(s["y"]),
-                center_spread_sigma=float(s["center_spread_sigma"]),
-                emit_prob=float(s.get("emit_prob", 0.5)),
-            )
-            for s in doc.get("violation_sites", [])
-        )
+        sites = []
+        for i, s in enumerate(doc.get("violation_sites", [])):
+            check_keys(s, {f.name for f in fields(ViolationSite)}, f"scenario violation_sites entry {i}")
+            sites.append(ViolationSite(**{k: float(v) for k, v in s.items()}))
         camera = doc.get("camera", "identity")
         if isinstance(camera, Mapping):
             camera = tuple(float(v) for v in camera["matrix"])
@@ -363,6 +359,8 @@ def scenario_from_document(doc: Mapping) -> ScenarioConfig:
             seed=int(doc.get("seed", 0)),
             lane_y=None if doc.get("lane_y") is None else float(doc["lane_y"]),
         )
+    except ConfigError:
+        raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         if isinstance(exc, ValidationError):
             raise ConfigError(f"invalid scenario config: {exc}") from exc

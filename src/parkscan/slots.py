@@ -17,7 +17,7 @@ import numpy as np
 
 from .clustering import NOISE, DbscanParams, cluster_stats, dbscan
 from .detections import FrameDetections
-from .errors import ValidationError
+from .errors import ValidationError, json_number
 from .geometry import (
     Box,
     Homography,
@@ -259,7 +259,7 @@ def read_slot_registry(stream: IO[str]) -> list[ParkingSlot]:
     for index, entry in enumerate(doc["slots"]):
         try:
             slot = ParkingSlot(
-                slot_id=int(entry["id"]),
+                slot_id=json_number(entry["id"], "id", int),
                 area=Box(float(entry["cx"]), float(entry["cy"]), float(entry["w"]), float(entry["h"])),
                 spread=float(entry.get("spread", 0.0)),
                 members=int(entry.get("members", 0)),

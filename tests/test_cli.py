@@ -494,16 +494,19 @@ F1_SLOT0_SCORE = {"frame": "f1", "slot": 0, "score": 0.9}
 PARKED_AT_SLOT0 = {"cx": 0.0, "cy": 0.0, "w": 20.0, "h": 20.0, "kind": "parked"}
 EVALUATE = ["evaluate", "--pred-slots", "{d}/slots.json", "--truth-slots", "{d}/slots.json",
             "--records", "{d}/records.jsonl", "--truth-occupancy", "{d}/truth.jsonl", "--out", "{d}/m.json"]
+RUN_PIPELINE = ["run-pipeline", "--detections", "{d}/d.jsonl", "--config", "{d}/run.json",
+                "--truth-slots", "{d}/slots.json", "--truth-occupancy", "{d}/truth.jsonl", "--out-dir", "{d}/out"]
+SIMULATE = ["simulate", "--scenario", "{d}/scenario.json", "--out-dir", "{d}/sim"]
+# The third homography row sends image x = 100 to the line at infinity.
+SINGULAR_RUN_CONFIG = {"n_bottom": 1, "homography": {"matrix": [1, 0, 0, 0, 1, 0, -0.01, 0, 1]}}
+SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
 
 
 @pytest.mark.parametrize(
     "files, argv, names",
     [
         pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1}},
-                     ["run-pipeline", "--detections", "{d}/d.jsonl", "--config", "{d}/run.json",
-                      "--truth-slots", "{d}/slots.json", "--truth-occupancy", "{d}/truth.jsonl",
-                      "--mode", "scores", "--out-dir", "{d}/out"], "--scores",
-                     id="scores-mode-without-scores"),
+                     RUN_PIPELINE + ["--mode", "scores"], "--scores", id="scores-mode-without-scores"),
         pytest.param({}, CLASSIFY + ["--threshold", "1.5"], "threshold must be", id="threshold-flag"),
         pytest.param({}, CLASSIFY + ["--iou-threshold", "0"], "iou_threshold must be",
                      id="iou-threshold-flag"),
@@ -539,13 +542,41 @@ EVALUATE = ["evaluate", "--pred-slots", "{d}/slots.json", "--truth-slots", "{d}/
         pytest.param({"scores.jsonl": [F1_SLOT0_SCORE, {**F1_SLOT0_SCORE, "slot": 1},
                                        {**F1_SLOT0_SCORE, "score": 0.1}]},
                      CLASSIFY_SCORES, "line 3: frame 'f1', slot 0 repeats line 1", id="repeated-score-key"),
+        pytest.param({"d.jsonl": {"frame": "f1", "dets": [{**THREE_DETECTIONS["dets"][0], "cx": 100}]},
+                      "run.json": SINGULAR_RUN_CONFIG}, DETECT, "point (100.0, 0.0) projects to infinity",
+                     id="singular-homography"),
+        pytest.param({"d.jsonl": b'{"frame": "f\xff", "dets": []}\n', "run.json": {"n_bottom": 1}}, DETECT,
+                     "not UTF-8", id="not-utf-8"),
+        pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1}, "out": {}}, RUN_PIPELINE,
+                     "File exists", id="out-dir-is-a-file"),
+        pytest.param({"truth.jsonl": {**ONE_BIT_TRUTH, "occupancy": {"0": "false"}}}, CLASSIFY,
+                     "line 1: bad record (occupancy bits must be true or false)", id="truth-bit-not-boolean"),
+        pytest.param({"scores.jsonl": {**F1_SLOT0_SCORE, "slot": 0.7}}, CLASSIFY_SCORES,
+                     "line 1: bad record (slot must be an integer, got 0.7)", id="score-slot-not-integer"),
+        pytest.param({"scores.jsonl": {**F1_SLOT0_SCORE, "score": True}}, CLASSIFY_SCORES,
+                     "line 1: bad record (score must be a number, got True)", id="score-is-boolean"),
+        pytest.param({"slots.json": {"slots": [{**GOOD_REGISTRY["slots"][0], "id": 1.9}]}}, CLASSIFY,
+                     "slot entry 0: bad entry (id must be an integer, got 1.9)", id="registry-id-not-integer"),
+        pytest.param({"records.jsonl": {**SLOT2_RECORD, "slot": 0.7}}, EVALUATE,
+                     "line 1: bad record (slot must be an integer, got 0.7)", id="record-slot-not-integer"),
+        pytest.param({"records.jsonl": {**SLOT2_RECORD, "score": True}}, EVALUATE,
+                     "line 1: bad record (score must be a number, got True)", id="record-score-is-boolean"),
+        pytest.param({"scenario.json": {**SCENARIO, "miss_probability": 0.9}}, SIMULATE,
+                     "unknown keys ['miss_probability']", id="unknown-scenario-key"),
+        pytest.param({"scenario.json": {**SCENARIO, "violation_sites": [{**SITE, "emit_probability": 0.5}]}},
+                     SIMULATE, "unknown keys ['emit_probability']", id="unknown-violation-site-key"),
+        pytest.param({"records.jsonl": SLOT2_RECORD}, EVALUATE[:7] + EVALUATE[9:],
+                     "needs both --records and --truth-occupancy", id="evaluate-records-without-truth"),
+        pytest.param({}, EVALUATE[:5] + EVALUATE[7:], "needs both --records and --truth-occupancy",
+                     id="evaluate-truth-without-records"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, files, argv, names):
     docs = {"slots.json": GOOD_REGISTRY, "truth.jsonl": ONE_BIT_TRUTH, **files}
-    for name, doc in docs.items():  # a list is written as JSON lines
+    for name, doc in docs.items():  # a list is written as JSON lines, bytes as they are
         lines = doc if isinstance(doc, list) else [doc]
-        (tmp_path / name).write_text("".join(json.dumps(line) + "\n" for line in lines))
+        data = doc if isinstance(doc, bytes) else "".join(json.dumps(line) + "\n" for line in lines).encode()
+        (tmp_path / name).write_bytes(data)
     src = str(Path(parkscan.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-m", "parkscan.cli", *(a.format(d=tmp_path) for a in argv)],
