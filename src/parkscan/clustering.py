@@ -6,13 +6,23 @@ points; clusters are the connected components of the core-point eps-graph
 plus border points.  Two choices that the original algorithm leaves
 order-dependent are pinned down so results are reproducible bit for bit:
 
-* points are processed in lexicographic (x, then y, then original index)
-  order, and cluster ids are numbered by first-visited core point;
+* points are ranked in lexicographic (x, then y, then original index)
+  order, and cluster ids are numbered by each cluster's first core point;
 * a border point reachable from several clusters joins the cluster of the
   first core point, in that same order, that reaches it.
 
 Both rules depend only on the multiset of coordinates, so shuffling the
 input permutes labels without changing the clustering.
+
+The search is exact on a grid of square cells just under eps/sqrt(2) wide;
+the rounding margin grows with max |coordinate| / eps, so two points in one
+cell always pass the ``d2 <= eps*eps`` test and a cell holding ``min_points``
+points is all core.  Points in other cells are counted against the 5x5
+block of cells around theirs, corners included: a pair exactly eps apart
+(the ball is closed) can sit in cells two apart on both axes.  Core cells
+are joined by union-find when any core pair between them is within eps.
+Distances are computed in row chunks of bounded size, so memory grows with
+the cell occupancy, never with its square.
 """
 
 import math
@@ -24,6 +34,12 @@ from .errors import ValidationError
 from .geometry import Point2
 
 NOISE = -1
+
+# The 5x5 block of cell offsets, nearest ring first, as complex cell keys.
+_OFFSETS = sorted(((dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)), key=lambda o: max(map(abs, o)))
+_BLOCK = np.array([complex(*o) for o in _OFFSETS])
+_FORWARD = [t for t, o in enumerate(_OFFSETS) if o > (0, 0)]  # each pair of distinct cells once
+_CHUNK = 1 << 16  # distance-matrix entries per chunk
 
 
 @dataclass(frozen=True)
@@ -68,71 +84,73 @@ class ClusterStats:
     member_indices: np.ndarray  # ascending point indices
 
 
-def _neighbor_lists_grid(pts: np.ndarray, eps: float) -> list[np.ndarray]:
-    # Uniform grid with cells slightly wider than eps; candidates come from the
-    # 3x3 block around each point's cell, then get filtered by exact distance.
-    # The margin absorbs rounding in that distance test and in pts / side, so
-    # a pair the test accepts never lands two cells apart.
-    side = eps * (1.0 + 4 * np.finfo(float).eps * (float(np.abs(pts).max()) / eps + 2))
-    cells: dict[tuple[int, int], list[int]] = {}
-    cell_idx = np.floor(pts / side).astype(np.int64)
-    for i, (cx, cy) in enumerate(cell_idx):
-        cells.setdefault((int(cx), int(cy)), []).append(i)
-
-    eps2 = eps * eps
-    out = []
-    for i, (cx, cy) in enumerate(cell_idx):
-        candidates = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                candidates.extend(cells.get((int(cx) + dx, int(cy) + dy), ()))
-        cand = np.array(candidates, dtype=np.int64)
-        d2 = ((pts[cand] - pts[i]) ** 2).sum(axis=1)
-        out.append(cand[d2 <= eps2])
-    return out
+def _within(pts: np.ndarray, rows: np.ndarray, cols: np.ndarray, eps: float):
+    """``(chunk, d2 <= eps*eps)`` for bounded chunks of ``rows``, each against all of ``cols``."""
+    step, c = max(1, _CHUNK // max(1, len(cols))), pts[cols]
+    for s in range(0, len(rows), step):
+        chunk = rows[s : s + step]
+        dx, dy = pts[chunk, 0, None] - c[:, 0], pts[chunk, 1, None] - c[:, 1]
+        yield chunk, dx * dx + dy * dy <= eps * eps
 
 
 def dbscan(points: np.ndarray, params: DbscanParams) -> ClusterAssignment:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = pts.shape[0]
-    if n == 0:
-        return ClusterAssignment(labels=np.empty(0, dtype=np.int64), k=0)
+    n, eps, min_points = pts.shape[0], params.eps, params.min_points
     if not np.all(np.isfinite(pts)):
         raise ValidationError("points", "points must be finite")
+    far = float(np.abs(pts).max(initial=0.0))
+    if not far < eps * 2.0**47:
+        raise ValidationError("eps", f"eps {eps!r} is below 2**-47 of the largest |coordinate|, {far!r}")
 
-    neighbors = _neighbor_lists_grid(pts, params.eps)
+    # In lex order a point's index is its rank under both tie rules.
+    lex = np.lexsort((np.arange(n), pts[:, 1], pts[:, 0]))
+    pts = pts[lex]
+    side = eps * (1.0 - 4 * np.finfo(float).eps * (far / eps + 2)) / math.sqrt(2.0)
+    cells = np.floor(pts / side).view(complex)[:, 0]  # complex keys sort cells in (x, y) order
+    keys, cell_of, counts = np.unique(cells, return_inverse=True, return_counts=True)
+    # Cell len(keys) is an empty stand-in for the cells that hold no points.
+    members = np.split(np.argsort(cell_of, kind="stable"), np.cumsum(counts))
+    counts = np.r_[counts, 0]
+    q = keys[:, None] + _BLOCK
+    j = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    block = np.where(keys[j] == q, j, len(keys))  # each cell's 5x5 block of cells
 
-    core = np.array([len(nb) >= params.min_points for nb in neighbors])
+    # A cell holding min_points points is all core; points of sparser cells are counted.
+    core = counts[cell_of] >= min_points
+    for c in np.flatnonzero((counts[:-1] < min_points) & (counts[block].sum(axis=1) >= min_points)):
+        for chunk, w in _within(pts, members[c], np.concatenate([members[d] for d in block[c]]), eps):
+            core[chunk] = w.sum(axis=1) >= min_points
+
+    cores = [m[core[m]] for m in members]
+    core_counts = np.bincount(cell_of[core], minlength=len(counts))
+    parent = list(range(len(keys)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    # Adjacent cells go first, so most pairs two cells apart are joined already.
+    for t in _FORWARD:
+        for c, d in block[(core_counts[:-1] > 0) & (core_counts[block[:, t]] > 0)][:, [0, t]].tolist():
+            a, b = find(c), find(d)
+            if a != b and any(w.any() for _, w in _within(pts, cores[c], cores[d], eps)):
+                parent[a] = b
+
+    # Number components by their lex-first core point; border points take the label
+    # of their lex-first core point within eps.
+    roots = np.array([find(c) for c in range(len(keys))])[cell_of[core]]
+    _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
     labels = np.full(n, NOISE, dtype=np.int64)
-
-    # lex_rank[i] = position of point i in (x, y, index) order.
-    order = np.lexsort((np.arange(n), pts[:, 1], pts[:, 0]))
-    lex_rank = np.empty(n, dtype=np.int64)
-    lex_rank[order] = np.arange(n)
-
-    k = 0
-    for i in order:
-        if not core[i] or labels[i] != NOISE:
-            continue
-        labels[i] = k
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            for nb in neighbors[j]:
-                if core[nb] and labels[nb] == NOISE:
-                    labels[nb] = k
-                    stack.append(nb)
-        k += 1
-
-    for b in range(n):
-        if core[b]:
-            continue
-        core_nbs = [j for j in neighbors[b] if core[j]]
-        if core_nbs:
-            winner = min(core_nbs, key=lambda j: lex_rank[j])
-            labels[b] = labels[winner]
-
-    return ClusterAssignment(labels=labels, k=k)
+    labels[core] = np.argsort(np.argsort(first))[inverse]
+    for c in np.flatnonzero((core_counts < counts)[:-1] & (core_counts[block].sum(axis=1) > 0)):
+        mine, cand = members[c][~core[members[c]]], np.concatenate([cores[d] for d in block[c]])
+        for chunk, w in _within(pts, mine, cand, eps):
+            lex_first = np.where(w, cand, n).min(axis=1)
+            hit = lex_first < n
+            labels[chunk[hit]] = labels[lex_first[hit]]
+    return ClusterAssignment(labels=labels[np.argsort(lex)], k=len(first))
 
 
 def cluster_stats(points: np.ndarray, assignment: ClusterAssignment) -> list[ClusterStats]:

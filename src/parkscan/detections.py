@@ -17,7 +17,7 @@ from typing import IO, Iterable, Union
 
 import numpy as np
 
-from .errors import ValidationError, json_lines, note_first_line
+from .errors import ValidationError, json_frame_id, json_lines, note_first_line
 
 DETECTION_DTYPE = np.dtype(
     [("cx", float), ("cy", float), ("w", float), ("h", float), ("conf", float), ("cls", object)]
@@ -122,9 +122,10 @@ def parse_detections(stream: IO[str]) -> list[FrameDetections]:
     frames = []
     first_line = {}
     for line_no, record in json_lines(stream, "detections"):
-        frame_id = record.get("frame")
-        if not isinstance(frame_id, str) or not frame_id:
-            raise _log_error(line_no, '"frame" must be a non-empty string')
+        try:
+            frame_id = json_frame_id(record.get("frame"))
+        except TypeError as exc:
+            raise _log_error(line_no, str(exc)) from None
         note_first_line(first_line, frame_id, line_no, "detections")
         ts = record.get("ts")
         if ts is not None and not isinstance(ts, str):

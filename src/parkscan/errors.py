@@ -32,6 +32,13 @@ def json_number(value, what: str, kind=(int, float)):
     return value
 
 
+def json_frame_id(value) -> str:
+    """``value`` if it is a non-empty JSON string; else TypeError."""
+    if not isinstance(value, str) or not value:
+        raise TypeError(f'"frame" must be a non-empty string, got {value!r}')
+    return value
+
+
 def json_lines(stream: IO[str], field: str) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line of a JSON-lines text stream.
 

@@ -8,7 +8,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError, json_lines, json_number, note_first_line
+from .errors import ValidationError, json_frame_id, json_lines, json_number, note_first_line
 from .geometry import Box, box_iou, boxes_array
 from .slots import ParkingSlot
 
@@ -135,7 +135,7 @@ class FileScoreClassifier(ClassifierAdapter):
         first_line = {}
         for line_no, record in json_lines(stream, "score_table"):
             try:
-                key = (str(record["frame"]), json_number(record["slot"], "slot", int))
+                key = (json_frame_id(record["frame"]), json_number(record["slot"], "slot", int))
                 score = json_number(record["score"], "score")
             except (KeyError, TypeError) as exc:
                 raise ValidationError("score_table", f"line {line_no}: bad record ({exc})") from exc
@@ -198,7 +198,7 @@ def read_records(stream: IO[str]) -> list[OccupancyRecord]:
             records.append(
                 OccupancyRecord(
                     slot_id=json_number(raw["slot"], "slot", int),
-                    frame_id=str(raw["frame"]),
+                    frame_id=json_frame_id(raw["frame"]),
                     score=None if raw["score"] is None else json_number(raw["score"], "score"),
                     status=OccupancyStatus(raw["status"]),
                     error=raw.get("error"),

@@ -34,7 +34,9 @@ from typing import IO, Mapping, Sequence, Union
 import numpy as np
 
 from .detections import FrameDetections
-from .errors import ConfigError, ValidationError, check_keys, json_lines, note_first_line
+from .errors import (
+    ConfigError, ValidationError, check_keys, json_frame_id, json_lines, json_number, note_first_line
+)
 from .geometry import Box, Homography, Point2, apply_homography
 from .slots import ParkingSlot, slot_registry_document
 
@@ -303,14 +305,14 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
     vehicles = []
     for line_no, record in json_lines(occupancy_stream, "occupancy"):
         try:
-            frame_id = str(record["frame"])
+            frame_id = json_frame_id(record["frame"])
             bits = record["occupancy"]
             frame_bits = tuple(bits[str(i)] for i in range(len(bits)))
             if not all(isinstance(bit, bool) for bit in frame_bits):
                 raise TypeError("occupancy bits must be true or false")
             frame_vehicles = tuple(
                 (
-                    Box(float(v["cx"]), float(v["cy"]), float(v["w"]), float(v["h"])),
+                    Box(*(float(json_number(v[k], k)) for k in ("cx", "cy", "w", "h"))),
                     str(v["kind"]),
                 )
                 for v in record["vehicles"]

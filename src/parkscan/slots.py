@@ -165,19 +165,6 @@ def run_slot_detection(
     assignment = dbscan(normalized, DbscanParams(eps=eps, min_points=min_points))
     noise_points = int((assignment.labels == NOISE).sum())
 
-    if assignment.k == 0:
-        return SlotDetectionOutcome(
-            slots=(),
-            cluster_count=0,
-            noise_points=noise_points,
-            iqr_discarded=0,
-            shortfall=True,
-            eps=eps,
-            min_points=min_points,
-            normalized_points=normalized,
-            labels=assignment.labels,
-        )
-
     candidates = []
     for st in cluster_stats(normalized, assignment):
         members = st.member_indices
@@ -194,7 +181,7 @@ def run_slot_detection(
             )
         )
 
-    kept = iqr_filter([c.spread for c in candidates])
+    kept = iqr_filter([c.spread for c in candidates]) if candidates else set()
     survivors = [c for i, c in enumerate(candidates) if i in kept]
     selected, shortfall = select_n_bottom(survivors, config.n_bottom)
 
@@ -260,9 +247,9 @@ def read_slot_registry(stream: IO[str]) -> list[ParkingSlot]:
         try:
             slot = ParkingSlot(
                 slot_id=json_number(entry["id"], "id", int),
-                area=Box(float(entry["cx"]), float(entry["cy"]), float(entry["w"]), float(entry["h"])),
-                spread=float(entry.get("spread", 0.0)),
-                members=int(entry.get("members", 0)),
+                area=Box(*(float(json_number(entry[k], k)) for k in ("cx", "cy", "w", "h"))),
+                spread=float(json_number(entry.get("spread", 0.0), "spread")),
+                members=json_number(entry.get("members", 0), "members", int),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("slots", f"slot entry {index}: bad entry ({exc})") from exc

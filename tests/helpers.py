@@ -42,6 +42,29 @@ def brute_force_core_partition(points, eps, min_points):
     return core, frozenset(frozenset(g) for g in groups.values())
 
 
+def dbscan_by_scan(points, eps, min_points):
+    """Labels and cluster count from the full distance matrix, with no grid.
+
+    Applies the clustering module's two rules directly: clusters are numbered
+    in the lexicographic (x, y, index) order of their first core point, and a
+    border point takes the label of the lex-first core point within eps.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = pts.shape[0]
+    core, partition = brute_force_core_partition(pts, eps, min_points)
+    lex_rank = np.empty(n, dtype=np.int64)
+    lex_rank[np.lexsort((np.arange(n), pts[:, 1], pts[:, 0]))] = np.arange(n)
+    labels = np.full(n, -1, dtype=np.int64)
+    for cid, group in enumerate(sorted(partition, key=lambda g: min(lex_rank[i] for i in g))):
+        labels[list(group)] = cid
+    within = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2) <= eps * eps
+    for i in np.flatnonzero(~core):
+        reaching = np.flatnonzero(within[i] & core)
+        if reaching.size:
+            labels[i] = labels[reaching[np.argmin(lex_rank[reaching])]]
+    return labels, len(partition)
+
+
 def core_partition_from_labels(labels, core_mask):
     """Partition of core points implied by a label array."""
     groups = {}

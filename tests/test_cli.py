@@ -488,6 +488,8 @@ THREE_DETECTIONS = {"frame": "f1", "dets": [{"cx": 0, "cy": 0, "w": 20, "h": 20,
 CLASSIFY = ["classify", "--slots", "{d}/slots.json", "--mode", "oracle", "--input", "{d}/truth.jsonl",
             "--out-records", "{d}/r.jsonl", "--out-report", "{d}/p.json"]
 DETECT = ["detect-slots", "--detections", "{d}/d.jsonl", "--config", "{d}/run.json", "--out", "{d}/s.json"]
+# Two boxes 9 px apart: the normalized cloud reaches out to 1000 units.
+TWO_DETECTIONS = {"frame": "f1", "dets": [{**THREE_DETECTIONS["dets"][0], "cx": x} for x in (0, 9)]}
 NAN_DETECTION = {"frame": "f1", "dets": [{"cx": float("nan"), "cy": 0, "w": 20, "h": 20, "cls": "car", "conf": 0.9}]}
 CLASSIFY_SCORES = CLASSIFY[:4] + ["scores", "--input", "{d}/scores.jsonl"] + CLASSIFY[7:]
 F1_SLOT0_SCORE = {"frame": "f1", "slot": 0, "score": 0.9}
@@ -499,6 +501,7 @@ RUN_PIPELINE = ["run-pipeline", "--detections", "{d}/d.jsonl", "--config", "{d}/
 SIMULATE = ["simulate", "--scenario", "{d}/scenario.json", "--out-dir", "{d}/sim"]
 # The third homography row sends image x = 100 to the line at infinity.
 SINGULAR_RUN_CONFIG = {"n_bottom": 1, "homography": {"matrix": [1, 0, 0, 0, 1, 0, -0.01, 0, 1]}}
+NUMERIC_FRAME = 'line 1: bad record ("frame" must be a non-empty string, got 5)'
 SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
 
 
@@ -561,6 +564,22 @@ SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
                      "line 1: bad record (slot must be an integer, got 0.7)", id="record-slot-not-integer"),
         pytest.param({"records.jsonl": {**SLOT2_RECORD, "score": True}}, EVALUATE,
                      "line 1: bad record (score must be a number, got True)", id="record-score-is-boolean"),
+        pytest.param({"scores.jsonl": {**F1_SLOT0_SCORE, "frame": 5}}, CLASSIFY_SCORES,
+                     NUMERIC_FRAME, id="score-frame-not-string"),
+        pytest.param({"records.jsonl": {**SLOT2_RECORD, "frame": 5}}, EVALUATE,
+                     NUMERIC_FRAME, id="record-frame-not-string"),
+        pytest.param({"truth.jsonl": {**ONE_BIT_TRUTH, "frame": 5}}, CLASSIFY,
+                     NUMERIC_FRAME, id="truth-frame-not-string"),
+        pytest.param({"slots.json": {"slots": [{**GOOD_REGISTRY["slots"][0], "members": 2.7}]}}, CLASSIFY,
+                     "slot entry 0: bad entry (members must be an integer, got 2.7)",
+                     id="registry-members-not-integer"),
+        pytest.param({"slots.json": {"slots": [{**GOOD_REGISTRY["slots"][0], "cx": "1.5"}]}}, CLASSIFY,
+                     "slot entry 0: bad entry (cx must be a number, got '1.5')", id="registry-cx-is-string"),
+        pytest.param({"truth.jsonl": {**ONE_BIT_TRUTH, "vehicles": [{**PARKED_AT_SLOT0, "cx": "1.5"}]}},
+                     CLASSIFY, "line 1: bad record (cx must be a number, got '1.5')",
+                     id="truth-vehicle-cx-is-string"),
+        pytest.param({"d.jsonl": TWO_DETECTIONS, "run.json": {"n_bottom": 1, "eps": 1e-12}}, DETECT,
+                     "is below 2**-47 of the largest |coordinate|", id="eps-below-coordinate-resolution"),
         pytest.param({"scenario.json": {**SCENARIO, "miss_probability": 0.9}}, SIMULATE,
                      "unknown keys ['miss_probability']", id="unknown-scenario-key"),
         pytest.param({"scenario.json": {**SCENARIO, "violation_sites": [{**SITE, "emit_probability": 0.5}]}},

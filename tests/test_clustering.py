@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_core_partition, core_partition_from_labels
+from helpers import brute_force_core_partition, core_partition_from_labels, dbscan_by_scan
 from parkscan.clustering import (
     NOISE,
     ClusterAssignment,
@@ -92,8 +94,25 @@ instance_st = st.fixed_dictionaries(
 _ROUNDED_PAIR = [(0.0, 1.0), (0.0, -1.3391556943249676e-217)] + [(100.0 + 10 * i, 0.0) for i in range(68)]
 
 
+# Grid cells are just under eps/sqrt(2) wide. Points 1 and 3 lie exactly eps
+# apart (up to rounding, which the oracle accepts) in diagonal corner cells of
+# each other's 5x5 block, so a 21-cell block misses the pair.
+_LATTICE = {
+    "points": [
+        (-11.954032353533776, 5.977016176766887),
+        (0.0, -11.954032353533773),
+        (0.0, 1e-15),
+        (1e-15, 11.954032353533776),
+        (-5.977016176766887, -5.977016176766886),
+    ],
+    "eps": 8.452777339707117,
+    "min_points": 2,
+}
+
+
 @given(instance=instance_st)
 @example(instance={"points": _ROUNDED_PAIR, "eps": 1.0, "min_points": 1})
+@example(instance=_LATTICE)
 @settings(max_examples=80, deadline=None)
 def test_matches_brute_force_oracle(instance):
     pts = np.array(instance["points"], dtype=float).reshape(-1, 2)
@@ -116,6 +135,75 @@ def test_matches_brute_force_oracle(instance):
             reaching = within[i] & core
             assert np.any(reaching)
             assert out.labels[i] in set(out.labels[reaching])
+
+
+@st.composite
+def blob_instance_st(draw):
+    """Up to 300 points in 1-3 tight blobs, so that cells holding min_points occur."""
+    eps = draw(st.floats(min_value=0.5, max_value=5.0))
+    centers = np.array(draw(st.lists(st.tuples(coords_fine, coords_fine), min_size=1, max_size=3)))
+    sigma = draw(st.floats(min_value=0.05, max_value=1.5)) * eps
+    n = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pts = centers[rng.integers(len(centers), size=n)] + rng.normal(0.0, sigma, (n, 2))
+    return {"points": pts.tolist(), "eps": eps, "min_points": draw(st.integers(min_value=1, max_value=40))}
+
+
+def _assert_labels_match_full_scan(instance):
+    pts = np.array(instance["points"], dtype=float).reshape(-1, 2)
+    out = dbscan(pts, DbscanParams(instance["eps"], instance["min_points"]))
+    labels, k = dbscan_by_scan(pts, instance["eps"], instance["min_points"])
+    assert out.k == k
+    assert np.array_equal(out.labels, labels)
+
+
+# Opposite corners of one cell if the cells were exactly eps/sqrt(2) wide,
+# yet more than eps apart: the cell side needs its rounding margin.
+_CELL_CORNERS = {
+    "points": [(-8.764173700428007, -8.764173700428007), (-2.5e-323, -2.5e-323)],
+    "eps": 12.394413310138882,
+    "min_points": 2,
+}
+
+
+@given(instance=instance_st)
+@example(instance=_LATTICE)
+@example(instance=_CELL_CORNERS)
+@example(instance={"points": _ROUNDED_PAIR, "eps": 1.0, "min_points": 1})
+@example(instance={"points": [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.1, 0.1), (0.05, 0.05)], "eps": 1.0,
+                   "min_points": 5})  # one cell holding min_points points
+@settings(max_examples=80, deadline=None)
+def test_labels_match_full_scan(instance):
+    _assert_labels_match_full_scan(instance)
+
+
+@given(instance=blob_instance_st())
+@settings(max_examples=60, deadline=None)
+def test_blob_labels_match_full_scan(instance):
+    _assert_labels_match_full_scan(instance)
+
+
+def test_memory_stays_linear_in_cell_occupancy():
+    # 40,000 points in one Gaussian blob put about 2,700 points in each
+    # central cell. Chunked, the peak is about 6 MB; one unchunked distance
+    # matrix between two such cells took it above 200 MB.
+    pts = np.random.default_rng(5).normal(0.0, 15.0, (40_000, 2))
+    tracemalloc.start()
+    try:
+        out = dbscan(pts, DbscanParams(eps=15.0, min_points=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.k >= 1
+    assert peak < 32 * 2**20
+
+
+def test_eps_below_coordinate_resolution_is_rejected():
+    far = 2.0**46
+    out = dbscan(np.array([[far, 0.0], [far + 1.0, 0.0]]), DbscanParams(eps=1.0, min_points=2))
+    assert list(out.labels) == [0, 0]
+    with pytest.raises(ValidationError, match="eps"):
+        dbscan(np.array([[2.0**47, 0.0]]), DbscanParams(eps=1.0, min_points=1))
 
 
 @given(instance=instance_st, seed=st.integers(min_value=0, max_value=2**32 - 1))
