@@ -1,0 +1,86 @@
+"""Pinned sha256 digests of every file ``run-pipeline`` writes on a small seeded lot.
+
+The lot has a tilted camera, size and center noise, misses, passing traffic
+and a violation site, so every output path runs: the IQR fence drops a
+cluster, the score table leaves gaps (ERROR records with their reasons) and
+holds integer and exactly-at-threshold scores. A digest that moves means an
+output byte moved; a change that means to do that must say why and re-pin.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from parkscan.cli import main
+
+SCENARIO = {
+    "rows": 2,
+    "cols": 4,
+    "slot_pitch": 40.0,
+    "slot_size": [22.0, 30.0],
+    "frame_count": 60,
+    "occupancy_prob": 0.6,
+    "center_noise_sigma": 0.8,
+    "size_noise_sigma": 0.5,
+    "miss_prob": 0.1,
+    "passing_rate": 0.3,
+    "violation_sites": [{"x": 80.0, "y": 160.0, "center_spread_sigma": 8.0, "emit_prob": 1.0}],
+    "camera": "mild-tilt",
+    "seed": 11,
+}
+RUN_CONFIG = {"n_bottom": 8}
+
+GOLDEN = {
+    "oracle": {
+        "metrics.json": "fc8c9597846bf6124b70ec6b67fda92f8354992e0f8bece79df0f1629f886820",
+        "metrics.json.roc.tsv": "4c1082e2685dd2a3c091c234f0f0e7c7abc3eba17e2e11bd7c9c19a1fec1746d",
+        "occupancy.jsonl": "1c6dbe73b44d518d88f35206410621a44c16f45281f05177af2547f0081170d4",
+        "report.json": "1803ed8f6247c2ca657aa30e35dd21b77ed47a9934944f494dd2f18c7047058d",
+        "slots.json": "cdb5482ee07a847ada4c2be0b01ac4af8edfdfdfc989f44a40ce28ae03fef4e7",
+        "slots.json.clusters.tsv": "3dd86c56f6c80fa7bddb44acbe344e5255b4731a3d74dc584e0afe86f03dcda8",
+        "slots.json.spreads.tsv": "ae4748085ddc37f99137f0e5f8f3d5d51a97a4c59c6099a6519db857daad693c",
+    },
+    "scores": {
+        "metrics.json": "582ed5783b1c976170480eb97cad2b0abf6c0eb242d4e2b056f865848497907d",
+        "metrics.json.roc.tsv": "aba92f9c05ce2bf69c1f528216649e2cea40b6184b7cf156f4a031dea2a622a2",
+        "occupancy.jsonl": "df191bcb592fcb72529fbb3011334f1ae4a79d57d96cc4a4d917edac674111ac",
+        "report.json": "c2c231c28c78a7713a82a7fbf430f76e1a9ead606f5c5d51e32676e56f5b7235",
+        "slots.json": "cdb5482ee07a847ada4c2be0b01ac4af8edfdfdfc989f44a40ce28ae03fef4e7",
+        "slots.json.clusters.tsv": "3dd86c56f6c80fa7bddb44acbe344e5255b4731a3d74dc584e0afe86f03dcda8",
+        "slots.json.spreads.tsv": "ae4748085ddc37f99137f0e5f8f3d5d51a97a4c59c6099a6519db857daad693c",
+    },
+}
+
+
+def _write_scores(path, truth_occupancy):
+    # Gaps every 7th key, integer 0 and 1, and scores exactly at the 0.5 threshold.
+    with open(path, "w", encoding="utf-8") as fh:
+        for f, line in enumerate(truth_occupancy.read_text(encoding="utf-8").splitlines()):
+            frame = json.loads(line)["frame"]
+            for slot in range(8):
+                k = 5 * f + 3 * slot
+                if k % 7 == 0:
+                    continue
+                score = (0, 1, 0.5)[k % 3] if k % 4 == 0 else (k % 10) / 10 + 0.05
+                fh.write(json.dumps({"frame": frame, "slot": slot, "score": score}) + "\n")
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_run_pipeline_output_digests(tmp_path, capsys, mode):
+    (tmp_path / "scenario.json").write_text(json.dumps(SCENARIO), encoding="utf-8")
+    (tmp_path / "run.json").write_text(json.dumps(RUN_CONFIG), encoding="utf-8")
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out-dir", str(sim)]) == 0
+    _write_scores(tmp_path / "scores.jsonl", sim / "occupancy_truth.jsonl")
+    out = tmp_path / "out"
+    assert main([
+        "run-pipeline", "--detections", str(sim / "detections.jsonl"),
+        "--config", str(tmp_path / "run.json"),
+        "--truth-slots", str(sim / "slots_truth.json"),
+        "--truth-occupancy", str(sim / "occupancy_truth.jsonl"),
+        "--mode", mode, "--scores", str(tmp_path / "scores.jsonl"),
+        "--out-dir", str(out), "--emit-plot-data",
+    ]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert digests == GOLDEN[mode]
