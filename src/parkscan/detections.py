@@ -10,6 +10,7 @@ boxes are held as one structured array with :data:`DETECTION_DTYPE` fields,
 one row per box.
 """
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from typing import IO, Iterable, Union
 
 import numpy as np
 
-from .errors import ValidationError, json_frame_id, json_lines, note_first_line
+from .errors import JSON_NUMBER_TYPES, ValidationError, json_frame_id, json_lines, note_first_line
 
 DETECTION_DTYPE = np.dtype(
     [("cx", float), ("cy", float), ("w", float), ("h", float), ("conf", float), ("cls", object)]
@@ -46,11 +47,13 @@ class FrameDetections:
         dets = self.detections
         dets = np.asarray(dets if isinstance(dets, np.ndarray) else list(dets), DETECTION_DTYPE)
         cx, cy, w, h, conf = (dets[name] for name in _NUMBER_FIELDS)
-        _check(cx, np.isfinite(cx), "x", "x coordinate must be finite")
-        _check(cy, np.isfinite(cy), "y", "y coordinate must be finite")
-        _check(w, np.isfinite(w) & (w > 0), "width", "width must be > 0")
-        _check(h, np.isfinite(h) & (h > 0), "height", "height must be > 0")
-        _check(conf, (conf >= 0.0) & (conf <= 1.0), "confidence", "confidence must be in [0, 1]")
+        if not (np.isfinite([cx, cy, w, h]).all() and (w > 0).all() and (h > 0).all()
+                and ((conf >= 0.0) & (conf <= 1.0)).all()):  # one test; below, name the first fault
+            _check(cx, np.isfinite(cx), "x", "x coordinate must be finite")
+            _check(cy, np.isfinite(cy), "y", "y coordinate must be finite")
+            _check(w, np.isfinite(w) & (w > 0), "width", "width must be > 0")
+            _check(h, np.isfinite(h) & (h > 0), "height", "height must be > 0")
+            _check(conf, (conf >= 0.0) & (conf <= 1.0), "confidence", "confidence must be in [0, 1]")
         dets.setflags(write=False)
         object.__setattr__(self, "detections", dets)
 
@@ -95,21 +98,20 @@ def _number(record: dict, key: str, line: int) -> float:
 
 
 def _frame_array(entries: list, line: int) -> np.ndarray:
-    """The log's detection entries as columns of one structured array."""
-    columns = {name: [] for name in DETECTION_DTYPE.names}
+    """The log's detection entries as one structured array. An entry's first fault is
+    named in this order: not an object, ``cls``, then ``cx`` to ``conf``."""
+    rows = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise _log_error(line, "detection entries must be objects")
         cls = entry.get("cls")
         if not isinstance(cls, str):
             raise _log_error(line, '"cls" must be a string')
-        columns["cls"].append(cls)
-        for name in _NUMBER_FIELDS:
-            columns[name].append(_number(entry, name, line))
-    dets = np.empty(len(entries), DETECTION_DTYPE)
-    for name, values in columns.items():
-        dets[name] = values
-    return dets
+        numbers = tuple(map(entry.get, _NUMBER_FIELDS))
+        if not JSON_NUMBER_TYPES.issuperset(map(type, numbers)):
+            numbers = [_number(entry, name, line) for name in _NUMBER_FIELDS]
+        rows.append((*numbers, cls))
+    return np.array(rows, DETECTION_DTYPE)
 
 
 def parse_detections(stream: IO[str]) -> list[FrameDetections]:
@@ -171,5 +173,8 @@ def filter_detections(
         for cls in det_filter.allowed_classes:
             allowed |= dets["cls"] == cls
         keep = allowed & (dets["conf"] >= det_filter.min_confidence)
-        out.append(FrameDetections(f.frame_id, dets[keep], f.timestamp))
+        kept = copy.copy(f)  # a copy runs no __post_init__: these rows were checked when f was made
+        object.__setattr__(kept, "detections", dets[keep])
+        kept.detections.setflags(write=False)
+        out.append(kept)
     return out

@@ -3,6 +3,8 @@
 import json
 from typing import IO, Iterator, Mapping
 
+JSON_NUMBER_TYPES = frozenset((int, float))  # the exact types of json.loads numbers; bool is not one
+
 
 class ValidationError(ValueError):
     """A value violates a declared invariant. ``field`` names the offending field."""

@@ -4,12 +4,13 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Mapping, Sequence, Union
+from json.encoder import encode_basestring_ascii
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import ValidationError, json_frame_id, json_lines, json_number, note_first_line
-from .geometry import Box, box_iou, boxes_array
+from .geometry import box_iou, boxes_array
 from .slots import ParkingSlot
 
 DEFAULT_DECISION_THRESHOLD = 0.5
@@ -38,8 +39,7 @@ class ClassifierAdapter:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class OccupancyRecord:
+class OccupancyRecord(NamedTuple):
     slot_id: int
     frame_id: str
     score: Union[float, None]
@@ -74,16 +74,17 @@ def classify_frame(
             OccupancyRecord(slot.slot_id, frame_id, None, OccupancyStatus.ERROR, str(exc))
             for slot in slots
         ]
+    in_range = ((scores >= 0.0) & (scores <= 1.0)).tolist()  # NaN fails both tests
+    statuses = (OccupancyStatus.VACANT, OccupancyStatus.OCCUPIED)
     records = []
-    for slot, score in zip(slots, scores.tolist()):
+    for slot, score, ok, occ in zip(slots, scores.tolist(), in_range, (scores >= threshold).tolist()):
+        if ok:
+            records.append(OccupancyRecord(slot.slot_id, frame_id, score, statuses[occ]))
+            continue
         if math.isnan(score):
             error = f"no score for frame {frame_id!r}, slot {slot.slot_id}"
-        elif not 0.0 <= score <= 1.0:
-            error = f"classifier returned {score!r}, outside [0, 1]"
         else:
-            status = OccupancyStatus.OCCUPIED if score >= threshold else OccupancyStatus.VACANT
-            records.append(OccupancyRecord(slot.slot_id, frame_id, score, status))
-            continue
+            error = f"classifier returned {score!r}, outside [0, 1]"
         records.append(OccupancyRecord(slot.slot_id, frame_id, None, OccupancyStatus.ERROR, error))
     return records
 
@@ -97,12 +98,12 @@ class GeometricOracleClassifier(ClassifierAdapter):
 
     def __init__(
         self,
-        vehicles_by_frame: Mapping[str, Sequence[Box]],
+        vehicles_by_frame: Mapping[str, np.ndarray],  # (n, 4) arrays of (cx, cy, w, h) rows
         iou_threshold: float = DEFAULT_IOU_THRESHOLD,
     ):
         if not (0.0 < iou_threshold < 1.0):
             raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold!r}")
-        self._vehicles = {k: boxes_array(v) for k, v in vehicles_by_frame.items()}
+        self._vehicles = {k: np.asarray(v, float).reshape(-1, 4) for k, v in vehicles_by_frame.items()}
         self.decision_threshold = iou_threshold
 
     def classify(self, frame_id: str, slots: Sequence[ParkingSlot]) -> np.ndarray:
@@ -161,34 +162,31 @@ class FrameReport:
 def aggregate_report(records: Iterable[OccupancyRecord]) -> dict[str, FrameReport]:
     """Per-frame occupancy summary; occupied + vacant + errors cover every slot."""
     seen: set[tuple[str, int]] = set()
-    by_frame: dict[str, list[OccupancyRecord]] = {}
-    for rec in records:
-        key = (rec.frame_id, rec.slot_id)
-        if key in seen:
-            raise DuplicateRecordError(f"duplicate record for frame {rec.frame_id!r}, slot {rec.slot_id}")
-        seen.add(key)
-        by_frame.setdefault(rec.frame_id, []).append(rec)
-
+    by_frame: dict[str, dict[OccupancyStatus, list[int]]] = {}  # slot ids by status
+    for slot_id, frame_id, _, status, _ in records:
+        if (frame_id, slot_id) in seen:
+            raise DuplicateRecordError(f"duplicate record for frame {frame_id!r}, slot {slot_id}")
+        seen.add((frame_id, slot_id))
+        if frame_id not in by_frame:
+            by_frame[frame_id] = {s: [] for s in OccupancyStatus}
+        by_frame[frame_id][status].append(slot_id)
     report = {}
-    for frame_id, recs in by_frame.items():
-        occupied = sum(1 for r in recs if r.status is OccupancyStatus.OCCUPIED)
-        vacant = tuple(sorted(r.slot_id for r in recs if r.status is OccupancyStatus.VACANT))
-        errors = tuple(sorted(r.slot_id for r in recs if r.status is OccupancyStatus.ERROR))
-        report[frame_id] = FrameReport(
-            occupied=occupied, vacant=len(vacant), vacant_slots=vacant, error_slots=errors
-        )
+    for frame_id, ids in by_frame.items():
+        occupied, vacant, errors = ids.values()  # in OccupancyStatus order
+        report[frame_id] = FrameReport(len(occupied), len(vacant), tuple(sorted(vacant)), tuple(sorted(errors)))
     return report
 
 
 def write_records(stream: IO[str], records: Iterable[OccupancyRecord]) -> None:
-    """One JSON line per record; ERROR records also carry their ``"error"`` reason."""
-    for rec in records:
-        doc = {"frame": rec.frame_id, "slot": rec.slot_id, "score": rec.score,
-               "status": rec.status.value}
-        if rec.status is OccupancyStatus.ERROR:
-            doc["error"] = rec.error
-        stream.write(json.dumps(doc, sort_keys=True))
-        stream.write("\n")
+    """One JSON line per record, the bytes ``json.dumps(doc, sort_keys=True)`` gives, built
+    from json's own encoders; ERROR records also carry their ``"error"`` reason."""
+    value_of = {status: status.value for status in OccupancyStatus}
+    for slot_id, frame_id, score, status, error in records:
+        score_text = repr(score) if type(score) is float and math.isfinite(score) else json.dumps(score)
+        status_text = value_of[status]
+        head = f'{{"error": {json.dumps(error)}, ' if status_text == "ERROR" else "{"
+        stream.write(f'{head}"frame": {encode_basestring_ascii(frame_id)}, "score": {score_text}, '
+                     f'"slot": {slot_id!r}, "status": "{status_text}"}}\n')
 
 
 def read_records(stream: IO[str]) -> list[OccupancyRecord]:

@@ -35,10 +35,14 @@ import numpy as np
 
 from .detections import FrameDetections
 from .errors import (
-    ConfigError, ValidationError, check_keys, json_frame_id, json_lines, json_number, note_first_line
+    JSON_NUMBER_TYPES, ConfigError, ValidationError, check_keys, json_frame_id, json_lines, json_number,
+    note_first_line,
 )
 from .geometry import Box, Homography, Point2, apply_homography
 from .slots import ParkingSlot, slot_registry_document
+
+VEHICLE_DTYPE = np.dtype([("cx", float), ("cy", float), ("w", float), ("h", float), ("kind", object)])
+_BOX_FIELDS = ("cx", "cy", "w", "h")
 
 STREAM_SLOT = 0
 STREAM_PASSING = 1
@@ -128,20 +132,28 @@ class ScenarioConfig:
         return (self.rows + 1.5) * self.slot_pitch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Slot layout in image coordinates plus per-frame occupancy and vehicles."""
 
     frame_ids: tuple[str, ...]
     slots: tuple[Box, ...]
     occupancy: tuple[tuple[bool, ...], ...]
-    vehicles: tuple[tuple[tuple[Box, str], ...], ...]
+    vehicles: tuple[np.ndarray, ...]  # one read-only VEHICLE_DTYPE array per frame
 
-    def vehicles_by_frame(self) -> dict[str, list[Box]]:
+    def vehicles_by_frame(self) -> dict[str, np.ndarray]:
+        """Each frame's vehicle boxes as an ``(n, 4)`` array of (cx, cy, w, h) rows."""
         return {
-            fid: [box for box, _ in frame_vehicles]
-            for fid, frame_vehicles in zip(self.frame_ids, self.vehicles)
+            fid: np.column_stack([v[k] for k in _BOX_FIELDS])
+            for fid, v in zip(self.frame_ids, self.vehicles)
         }
+
+    def __eq__(self, other):
+        if not isinstance(other, GroundTruth):
+            return NotImplemented
+        return (self.frame_ids, self.slots, self.occupancy, len(self.vehicles)) == (
+            other.frame_ids, other.slots, other.occupancy, len(other.vehicles)
+        ) and all(map(np.array_equal, self.vehicles, other.vehicles))
 
     def occupancy_by_frame(self) -> dict[str, tuple[bool, ...]]:
         return dict(zip(self.frame_ids, self.occupancy))
@@ -256,7 +268,8 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
         rows = [(box.cx, box.cy, box.w, box.h, conf, "car") for box, conf in dets]
         frames.append(FrameDetections(frame_id=frame_id, detections=rows, timestamp=ts))
         occupancy.append(tuple(bits))
-        vehicles_all.append(tuple(vehicles))
+        vehicles_all.append(np.array([(b.cx, b.cy, b.w, b.h, kind) for b, kind in vehicles], VEHICLE_DTYPE))
+        vehicles_all[-1].setflags(write=False)
 
     truth = GroundTruth(
         frame_ids=tuple(frame_ids),
@@ -286,13 +299,30 @@ def write_ground_truth_occupancy(stream: IO[str], truth: GroundTruth) -> None:
         record = {
             "frame": fid,
             "occupancy": {str(i): bool(b) for i, b in enumerate(bits)},
-            "vehicles": [
-                {"cx": box.cx, "cy": box.cy, "w": box.w, "h": box.h, "kind": kind}
-                for box, kind in vehicles
-            ],
+            "vehicles": [dict(zip(VEHICLE_DTYPE.names, row)) for row in vehicles.tolist()],
         }
         stream.write(json.dumps(record, sort_keys=True))
         stream.write("\n")
+
+
+def _vehicle_array(entries: list) -> np.ndarray:
+    """A truth line's vehicles as one read-only :data:`VEHICLE_DTYPE` array: a type test
+    per value, then the finite and positive-size checks as masks over the line."""
+    rows = []
+    for v in entries:
+        row = (v["cx"], v["cy"], v["w"], v["h"], v["kind"])
+        if not (JSON_NUMBER_TYPES.issuperset(map(type, row[:4])) and type(row[4]) is str):
+            for value, name in zip(row, _BOX_FIELDS):
+                json_number(value, name)
+            raise TypeError(f"kind must be a string, got {row[4]!r}")
+        rows.append(row)
+    vehicles = np.array(rows, VEHICLE_DTYPE)
+    boxes = np.array([vehicles[k] for k in _BOX_FIELDS])
+    ok = np.isfinite(boxes).all(axis=0) & (boxes[2:] > 0).all(axis=0)
+    if not ok.all():
+        Box(*boxes[:, np.argmin(ok)].tolist())  # raises, naming the first bad field
+    vehicles.setflags(write=False)
+    return vehicles
 
 
 def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
@@ -310,23 +340,14 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
             frame_bits = tuple(bits[str(i)] for i in range(len(bits)))
             if not all(isinstance(bit, bool) for bit in frame_bits):
                 raise TypeError("occupancy bits must be true or false")
-            frame_vehicles = tuple(
-                (
-                    Box(*(float(json_number(v[k], k)) for k in ("cx", "cy", "w", "h"))),
-                    str(v["kind"]),
-                )
-                for v in record["vehicles"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            frame_vehicles = _vehicle_array(record["vehicles"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
         note_first_line(first_line, frame_id, line_no, "occupancy")
         occupancy.append(frame_bits)
         vehicles.append(frame_vehicles)
     return GroundTruth(
-        frame_ids=tuple(first_line),
-        slots=(),
-        occupancy=tuple(occupancy),
-        vehicles=tuple(vehicles),
+        frame_ids=tuple(first_line), slots=(), occupancy=tuple(occupancy), vehicles=tuple(vehicles)
     )
 
 

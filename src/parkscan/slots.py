@@ -181,17 +181,16 @@ def run_slot_detection(
             )
         )
 
-    kept = iqr_filter([c.spread for c in candidates]) if candidates else set()
+    # The lex-first border rule can leave a cluster below min_points (even one
+    # point, spread 0); such a candidate takes no part in the IQR rule or selection.
+    eligible = [i for i, c in enumerate(candidates) if c.member_count >= min_points]
+    kept = {eligible[j] for j in iqr_filter([candidates[i].spread for i in eligible])} if eligible else set()
     survivors = [c for i, c in enumerate(candidates) if i in kept]
     selected, shortfall = select_n_bottom(survivors, config.n_bottom)
 
     inverse = invert_homography(config.homography)
     slots = []
     for slot_id, cand in enumerate(selected):
-        if cand.member_count < min_points:
-            raise AssertionError(
-                f"cluster {cand.cluster_id} has {cand.member_count} members < min_points {min_points}"
-            )
         center = apply_homography(inverse, cand.center_birdseye)
         slots.append(
             ParkingSlot(
@@ -205,7 +204,7 @@ def run_slot_detection(
         slots=tuple(slots),
         cluster_count=assignment.k,
         noise_points=noise_points,
-        iqr_discarded=len(candidates) - len(survivors),
+        iqr_discarded=len(eligible) - len(survivors),
         shortfall=shortfall,
         eps=eps,
         min_points=min_points,

@@ -5,7 +5,13 @@ union-find, pair counting) so the implementations under test are checked
 against a second, unrelated route.
 """
 
+import json
+import math
+
 import numpy as np
+
+from parkscan.errors import ValidationError
+from parkscan.occupancy import FrameReport, OccupancyRecord, OccupancyStatus
 
 
 def brute_force_core_partition(points, eps, min_points):
@@ -140,3 +146,57 @@ def box_iou_scalar(a, b):
     inter = iw * ih
     union = aw * ah + bw * bh - inter
     return min(inter / union, 1.0)
+
+
+# --- occupancy: the per-record loops the array code replaced, kept as references ----------
+
+def write_records_by_dumps(stream, records):
+    """Occupancy records as JSON lines, one ``json.dumps(doc, sort_keys=True)`` per record."""
+    for rec in records:
+        doc = {"frame": rec.frame_id, "slot": rec.slot_id, "score": rec.score,
+               "status": rec.status.value}
+        if rec.status is OccupancyStatus.ERROR:
+            doc["error"] = rec.error
+        stream.write(json.dumps(doc, sort_keys=True))
+        stream.write("\n")
+
+
+def classify_frame_per_slot(slots, frame_id, classifier, threshold):
+    """One occupancy record per slot, each score tested on its own in Python."""
+    try:
+        scores = np.asarray(classifier.classify(frame_id, slots), dtype=float)
+        if scores.shape != (len(slots),):
+            raise ValidationError(
+                "score", f"classifier returned scores of shape {scores.shape} for {len(slots)} slots"
+            )
+    except Exception as exc:
+        return [
+            OccupancyRecord(slot.slot_id, frame_id, None, OccupancyStatus.ERROR, str(exc))
+            for slot in slots
+        ]
+    records = []
+    for slot, score in zip(slots, scores.tolist()):
+        if math.isnan(score):
+            error = f"no score for frame {frame_id!r}, slot {slot.slot_id}"
+        elif not 0.0 <= score <= 1.0:
+            error = f"classifier returned {score!r}, outside [0, 1]"
+        else:
+            status = OccupancyStatus.OCCUPIED if score >= threshold else OccupancyStatus.VACANT
+            records.append(OccupancyRecord(slot.slot_id, frame_id, score, status))
+            continue
+        records.append(OccupancyRecord(slot.slot_id, frame_id, None, OccupancyStatus.ERROR, error))
+    return records
+
+
+def aggregate_report_by_rescan(records):
+    """Per-frame report from one scan of each frame's records per status."""
+    by_frame = {}
+    for rec in records:
+        by_frame.setdefault(rec.frame_id, []).append(rec)
+    report = {}
+    for frame_id, recs in by_frame.items():
+        occupied = sum(1 for r in recs if r.status is OccupancyStatus.OCCUPIED)
+        vacant = tuple(sorted(r.slot_id for r in recs if r.status is OccupancyStatus.VACANT))
+        errors = tuple(sorted(r.slot_id for r in recs if r.status is OccupancyStatus.ERROR))
+        report[frame_id] = FrameReport(occupied, len(vacant), vacant, errors)
+    return report

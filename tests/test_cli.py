@@ -578,6 +578,14 @@ SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
         pytest.param({"truth.jsonl": {**ONE_BIT_TRUTH, "vehicles": [{**PARKED_AT_SLOT0, "cx": "1.5"}]}},
                      CLASSIFY, "line 1: bad record (cx must be a number, got '1.5')",
                      id="truth-vehicle-cx-is-string"),
+        pytest.param({"truth.jsonl": {**ONE_BIT_TRUTH, "vehicles": [{**PARKED_AT_SLOT0, "kind": 5}]}},
+                     CLASSIFY, "line 1: bad record (kind must be a string, got 5)", id="truth-vehicle-kind-number"),
+        pytest.param({"truth.jsonl": {**ONE_BIT_TRUTH, "vehicles": [{**PARKED_AT_SLOT0, "kind": None}]}},
+                     CLASSIFY, "line 1: bad record (kind must be a string, got None)",
+                     id="truth-vehicle-kind-null"),
+        pytest.param({"truth.jsonl": {**ONE_BIT_TRUTH, "vehicles": [PARKED_AT_SLOT0, {**PARKED_AT_SLOT0,
+                                                                                     "cx": float("nan")}]}},
+                     CLASSIFY, "line 1: bad record (cx must be finite)", id="truth-vehicle-cx-nan"),
         pytest.param({"d.jsonl": TWO_DETECTIONS, "run.json": {"n_bottom": 1, "eps": 1e-12}}, DETECT,
                      "is below 2**-47 of the largest |coordinate|", id="eps-below-coordinate-resolution"),
         pytest.param({"scenario.json": {**SCENARIO, "miss_probability": 0.9}}, SIMULATE,
@@ -610,6 +618,31 @@ def test_bad_input_exits_2_with_one_line(tmp_path, files, argv, names):
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert names in lines[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(docs)  # no output written
+
+
+# Unit-spaced points scaled by 10 px. The core point at the origin has three border
+# points 0.99 units away (left, top, bottom); each is also within eps (1 unit) of a
+# lex-earlier core of its own four-point cluster, so the origin's cluster keeps one
+# member, below min_points, and its spread of 0 would rank first.
+LONE_CORE_UNITS = [(0, 0), (-0.99, 0), (0, -0.99), (0, 0.99),
+                   (-1.98, 0), (-2.48, 0), (-1.98, -0.5), (-1.98, 0.5),
+                   (-0.7, -1.7), (-0.7, -2.2), (-1.2, -1.7), (-1.05, -2.05),
+                   (-0.7, 1.7), (-0.7, 2.2), (-1.2, 1.7), (-1.05, 2.05)]
+
+
+def test_cluster_below_min_points_is_never_a_slot(tmp_path, capsys):
+    dets = [{"cx": 10 * x, "cy": 10 * y, "w": 20, "h": 20, "cls": "car", "conf": 0.9} for x, y in LONE_CORE_UNITS]
+    (tmp_path / "d.jsonl").write_text(json.dumps({"frame": "f1", "dets": dets}) + "\n")
+    # The cloud's longest side, 4.4 units, normalizes to 1000: eps is one unit.
+    (tmp_path / "run.json").write_text(json.dumps({"n_bottom": 1, "min_points": 4, "eps": 1000 / 4.4}))
+    argv = [a.format(d=tmp_path) for a in DETECT] + ["--emit-plot-data"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["iqr_discarded"] == 0
+    rows = [line.split("\t") for line in (tmp_path / "s.json.spreads.tsv").read_text().splitlines()[1:]]
+    assert [(members, kept, selected) for _, _, members, kept, selected in rows] == [
+        ("5", "1", "1"), ("5", "1", "0"), ("5", "1", "0"), ("1", "0", "0")]
+    slots = json.loads((tmp_path / "s.json").read_text())["slots"]
+    assert [s["members"] for s in slots] == [5]
 
 
 def test_cli_module_entry_point(workdir):

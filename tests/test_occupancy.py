@@ -1,13 +1,19 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import box_iou_scalar
+from helpers import (
+    aggregate_report_by_rescan,
+    box_iou_scalar,
+    classify_frame_per_slot,
+    write_records_by_dumps,
+)
 from parkscan.errors import ValidationError
-from parkscan.geometry import Box
+from parkscan.geometry import Box, boxes_array
 from parkscan.occupancy import (
     ClassifierAdapter,
     DuplicateRecordError,
@@ -127,7 +133,7 @@ def test_classify_frame_requires_slots_and_sane_threshold():
 # --- geometric oracle -------------------------------------------------------
 
 def test_oracle_identical_box_scores_one():
-    oracle = GeometricOracleClassifier({"f1": [Box(0.0, 0.0, 50.0, 50.0)]})
+    oracle = GeometricOracleClassifier({"f1": np.array([[0.0, 0.0, 50.0, 50.0]])})
     records = classify_frame(SLOTS[:1], "f1", oracle, threshold=oracle.decision_threshold)
     assert records[0].score == 1.0
     assert records[0].status is OccupancyStatus.OCCUPIED
@@ -143,7 +149,7 @@ def test_oracle_empty_frame_scores_zero():
 def test_oracle_half_overlap_hand_case():
     # Slot 50x50 at origin, vehicle 50x50 at (25, 0): intersection 25*50 =
     # 1250, union 3750, IoU = 1/3 >= 0.3.
-    oracle = GeometricOracleClassifier({"f1": [Box(25.0, 0.0, 50.0, 50.0)]})
+    oracle = GeometricOracleClassifier({"f1": np.array([[25.0, 0.0, 50.0, 50.0]])})
     records = classify_frame(SLOTS[:1], "f1", oracle, threshold=oracle.decision_threshold)
     assert records[0].score == pytest.approx(1.0 / 3.0)
     assert records[0].status is OccupancyStatus.OCCUPIED
@@ -166,7 +172,7 @@ _box = st.builds(Box, _coord, _coord, _side, _side)
 @settings(max_examples=100, deadline=None)
 def test_oracle_scores_are_max_scalar_iou(areas, vehicles):
     slots = [ParkingSlot(slot_id=i, area=a, spread=0.0, members=1) for i, a in enumerate(areas)]
-    oracle = GeometricOracleClassifier({"f1": vehicles})
+    oracle = GeometricOracleClassifier({"f1": boxes_array(vehicles)})
     expected = [
         max((box_iou_scalar((a.cx, a.cy, a.w, a.h), (v.cx, v.cy, v.w, v.h)) for v in vehicles),
             default=0.0)
@@ -246,3 +252,93 @@ def test_records_round_trip():
     assert read_records(io.StringIO(buf.getvalue())) == records
     lines = buf.getvalue().splitlines()
     assert ['"error"' in line for line in lines] == [r.status is OccupancyStatus.ERROR for r in records]
+
+
+# --- the array code against the per-record loops it replaced ---------------------------
+
+_awkward_text = st.text(
+    alphabet=st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "漢", "\u2028",
+                              "\u2029", "\U0001f697", "a", " ", "'"]),
+    min_size=1,
+)
+_frame_id = st.one_of(_awkward_text, st.text(min_size=1))
+_edge_score = st.sampled_from(
+    [0.0, -0.0, 1.0, 5e-324, 2.2250738585072009e-308, 0.1 + 0.2, 1 / 3, 0.5, 0, 1,
+     math.nan, math.inf, -math.inf, 1e300, -1.5]
+)
+_score = st.one_of(
+    _edge_score,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**70), 2**70),
+    st.floats(0.0, 1.0).map(np.float64),
+)
+_scored = st.builds(
+    OccupancyRecord,
+    slot_id=st.integers(-(2**40), 2**40),
+    frame_id=_frame_id,
+    score=_score,
+    status=st.sampled_from([OccupancyStatus.OCCUPIED, OccupancyStatus.VACANT]),
+)
+_error = st.builds(
+    OccupancyRecord,
+    slot_id=st.integers(0, 10**6),
+    frame_id=_frame_id,
+    score=st.none(),
+    status=st.just(OccupancyStatus.ERROR),
+    error=st.one_of(st.none(), _awkward_text, st.text()),
+)
+
+
+@given(records=st.lists(st.one_of(_scored, _error), max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_write_records_matches_json_dumps_byte_for_byte(records):
+    buf, ref = io.StringIO(), io.StringIO()
+    write_records(buf, records)
+    write_records_by_dumps(ref, records)
+    assert buf.getvalue() == ref.getvalue()
+
+
+@given(records=st.lists(st.one_of(_scored, _error), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_aggregate_report_matches_rescan(records):
+    try:
+        report = aggregate_report(records)
+    except DuplicateRecordError:
+        keys = [(r.frame_id, r.slot_id) for r in records]
+        assert len(set(keys)) < len(keys)
+        return
+    assert report == aggregate_report_by_rescan(records)
+
+
+_classifier_score = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.0 + 2**-52, 2.0, -0.0, 0.0, 1.0, -1e-300, 0.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 1.0),
+)
+
+
+@given(
+    scores=st.lists(_classifier_score, min_size=1, max_size=12),
+    threshold=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.just(0.5)),
+    at_threshold=st.booleans(),
+    frame_id=_frame_id,
+)
+@settings(max_examples=300, deadline=None)
+def test_classify_frame_matches_per_slot_loop(scores, threshold, at_threshold, frame_id):
+    if at_threshold:
+        scores = [threshold] + scores
+    slots = [make_slot(i) for i in range(len(scores))]
+    classifier = TableClassifier(dict(enumerate(scores)))
+    expected = classify_frame_per_slot(slots, frame_id, classifier, threshold)
+    assert classify_frame(slots, frame_id, classifier, threshold=threshold) == expected
+
+
+def test_classify_frame_errors_match_per_slot_loop():
+    class Broken(ClassifierAdapter):
+        def classify(self, frame_id, slots):
+            raise RuntimeError("boom")
+
+    for classifier in (Broken(), ConstantClassifier(np.float64(0.7)), TableClassifier({0: 1, 1: 0, 2: 2})):
+        assert classify_frame(SLOTS, "f1", classifier, 0.5) == classify_frame_per_slot(
+            SLOTS, "f1", classifier, 0.5
+        )

@@ -9,6 +9,7 @@ from parkscan.errors import ConfigError, ValidationError
 from parkscan.geometry import box_iou, boxes_array
 from parkscan.simulator import (
     CAMERA_PRESETS,
+    VEHICLE_DTYPE,
     GroundTruth,
     ScenarioConfig,
     ViolationSite,
@@ -63,7 +64,7 @@ def test_zero_probability_means_empty_frames():
     frames, truth = generate_scenario(small_config(occupancy_prob=0.0))
     assert all(len(f.detections) == 0 for f in frames)
     assert all(not any(bits) for bits in truth.occupancy)
-    assert all(v == () for v in truth.vehicles)
+    assert all(len(v) == 0 for v in truth.vehicles)
 
 
 def test_noiseless_identity_camera_hits_exact_centers():
@@ -132,16 +133,16 @@ def test_slot_streams_stable_when_grid_grows():
     for bits2, bits3 in zip(truth_2.occupancy, truth_3.occupancy):
         assert bits2 == bits3[:2]
     for v2, v3 in zip(truth_2.vehicles, truth_3.vehicles):
-        assert list(v2) == list(v3)[: len(v2)]
+        assert v2.tolist() == v3.tolist()[: len(v2)]
 
 
 def test_passing_vehicles_sit_on_the_lane():
     cfg = small_config(occupancy_prob=0.0, passing_rate=2.0, frame_count=20)
     _, truth = generate_scenario(cfg)
     lane_y = cfg.effective_lane_y
-    passing = [box for frame in truth.vehicles for box, kind in frame if kind == "passing"]
-    assert passing, "expected at least one passing vehicle at rate 2.0"
-    assert all(box.cy == lane_y for box in passing)
+    passing = np.concatenate([v["cy"][v["kind"] == "passing"] for v in truth.vehicles])
+    assert passing.size, "expected at least one passing vehicle at rate 2.0"
+    assert (passing == lane_y).all()
 
 
 def test_oracle_consistency_on_noiseless_data():
@@ -150,8 +151,7 @@ def test_oracle_consistency_on_noiseless_data():
     cfg = small_config(rows=2, cols=3, occupancy_prob=0.5, frame_count=25)
     _, truth = generate_scenario(cfg)
     slots = boxes_array(truth.slots)
-    for bits, vehicles in zip(truth.occupancy, truth.vehicles):
-        boxes = boxes_array([b for b, _ in vehicles])
+    for bits, boxes in zip(truth.occupancy, truth.vehicles_by_frame().values()):
         best = box_iou(slots[:, None], boxes[None]).max(axis=1, initial=0.0)
         for slot_idx, bit in enumerate(bits):
             assert (best[slot_idx] >= 0.3) == bit
@@ -209,3 +209,41 @@ def test_ground_truth_lookup_helpers():
     occ = truth.occupancy_by_frame()
     assert set(by_frame) == set(truth.frame_ids) == set(occ)
     assert isinstance(truth, GroundTruth)
+    for fid, vehicles in zip(truth.frame_ids, truth.vehicles):
+        assert vehicles.dtype == VEHICLE_DTYPE and not vehicles.flags.writeable
+        assert by_frame[fid].shape == (len(vehicles), 4)
+        assert by_frame[fid].tolist() == [list(row[:4]) for row in vehicles.tolist()]
+
+
+def test_ground_truth_equality_compares_vehicle_values():
+    _, truth = generate_scenario(small_config(occupancy_prob=0.5, frame_count=4, passing_rate=1.0))
+    copy = GroundTruth(truth.frame_ids, truth.slots, truth.occupancy, tuple(v.copy() for v in truth.vehicles))
+    assert copy == truth
+    moved = [v.copy() for v in truth.vehicles]
+    frame = next(i for i, v in enumerate(moved) if len(v))
+    moved[frame]["cx"][0] += 1.0
+    assert GroundTruth(truth.frame_ids, truth.slots, truth.occupancy, tuple(moved)) != truth
+    assert GroundTruth(truth.frame_ids, truth.slots, truth.occupancy, truth.vehicles[:-1]) != truth
+    assert truth != "not ground truth"
+
+
+_PARKED = {"cx": 0.0, "cy": 0.0, "w": 20.0, "h": 20.0, "kind": "parked"}
+
+
+@pytest.mark.parametrize(
+    "vehicle, message",
+    [
+        ({"w": 0}, "width must be > 0, got 0.0"),
+        ({"h": -1}, "height must be > 0, got -1.0"),
+        ({"cy": float("inf")}, "cy must be finite"),
+        ({"cx": True}, "cx must be a number, got True"),
+        ({"kind": ["parked"]}, "kind must be a string, got ['parked']"),
+        ({"w": 10**400}, "int too large to convert to float"),
+    ],
+)
+def test_truth_vehicle_faults_name_the_line_and_field(vehicle, message):
+    line = {"frame": "f1", "occupancy": {"0": True}, "vehicles": [_PARKED, {**_PARKED, **vehicle}]}
+    text = json.dumps({**line, "frame": "f0", "vehicles": [_PARKED]}) + "\n" + json.dumps(line) + "\n"
+    with pytest.raises(ValidationError) as exc:
+        read_ground_truth_occupancy(io.StringIO(text))
+    assert str(exc.value) == f"line 2: bad record ({message})"
