@@ -80,12 +80,10 @@ def classify_frame(
     for slot, score, ok, occ in zip(slots, scores.tolist(), in_range, (scores >= threshold).tolist()):
         if ok:
             records.append(OccupancyRecord(slot.slot_id, frame_id, score, statuses[occ]))
-            continue
-        if math.isnan(score):
-            error = f"no score for frame {frame_id!r}, slot {slot.slot_id}"
         else:
-            error = f"classifier returned {score!r}, outside [0, 1]"
-        records.append(OccupancyRecord(slot.slot_id, frame_id, None, OccupancyStatus.ERROR, error))
+            error = (f"no score for frame {frame_id!r}, slot {slot.slot_id}" if math.isnan(score)
+                     else f"classifier returned {score!r}, outside [0, 1]")
+            records.append(OccupancyRecord(slot.slot_id, frame_id, None, OccupancyStatus.ERROR, error))
     return records
 
 
@@ -171,9 +169,9 @@ def aggregate_report(records: Iterable[OccupancyRecord]) -> dict[str, FrameRepor
             by_frame[frame_id] = {s: [] for s in OccupancyStatus}
         by_frame[frame_id][status].append(slot_id)
     report = {}
-    for frame_id, ids in by_frame.items():
+    for fid, ids in by_frame.items():
         occupied, vacant, errors = ids.values()  # in OccupancyStatus order
-        report[frame_id] = FrameReport(len(occupied), len(vacant), tuple(sorted(vacant)), tuple(sorted(errors)))
+        report[fid] = FrameReport(len(occupied), len(vacant), tuple(sorted(vacant)), tuple(sorted(errors)))
     return report
 
 

@@ -42,7 +42,7 @@ from .geometry import Box, Homography, Point2, apply_homography
 from .slots import ParkingSlot, slot_registry_document
 
 VEHICLE_DTYPE = np.dtype([("cx", float), ("cy", float), ("w", float), ("h", float), ("kind", object)])
-_BOX_FIELDS = ("cx", "cy", "w", "h")
+_BOX_FIELDS = VEHICLE_DTYPE.names[:4]
 
 STREAM_SLOT = 0
 STREAM_PASSING = 1
@@ -143,10 +143,8 @@ class GroundTruth:
 
     def vehicles_by_frame(self) -> dict[str, np.ndarray]:
         """Each frame's vehicle boxes as an ``(n, 4)`` array of (cx, cy, w, h) rows."""
-        return {
-            fid: np.column_stack([v[k] for k in _BOX_FIELDS])
-            for fid, v in zip(self.frame_ids, self.vehicles)
-        }
+        return {fid: np.column_stack([v[k] for k in _BOX_FIELDS])
+                for fid, v in zip(self.frame_ids, self.vehicles)}
 
     def __eq__(self, other):
         if not isinstance(other, GroundTruth):
@@ -347,7 +345,10 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
         occupancy.append(frame_bits)
         vehicles.append(frame_vehicles)
     return GroundTruth(
-        frame_ids=tuple(first_line), slots=(), occupancy=tuple(occupancy), vehicles=tuple(vehicles)
+        frame_ids=tuple(first_line),
+        slots=(),
+        occupancy=tuple(occupancy),
+        vehicles=tuple(vehicles),
     )
 
 

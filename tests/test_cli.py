@@ -579,7 +579,8 @@ SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
                      CLASSIFY, "line 1: bad record (cx must be a number, got '1.5')",
                      id="truth-vehicle-cx-is-string"),
         pytest.param({"truth.jsonl": {**ONE_BIT_TRUTH, "vehicles": [{**PARKED_AT_SLOT0, "kind": 5}]}},
-                     CLASSIFY, "line 1: bad record (kind must be a string, got 5)", id="truth-vehicle-kind-number"),
+                     CLASSIFY, "line 1: bad record (kind must be a string, got 5)",
+                     id="truth-vehicle-kind-number"),
         pytest.param({"truth.jsonl": {**ONE_BIT_TRUTH, "vehicles": [{**PARKED_AT_SLOT0, "kind": None}]}},
                      CLASSIFY, "line 1: bad record (kind must be a string, got None)",
                      id="truth-vehicle-kind-null"),
@@ -631,7 +632,8 @@ LONE_CORE_UNITS = [(0, 0), (-0.99, 0), (0, -0.99), (0, 0.99),
 
 
 def test_cluster_below_min_points_is_never_a_slot(tmp_path, capsys):
-    dets = [{"cx": 10 * x, "cy": 10 * y, "w": 20, "h": 20, "cls": "car", "conf": 0.9} for x, y in LONE_CORE_UNITS]
+    dets = [{"cx": 10 * x, "cy": 10 * y, "w": 20, "h": 20, "cls": "car", "conf": 0.9}
+            for x, y in LONE_CORE_UNITS]
     (tmp_path / "d.jsonl").write_text(json.dumps({"frame": "f1", "dets": dets}) + "\n")
     # The cloud's longest side, 4.4 units, normalizes to 1000: eps is one unit.
     (tmp_path / "run.json").write_text(json.dumps({"n_bottom": 1, "min_points": 4, "eps": 1000 / 4.4}))
