@@ -14,7 +14,6 @@ from .geometry import (
     Box,
     Homography,
     Point2,
-    apply_homography,
     apply_homography_array,
     box_iou,
     estimate_homography_dlt,

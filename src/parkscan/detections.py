@@ -94,12 +94,16 @@ def _number(record: dict, key: str, line: int) -> float:
         raise _log_error(line, f'missing detection field "{key}"') from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _log_error(line, f'detection field "{key}" must be a number')
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _log_error(line, f'detection field "{key}" is too large for a float') from None
 
 
 def _frame_array(entries: list, line: int) -> np.ndarray:
     """The log's detection entries as one structured array. An entry's first fault is
-    named in this order: not an object, ``cls``, then ``cx`` to ``conf``."""
+    named in this order: not an object, ``cls``, then ``cx`` to ``conf``; an integer
+    too large for a float is named after every type fault of the line."""
     rows = []
     for entry in entries:
         if not isinstance(entry, dict):
@@ -111,7 +115,13 @@ def _frame_array(entries: list, line: int) -> np.ndarray:
         if not JSON_NUMBER_TYPES.issuperset(map(type, numbers)):
             numbers = [_number(entry, name, line) for name in _NUMBER_FIELDS]
         rows.append((*numbers, cls))
-    return np.array(rows, DETECTION_DTYPE)
+    try:
+        return np.array(rows, DETECTION_DTYPE)
+    except OverflowError:
+        for entry in entries:  # names the first integer too large for a float
+            for name in _NUMBER_FIELDS:
+                _number(entry, name, line)
+        raise
 
 
 def parse_detections(stream: IO[str]) -> list[FrameDetections]:

@@ -3,8 +3,10 @@
 Homographies map between the original camera view and a bird's eye view of
 the ground plane.  Points are mapped in homogeneous coordinates,
 ``[u, v, d] = H [x, y, 1]``, with the finite image point ``(u/d, v/d)``.
+Mapping, inversion and the singularity check are elementwise arithmetic, with
+no BLAS or LAPACK call, so their results do not depend on the BLAS build.
 Estimation from point correspondences uses the normalized DLT (Hartley
-normalization, SVD of the 2n x 9 system).
+normalization, SVD of the 2n x 9 system), which does go through LAPACK.
 """
 
 import math
@@ -119,12 +121,13 @@ class Homography:
         if abs(m[2, 2]) > 1e-12:
             m = m / m[2, 2]
         else:
-            norm = np.linalg.norm(m)
+            norm = math.sqrt((m * m).sum())
             if norm == 0.0:
                 raise NonInvertibleMatrixError("zero matrix is not a homography")
             m = m / norm
-        cof_scale = np.abs(_cofactor_matrix(m)).max()
-        det = float(np.linalg.det(m))
+        cof = _cofactor_matrix(m)
+        cof_scale = np.abs(cof).max()
+        det = float((m[0] * cof[0]).sum())
         if cof_scale == 0.0 or abs(det) <= _SINGULARITY_RTOL * cof_scale:
             raise NonInvertibleMatrixError(
                 f"matrix is singular within tolerance (det={det:.3e})"
@@ -147,43 +150,32 @@ class Homography:
         return [float(v) for v in self.m.ravel()]
 
 
-def apply_homography(h: Homography, p: Point2) -> Point2:
-    """Map a single point; raises SingularProjectionError at the line at infinity."""
-    u, v, d = h.m @ (p.x, p.y, 1.0)
-    if abs(d) <= _PROJECTION_EPS:
-        raise SingularProjectionError(
-            f"point ({p.x}, {p.y}) projects to infinity (denominator {d:.3e})"
-        )
-    return Point2(u / d, v / d)
-
-
 def apply_homography_array(h: Homography, points: np.ndarray) -> np.ndarray:
-    """Map an (n, 2) array of points through ``h``.
+    """Map an (n, 2) array of points through ``h``; raises SingularProjectionError
+    on any point whose homogeneous denominator vanishes.
 
-    Vectorized counterpart of :func:`apply_homography`; raises on any point
-    whose homogeneous denominator vanishes.
+    Each of ``u``, ``v`` and ``d`` is ``(m0 * x + m1 * y) + m2``, one rounded
+    numpy operation at a time, so a point maps to the same bits on every
+    machine and BLAS build (a matrix product may fuse multiply-adds).
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return pts.reshape(0, 2)
-    ones = np.ones((pts.shape[0], 1))
-    mapped = np.hstack([pts, ones]) @ h.m.T
-    denom = mapped[:, 2]
+    x, y = pts[:, 0], pts[:, 1]
+    u, v, denom = (m0 * x + m1 * y + m2 for m0, m1, m2 in h.m.tolist())
     bad = np.abs(denom) <= _PROJECTION_EPS
     if bad.any():
         idx = int(np.argmax(bad))
         raise SingularProjectionError(
             f"point ({pts[idx, 0]}, {pts[idx, 1]}) projects to infinity (denominator {denom[idx]:.3e})"
         )
-    return mapped[:, :2] / denom[:, None]
+    return np.column_stack((u / denom, v / denom))
 
 
 def invert_homography(h: Homography) -> Homography:
-    try:
-        inv = np.linalg.inv(h.m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - caught at construction
-        raise NonInvertibleMatrixError(str(exc)) from exc
-    return Homography(inv)
+    """The inverse map, built from the adjugate (the inverse up to scale) by
+    elementwise arithmetic, so it too has the same bits on every BLAS build."""
+    return Homography(_cofactor_matrix(h.m).T)
 
 
 def _hartley_normalization(pts: np.ndarray) -> np.ndarray:

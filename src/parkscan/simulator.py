@@ -38,7 +38,7 @@ from .errors import (
     JSON_NUMBER_TYPES, ConfigError, ValidationError, check_keys, json_frame_id, json_lines, json_number,
     note_first_line,
 )
-from .geometry import Box, Homography, Point2, apply_homography
+from .geometry import Box, Homography, apply_homography_array
 from .slots import ParkingSlot, slot_registry_document
 
 VEHICLE_DTYPE = np.dtype([("cx", float), ("cy", float), ("w", float), ("h", float), ("kind", object)])
@@ -174,21 +174,33 @@ def _stream(seed: int, frame_index: int, stream: int, *key: int) -> np.random.Ge
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _project_box(cam: Homography, box: Box) -> Box:
-    """Project a ground box to image pixels.
+def _check_boxes(boxes: np.ndarray) -> None:
+    """Finite and positive-size checks as masks over an ``(n, 4)`` box array; the first
+    bad row is re-raised through :class:`Box`, which names its first bad field."""
+    ok = np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > 0).all(axis=1)
+    if not ok.all():
+        Box(*boxes[np.argmin(ok)].tolist())  # raises
 
-    The center maps exactly; width and height are the distances between the
-    projected midpoints of the box's opposite edges, which keeps sizes
-    positive and reflects the local perspective scale.
+
+def _project_boxes(cam: Homography, ground: np.ndarray) -> np.ndarray:
+    """Project an ``(n, 4)`` array of ground boxes (cx, cy, w, h) to image pixels.
+
+    Centers map exactly; width and height are the distances between the
+    projected midpoints of each box's opposite edges, which keeps sizes
+    positive and reflects the local perspective scale.  All five points of
+    every box go through one mapping call.  Ground and image boxes both pass
+    :func:`_check_boxes`.
     """
-    c = apply_homography(cam, Point2(box.cx, box.cy))
-    left = apply_homography(cam, Point2(box.cx - box.w / 2.0, box.cy))
-    right = apply_homography(cam, Point2(box.cx + box.w / 2.0, box.cy))
-    top = apply_homography(cam, Point2(box.cx, box.cy - box.h / 2.0))
-    bottom = apply_homography(cam, Point2(box.cx, box.cy + box.h / 2.0))
-    w = math.hypot(right.x - left.x, right.y - left.y)
-    h = math.hypot(bottom.x - top.x, bottom.y - top.y)
-    return Box(c.x, c.y, w, h)
+    _check_boxes(ground)
+    cx, cy, w, h = ground.T
+    points = np.column_stack((np.concatenate((cx, cx - w / 2.0, cx + w / 2.0, cx, cx)),
+                              np.concatenate((cy, cy, cy, cy - h / 2.0, cy + h / 2.0))))
+    center, left, right, top, bottom = np.split(apply_homography_array(cam, points), 5)
+    widths = [math.hypot(dx, dy) for dx, dy in (right - left).tolist()]
+    heights = [math.hypot(dx, dy) for dx, dy in (bottom - top).tolist()]
+    image = np.column_stack((center, widths, heights))
+    _check_boxes(image)
+    return image
 
 
 def _noisy_size(nominal: float, rng_delta: float, floor_fraction: float = 0.2) -> float:
@@ -200,11 +212,9 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
     cam = camera_homography(config.camera)
     slot_w, slot_h = config.slot_size
 
-    slot_boxes_image = []
-    for row in range(config.rows):
-        for col in range(config.cols):
-            cx, cy = config.slot_center_ground(row, col)
-            slot_boxes_image.append(_project_box(cam, Box(cx, cy, slot_w, slot_h)))
+    slot_ground = [(*config.slot_center_ground(row, col), slot_w, slot_h)
+                   for row in range(config.rows) for col in range(config.cols)]
+    slot_boxes_image = [Box(*box) for box in _project_boxes(cam, np.array(slot_ground)).tolist()]
 
     lane_y = config.effective_lane_y
     lane_x_max = config.cols * config.slot_pitch
@@ -216,8 +226,9 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
     for f in range(config.frame_count):
         frame_id = f"f{f:06d}"
         ts = (_BASE_TIMESTAMP + f * _SAMPLE_INTERVAL).isoformat()
-        dets: list[tuple[Box, float]] = []
-        vehicles: list[tuple[Box, str]] = []
+        ground: list[tuple[float, float, float, float]] = []  # each vehicle's ground box, in draw order
+        kinds: list[str] = []
+        emitted: list[tuple[int, float]] = []  # (vehicle index, confidence) of each detection
         bits = []
 
         for row in range(config.rows):
@@ -230,43 +241,35 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
                 dx, dy = rng.normal(0.0, config.center_noise_sigma, 2)
                 dw, dh = rng.normal(0.0, config.size_noise_sigma, 2)
                 cx, cy = config.slot_center_ground(row, col)
-                ground_box = Box(
-                    cx + dx,
-                    cy + dy,
-                    _noisy_size(slot_w, dw),
-                    _noisy_size(slot_h, dh),
-                )
-                image_box = _project_box(cam, ground_box)
-                vehicles.append((image_box, "parked"))
+                ground.append((cx + dx, cy + dy, _noisy_size(slot_w, dw), _noisy_size(slot_h, dh)))
+                kinds.append("parked")
                 missed = rng.random() < config.miss_prob
                 if missed:
                     continue
-                conf = 0.5 + 0.5 * rng.random()
-                dets.append((image_box, conf))
+                emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
 
         rng_pass = _stream(config.seed, f, STREAM_PASSING)
         for _ in range(rng_pass.poisson(config.passing_rate)):
             x = rng_pass.uniform(0.0, lane_x_max)
-            image_box = _project_box(cam, Box(x, lane_y, slot_w, slot_h))
-            vehicles.append((image_box, "passing"))
-            conf = 0.5 + 0.5 * rng_pass.random()
-            dets.append((image_box, conf))
+            ground.append((x, lane_y, slot_w, slot_h))
+            kinds.append("passing")
+            emitted.append((len(ground) - 1, 0.5 + 0.5 * rng_pass.random()))
 
         for site_idx, site in enumerate(config.violation_sites):
             rng_v = _stream(config.seed, f, STREAM_VIOLATION, site_idx)
             if rng_v.random() >= site.emit_prob:
                 continue
             dx, dy = rng_v.normal(0.0, site.center_spread_sigma, 2)
-            image_box = _project_box(cam, Box(site.x + dx, site.y + dy, slot_w, slot_h))
-            vehicles.append((image_box, "violation"))
-            conf = 0.5 + 0.5 * rng_v.random()
-            dets.append((image_box, conf))
+            ground.append((site.x + dx, site.y + dy, slot_w, slot_h))
+            kinds.append("violation")
+            emitted.append((len(ground) - 1, 0.5 + 0.5 * rng_v.random()))
 
+        boxes = _project_boxes(cam, np.array(ground, dtype=float).reshape(-1, 4)).tolist()
         frame_ids.append(frame_id)
-        rows = [(box.cx, box.cy, box.w, box.h, conf, "car") for box, conf in dets]
+        rows = [(*boxes[i], conf, "car") for i, conf in emitted]
         frames.append(FrameDetections(frame_id=frame_id, detections=rows, timestamp=ts))
         occupancy.append(tuple(bits))
-        vehicles_all.append(np.array([(b.cx, b.cy, b.w, b.h, kind) for b, kind in vehicles], VEHICLE_DTYPE))
+        vehicles_all.append(np.array([(*box, kind) for box, kind in zip(boxes, kinds)], VEHICLE_DTYPE))
         vehicles_all[-1].setflags(write=False)
 
     truth = GroundTruth(
@@ -315,10 +318,7 @@ def _vehicle_array(entries: list) -> np.ndarray:
             raise TypeError(f"kind must be a string, got {row[4]!r}")
         rows.append(row)
     vehicles = np.array(rows, VEHICLE_DTYPE)
-    boxes = np.array([vehicles[k] for k in _BOX_FIELDS])
-    ok = np.isfinite(boxes).all(axis=0) & (boxes[2:] > 0).all(axis=0)
-    if not ok.all():
-        Box(*boxes[:, np.argmin(ok)].tolist())  # raises, naming the first bad field
+    _check_boxes(np.column_stack([vehicles[k] for k in _BOX_FIELDS]))
     vehicles.setflags(write=False)
     return vehicles
 

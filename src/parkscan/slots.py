@@ -22,7 +22,6 @@ from .geometry import (
     Box,
     Homography,
     Point2,
-    apply_homography,
     apply_homography_array,
     invert_homography,
     normalize_point_cloud,
@@ -188,20 +187,15 @@ def run_slot_detection(
     survivors = [c for i, c in enumerate(candidates) if i in kept]
     selected, shortfall = select_n_bottom(survivors, config.n_bottom)
 
-    inverse = invert_homography(config.homography)
-    slots = []
-    for slot_id, cand in enumerate(selected):
-        center = apply_homography(inverse, cand.center_birdseye)
-        slots.append(
-            ParkingSlot(
-                slot_id=slot_id,
-                area=Box(center.x, center.y, cand.mean_width, cand.mean_height),
-                spread=cand.spread,
-                members=cand.member_count,
-            )
-        )
+    means = np.array([(c.center_birdseye.x, c.center_birdseye.y) for c in selected]).reshape(-1, 2)
+    slot_centers = apply_homography_array(invert_homography(config.homography), means).tolist()
+    slots = tuple(
+        ParkingSlot(slot_id=slot_id, area=Box(x, y, cand.mean_width, cand.mean_height),
+                    spread=cand.spread, members=cand.member_count)
+        for slot_id, (cand, (x, y)) in enumerate(zip(selected, slot_centers))
+    )
     return SlotDetectionOutcome(
-        slots=tuple(slots),
+        slots=slots,
         cluster_count=assignment.k,
         noise_points=noise_points,
         iqr_discarded=len(eligible) - len(survivors),
@@ -250,7 +244,7 @@ def read_slot_registry(stream: IO[str]) -> list[ParkingSlot]:
                 spread=float(json_number(entry.get("spread", 0.0), "spread")),
                 members=json_number(entry.get("members", 0), "members", int),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("slots", f"slot entry {index}: bad entry ({exc})") from exc
         if slot.slot_id in first_entry:
             raise ValidationError(

@@ -131,6 +131,39 @@ def random_well_conditioned_homography(rng):
     return h
 
 
+def map_point_scalar(m, x, y):
+    """One point through the 3x3 matrix ``m``, with Python floats.
+
+    The reference for ``apply_homography_array``: each row is
+    ``(m0 * x + m1 * y) + m2``, then ``u`` and ``v`` are divided by ``d``.
+    CPython rounds every operation on its own and never fuses a multiply-add,
+    so the result cannot depend on the CPU or the BLAS build.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = np.asarray(m, dtype=float).tolist()
+    x, y = float(x), float(y)
+    den = g * x + h * y + i
+    return (a * x + b * y + c) / den, (d * x + e * y + f) / den
+
+
+def project_box_scalar(m, box):
+    """The simulator's per-box projection of a ground (cx, cy, w, h) box, one box at a time.
+
+    The center maps through :func:`map_point_scalar`; width and height are the
+    ``math.hypot`` distances between the mapped midpoints of opposite edges.
+    """
+    cx, cy, w, h = (float(v) for v in box)
+    center = map_point_scalar(m, cx, cy)
+    left = map_point_scalar(m, cx - w / 2.0, cy)
+    right = map_point_scalar(m, cx + w / 2.0, cy)
+    top = map_point_scalar(m, cx, cy - h / 2.0)
+    bottom = map_point_scalar(m, cx, cy + h / 2.0)
+    return (
+        *center,
+        math.hypot(right[0] - left[0], right[1] - left[1]),
+        math.hypot(bottom[0] - top[0], bottom[1] - top[1]),
+    )
+
+
 def box_iou_scalar(a, b):
     """IoU of two (cx, cy, w, h) boxes, one pair at a time with Python floats.
 

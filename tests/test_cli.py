@@ -548,6 +548,13 @@ SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
         pytest.param({"d.jsonl": {"frame": "f1", "dets": [{**THREE_DETECTIONS["dets"][0], "cx": 100}]},
                       "run.json": SINGULAR_RUN_CONFIG}, DETECT, "point (100.0, 0.0) projects to infinity",
                      id="singular-homography"),
+        pytest.param({"d.jsonl": {"frame": "f1", "dets": [{**THREE_DETECTIONS["dets"][0], "cx": 10**400}]},
+                      "run.json": {"n_bottom": 1}}, DETECT,
+                     'line 1: detection field "cx" is too large for a float', id="detection-integer-beyond-float"),
+        pytest.param({"slots.json": {"slots": [{**GOOD_REGISTRY["slots"][0], "cx": 10**400}]},
+                      "records.jsonl": SLOT2_RECORD}, EVALUATE,
+                     "slot entry 0: bad entry (int too large to convert to float)",
+                     id="registry-integer-beyond-float"),
         pytest.param({"d.jsonl": b'{"frame": "f\xff", "dets": []}\n', "run.json": {"n_bottom": 1}}, DETECT,
                      "not UTF-8", id="not-utf-8"),
         pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1}, "out": {}}, RUN_PIPELINE,

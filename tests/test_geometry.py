@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import box_iou_scalar, random_well_conditioned_homography
+from helpers import box_iou_scalar, map_point_scalar, random_well_conditioned_homography
 from parkscan.errors import ConfigError
 from parkscan.geometry import (
     NORMALIZED_EXTENT,
@@ -15,7 +15,6 @@ from parkscan.geometry import (
     NonInvertibleMatrixError,
     Point2,
     SingularProjectionError,
-    apply_homography,
     apply_homography_array,
     box_iou,
     boxes_array,
@@ -24,36 +23,34 @@ from parkscan.geometry import (
     invert_homography,
     normalize_point_cloud,
 )
+from parkscan.simulator import camera_homography
 
 RNG = np.random.default_rng(20260810)
 
 
 def test_identity_apply_is_exact():
-    p = apply_homography(Homography.identity(), Point2(5.0, 7.0))
-    assert (p.x, p.y) == (5.0, 7.0)
+    assert apply_homography_array(Homography.identity(), [[5.0, 7.0]]).tolist() == [[5.0, 7.0]]
 
 
 def test_diagonal_scaling():
     h = Homography(np.diag([2.0, 2.0, 1.0]))
-    p = apply_homography(h, Point2(3.0, 4.0))
-    assert (p.x, p.y) == (6.0, 8.0)
+    assert apply_homography_array(h, [[3.0, 4.0]]).tolist() == [[6.0, 8.0]]
 
 
 def test_projective_row_divides():
-    # Denominator 0.001 * 100 + 1 = 1.1; oracle is direct matrix-vector algebra.
+    # Denominator 0.001 * 100 + 1 = 1.1; oracle is the per-point Python formula.
     m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.001, 0.0, 1.0]])
-    u, v, d = m @ np.array([100.0, 50.0, 1.0])
-    expected = (u / d, v / d)
-    p = apply_homography(Homography(m), Point2(100.0, 50.0))
-    assert (p.x, p.y) == expected
-    assert p.x == pytest.approx(90.9091, abs=1e-4)
-    assert p.y == pytest.approx(45.4545, abs=1e-4)
+    expected = map_point_scalar(m, 100.0, 50.0)
+    [(x, y)] = apply_homography_array(Homography(m), [[100.0, 50.0]]).tolist()
+    assert (x, y) == expected
+    assert x == pytest.approx(90.9091, abs=1e-4)
+    assert y == pytest.approx(45.4545, abs=1e-4)
 
 
 def test_point_at_infinity_raises():
     m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.01, 1.0]])
-    with pytest.raises(SingularProjectionError):
-        apply_homography(Homography(m), Point2(0.0, -100.0))
+    with pytest.raises(SingularProjectionError, match=r"point \(0.0, -100.0\) projects to infinity"):
+        apply_homography_array(Homography(m), [[0.0, -100.0]])
     with pytest.raises(SingularProjectionError):
         apply_homography_array(Homography(m), np.array([[0.0, 0.0], [0.0, -100.0]]))
 
@@ -70,8 +67,8 @@ def test_zero_corner_uses_frobenius_normalization():
     m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     h = Homography(m)
     assert math.isclose(np.linalg.norm(h.m), 1.0, rel_tol=1e-12)
-    p = apply_homography(h, Point2(2.0, 3.0))
-    assert (p.x, p.y) == pytest.approx((1.5, 0.5))
+    [p] = apply_homography_array(h, [[2.0, 3.0]]).tolist()
+    assert p == pytest.approx((1.5, 0.5))
 
 
 def test_invert_identity_and_diagonal():
@@ -87,6 +84,58 @@ def test_round_trip_residual_small():
         pts = RNG.uniform(-500, 500, size=(20, 2))
         back = apply_homography_array(hinv, apply_homography_array(h, pts))
         assert np.abs(back - pts).max() < 1e-9
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# A similarity plus a projective row, as random_well_conditioned_homography
+# draws them, with the scale, offsets and tilt left to hypothesis.
+_homography = st.builds(
+    lambda angle, scale, tx, ty, g, h: Homography(np.array([
+        [scale * math.cos(angle), -scale * math.sin(angle), tx],
+        [scale * math.sin(angle), scale * math.cos(angle), ty],
+        [g, h, 1.0],
+    ])),
+    st.floats(0.0, 2 * math.pi), st.floats(0.1, 10.0), st.floats(-500.0, 500.0),
+    st.floats(-500.0, 500.0), st.floats(-4e-4, 2.5e-3), st.floats(-4e-4, 2.5e-3),
+)
+# On [0, 1000]^2 the denominator stays above 0.2, so no point is singular.
+_points = st.lists(st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0)), min_size=1, max_size=60)
+
+
+@given(h=_homography, points=_points)
+@settings(max_examples=300, deadline=None)
+def test_array_mapping_matches_scalar_reference_bit_for_bit(h, points):
+    expected = [map_point_scalar(h.m, x, y) for x, y in points]
+    assert _bits(apply_homography_array(h, points)) == _bits(expected)
+
+
+@pytest.mark.parametrize("preset", ["mild-tilt", "strong-tilt"])
+def test_tilt_presets_map_like_the_scalar_reference(preset):
+    # Many points through a fixed camera: a fused multiply-add anywhere in the
+    # array path shows as a last-bit difference on some of them.
+    h = camera_homography(preset)
+    points = np.random.default_rng(8).uniform(0.0, 1000.0, size=(100_000, 2))
+    expected = [map_point_scalar(h.m, x, y) for x, y in points.tolist()]
+    assert _bits(apply_homography_array(h, points)) == _bits(expected)
+    inverse = invert_homography(h)
+    back = [map_point_scalar(inverse.m, x, y) for x, y in expected]
+    assert _bits(apply_homography_array(inverse, expected)) == _bits(back)
+
+
+@given(h=_homography)
+@settings(max_examples=100, deadline=None)
+def test_inverse_is_the_adjugate_scaled_to_a_unit_corner(h):
+    (a, b, c), (d, e, f), (g, k, i) = h.m.tolist()
+    adjugate = [  # transposed cofactors, each a product difference as np.cross forms it
+        [e * i - f * k, c * k - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * k - e * g, b * g - a * k, a * e - b * d],
+    ]
+    corner = adjugate[2][2]
+    assert _bits(invert_homography(h).m) == _bits([[v / corner for v in row] for row in adjugate])
 
 
 def unit_square():

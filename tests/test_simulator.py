@@ -3,16 +3,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import project_box_scalar
 from parkscan.detections import serialize_detections
 from parkscan.errors import ConfigError, ValidationError
-from parkscan.geometry import box_iou, boxes_array
+from parkscan.geometry import Homography, box_iou, boxes_array
 from parkscan.simulator import (
     CAMERA_PRESETS,
     VEHICLE_DTYPE,
     GroundTruth,
     ScenarioConfig,
     ViolationSite,
+    _project_boxes,
     camera_homography,
     generate_scenario,
     read_ground_truth_occupancy,
@@ -164,6 +168,43 @@ def test_camera_presets():
         assert abs(np.linalg.det(h.m)) > 1e-6
     with pytest.raises(ConfigError):
         camera_homography("fisheye")
+
+
+_ground_box = st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0),  # center
+                        st.floats(1.0, 60.0), st.floats(1.0, 60.0))  # size
+
+
+@given(camera=st.sampled_from(sorted(CAMERA_PRESETS)), ground=st.lists(_ground_box, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_project_boxes_matches_per_box_reference(camera, ground):
+    cam = camera_homography(camera)
+    image = _project_boxes(cam, np.array(ground, dtype=float).reshape(-1, 4))
+    expected = np.array([project_box_scalar(cam.m, box) for box in ground], dtype=float).reshape(-1, 4)
+    assert image.shape == expected.shape
+    assert image.view(np.int64).tolist() == expected.view(np.int64).tolist()  # bit for bit
+
+
+@pytest.mark.parametrize("camera", sorted(CAMERA_PRESETS))
+def test_project_boxes_matches_per_box_reference_on_many_boxes(camera):
+    # Random sides make the edge-midpoint distances irregular enough that a
+    # different hypot (np.hypot differs from math.hypot on about 0.5% of them) shows.
+    cam = camera_homography(camera)
+    rng = np.random.default_rng(5)
+    ground = np.column_stack((rng.uniform(0.0, 1000.0, (20_000, 2)), rng.uniform(1.0, 60.0, (20_000, 2))))
+    expected = np.array([project_box_scalar(cam.m, box) for box in ground.tolist()])
+    assert _project_boxes(cam, ground).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def test_project_boxes_names_the_first_bad_field():
+    cam = camera_homography("mild-tilt")
+    with pytest.raises(ValidationError, match="cx must be finite"):  # on the ground
+        _project_boxes(cam, np.array([[10.0, 10.0, 5.0, 5.0], [np.inf, 10.0, 5.0, 5.0]]))
+    with pytest.raises(ValidationError, match="width must be > 0"):
+        _project_boxes(cam, np.array([[10.0, 10.0, 0.0, 5.0]]))
+    stretch = Homography.from_flat((1e10, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))  # overflows in the image
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="cx must be finite"):
+            _project_boxes(stretch, np.array([[10.0, 10.0, 5.0, 5.0], [1e300, 10.0, 5.0, 5.0]]))
 
 
 def test_config_validation():
