@@ -187,6 +187,17 @@ def write_records(stream: IO[str], records: Iterable[OccupancyRecord]) -> None:
                      f'"slot": {slot_id!r}, "status": "{status_text}"}}\n')
 
 
+_STATUS_BY_VALUE = {status.value: status for status in OccupancyStatus}
+
+
+def _status(value) -> OccupancyStatus:
+    """``OccupancyStatus(value)``, looked up in a dict; the Enum call runs only to raise."""
+    try:
+        return _STATUS_BY_VALUE[value]
+    except (KeyError, TypeError):
+        return OccupancyStatus(value)
+
+
 def read_records(stream: IO[str]) -> list[OccupancyRecord]:
     records = []
     for line_no, raw in json_lines(stream, "records"):
@@ -196,7 +207,7 @@ def read_records(stream: IO[str]) -> list[OccupancyRecord]:
                     slot_id=json_number(raw["slot"], "slot", int),
                     frame_id=json_frame_id(raw["frame"]),
                     score=None if raw["score"] is None else json_number(raw["score"], "score"),
-                    status=OccupancyStatus(raw["status"]),
+                    status=_status(raw["status"]),
                     error=raw.get("error"),
                 )
             )

@@ -23,13 +23,20 @@ Every random decision comes from a named substream derived with
 Keying slot streams by (row, col) means growing the grid or adding sites
 never perturbs the draws of existing slots, so regression fixtures stay
 stable.  Identical seed and config give byte-identical logs.
+
+``SeedSequence`` still defines every substream, but none is built: the
+PCG64 state it would seed is computed with integer array arithmetic for a
+block of frames at a time, and one re-seeded ``Generator`` draws from each
+state in turn.  Tests hold the derived states equal to numpy's.  The
+derivation takes each entropy element after the seed as one 32-bit word,
+which is why ``rows``, ``cols`` and ``frame_count`` stay below 2**32.
 """
 
 import json
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
-from typing import IO, Mapping, Sequence, Union
+from typing import IO, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -100,6 +107,9 @@ class ScenarioConfig:
             raise ValidationError("rows", "rows and cols must be >= 1")
         if self.frame_count < 1:
             raise ValidationError("frame_count", "frame_count must be >= 1")
+        for name in ("rows", "cols", "frame_count"):  # one 32-bit entropy word each
+            if getattr(self, name) >= 1 << 32:
+                raise ValidationError(name, f"{name} must be below 2**32")
         w, h = self.slot_size
         if w <= 0 or h <= 0:
             raise ValidationError("slot_size", "slot dimensions must be > 0")
@@ -169,9 +179,111 @@ def camera_homography(camera: Union[str, Sequence[float]]) -> Homography:
     return Homography.from_flat(tuple(camera))
 
 
-def _stream(seed: int, frame_index: int, stream: int, *key: int) -> np.random.Generator:
-    entropy = (seed & 0xFFFFFFFFFFFFFFFF, frame_index, stream, *key)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+# SeedSequence's entropy hash and generate_state(4, np.uint64), then PCG64's
+# seeding step, as fixed-width integer arithmetic (numpy.random's
+# bit_generator and pcg64 modules; O'Neill, "PCG", 2014).  hashmix's running
+# constant depends only on how many calls came before, never on the data.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASHMIX_INIT, _HASHMIX_MULT = 0x43B0D7E5, 0x931E8875
+_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_STATE_INIT, _STATE_MULT = 0x8B51F9DD, 0x58F38DED
+_PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_POOL_SIZE = 4
+_BLOCK_STREAMS = 1 << 14  # substreams derived per block of frames; bounds the block's memory
+
+
+def _seed_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, one word ``0`` for zero."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of an
+    ``(n, L)`` uint32 array of entropy words, as an ``(n, 4)`` uint64 array."""
+    n, length = entropy.shape
+    h = _HASHMIX_INIT
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = h * _HASHMIX_MULT & _MASK32
+        v = v * np.uint32(h)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        r = _MIX_LEFT * x - _MIX_RIGHT * y
+        return r ^ (r >> np.uint32(16))
+
+    with np.errstate(over="ignore"):
+        pool = [hashmix(entropy[:, i] if i < length else np.zeros(n, np.uint32))
+                for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for i in range(_POOL_SIZE, length):
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(entropy[:, i]))
+        h = _STATE_INIT
+        state = np.empty((n, _POOL_SIZE), np.uint64)
+        for i in range(2 * _POOL_SIZE):
+            v = pool[i % _POOL_SIZE] ^ np.uint32(h)
+            h = h * _STATE_MULT & _MASK32
+            v = v * np.uint32(h)
+            v ^= v >> np.uint32(16)
+            if i % 2:
+                state[:, i // 2] |= v.astype(np.uint64) << np.uint64(32)
+            else:
+                state[:, i // 2] = v
+    return state
+
+
+def _substream_words(seed: int, frames: range, stream: int, keys: np.ndarray) -> np.ndarray:
+    """The generate_state words of ``SeedSequence((seed mod 2**64, f, stream, *key))`` for
+    each frame ``f`` in ``frames`` and each row ``key`` of the ``(k, m)`` array ``keys``,
+    as an ``(len(frames), k, 4)`` uint64 array.  Frames and keys are below 2**32."""
+    words = _seed_words(seed & 0xFFFFFFFFFFFFFFFF)
+    s = len(words)
+    (k, m), n_frames = keys.shape, len(frames)
+    entropy = np.empty((n_frames, k, s + 2 + m), np.uint32)
+    entropy[..., :s] = words
+    entropy[..., s] = np.arange(frames.start, frames.stop, dtype=np.uint32)[:, None]
+    entropy[..., s + 1] = stream
+    entropy[..., s + 2:] = keys
+    return _mix_entropy(entropy.reshape(n_frames * k, s + 2 + m)).reshape(n_frames, k, 4)
+
+
+def _seed_pcg64(bitgen: np.random.PCG64, words: Sequence[int]) -> None:
+    """Put ``bitgen`` in the state ``PCG64(seed_seq)`` starts from, given the four
+    generate_state words of ``seed_seq``: ``pcg64_set_seed``, mod 2**128."""
+    state_hi, state_lo, inc_hi, inc_lo = words
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+    state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+
+
+def _frame_substreams(config: ScenarioConfig) -> Iterator[tuple[list, list, list]]:
+    """Per frame, in order, the generate_state words of its slot substreams (grid order),
+    its passing substream and its violation substreams (site order), as Python ints.
+
+    Frames are derived in blocks of about :data:`_BLOCK_STREAMS` substreams, so memory is
+    bounded by the block, not by the scenario.
+    """
+    slot_keys = np.array([(row, col) for row in range(config.rows) for col in range(config.cols)],
+                         dtype=np.uint32)
+    keys = ((STREAM_SLOT, slot_keys), (STREAM_PASSING, np.empty((1, 0), np.uint32)),
+            (STREAM_VIOLATION, np.arange(len(config.violation_sites), dtype=np.uint32)[:, None]))
+    step = max(1, _BLOCK_STREAMS // sum(len(k) for _, k in keys))
+    for start in range(0, config.frame_count, step):
+        frames = range(start, min(start + step, config.frame_count))
+        blocks = [_substream_words(config.seed, frames, stream, k) for stream, k in keys]
+        for slots, passing, sites in zip(*blocks):
+            yield slots.tolist(), passing[0].tolist(), sites.tolist()
 
 
 def _check_boxes(boxes: np.ndarray) -> None:
@@ -212,18 +324,22 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
     cam = camera_homography(config.camera)
     slot_w, slot_h = config.slot_size
 
-    slot_ground = [(*config.slot_center_ground(row, col), slot_w, slot_h)
-                   for row in range(config.rows) for col in range(config.cols)]
-    slot_boxes_image = [Box(*box) for box in _project_boxes(cam, np.array(slot_ground)).tolist()]
+    slot_centers = [config.slot_center_ground(row, col)
+                    for row in range(config.rows) for col in range(config.cols)]
+    slot_ground = np.array([(cx, cy, slot_w, slot_h) for cx, cy in slot_centers])
+    slot_boxes_image = [Box(*box) for box in _project_boxes(cam, slot_ground).tolist()]
 
     lane_y = config.effective_lane_y
     lane_x_max = config.cols * config.slot_pitch
+
+    bitgen = np.random.PCG64(0)  # re-seeded for every substream; one Generator draws from it
+    rng = np.random.Generator(bitgen)
 
     frame_ids = []
     frames = []
     occupancy = []
     vehicles_all = []
-    for f in range(config.frame_count):
+    for f, (slot_words, passing_words, site_words) in enumerate(_frame_substreams(config)):
         frame_id = f"f{f:06d}"
         ts = (_BASE_TIMESTAMP + f * _SAMPLE_INTERVAL).isoformat()
         ground: list[tuple[float, float, float, float]] = []  # each vehicle's ground box, in draw order
@@ -231,38 +347,36 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
         emitted: list[tuple[int, float]] = []  # (vehicle index, confidence) of each detection
         bits = []
 
-        for row in range(config.rows):
-            for col in range(config.cols):
-                rng = _stream(config.seed, f, STREAM_SLOT, row, col)
-                occupied = rng.random() < config.occupancy_prob
-                bits.append(occupied)
-                if not occupied:
-                    continue
-                dx, dy = rng.normal(0.0, config.center_noise_sigma, 2)
-                dw, dh = rng.normal(0.0, config.size_noise_sigma, 2)
-                cx, cy = config.slot_center_ground(row, col)
-                ground.append((cx + dx, cy + dy, _noisy_size(slot_w, dw), _noisy_size(slot_h, dh)))
-                kinds.append("parked")
-                missed = rng.random() < config.miss_prob
-                if missed:
-                    continue
-                emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
+        for (cx, cy), words in zip(slot_centers, slot_words):
+            _seed_pcg64(bitgen, words)
+            occupied = rng.random() < config.occupancy_prob
+            bits.append(occupied)
+            if not occupied:
+                continue
+            dx, dy = rng.normal(0.0, config.center_noise_sigma, 2)
+            dw, dh = rng.normal(0.0, config.size_noise_sigma, 2)
+            ground.append((cx + dx, cy + dy, _noisy_size(slot_w, dw), _noisy_size(slot_h, dh)))
+            kinds.append("parked")
+            missed = rng.random() < config.miss_prob
+            if missed:
+                continue
+            emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
 
-        rng_pass = _stream(config.seed, f, STREAM_PASSING)
-        for _ in range(rng_pass.poisson(config.passing_rate)):
-            x = rng_pass.uniform(0.0, lane_x_max)
+        _seed_pcg64(bitgen, passing_words)
+        for _ in range(rng.poisson(config.passing_rate)):
+            x = rng.uniform(0.0, lane_x_max)
             ground.append((x, lane_y, slot_w, slot_h))
             kinds.append("passing")
-            emitted.append((len(ground) - 1, 0.5 + 0.5 * rng_pass.random()))
+            emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
 
-        for site_idx, site in enumerate(config.violation_sites):
-            rng_v = _stream(config.seed, f, STREAM_VIOLATION, site_idx)
-            if rng_v.random() >= site.emit_prob:
+        for site, words in zip(config.violation_sites, site_words):
+            _seed_pcg64(bitgen, words)
+            if rng.random() >= site.emit_prob:
                 continue
-            dx, dy = rng_v.normal(0.0, site.center_spread_sigma, 2)
+            dx, dy = rng.normal(0.0, site.center_spread_sigma, 2)
             ground.append((site.x + dx, site.y + dy, slot_w, slot_h))
             kinds.append("violation")
-            emitted.append((len(ground) - 1, 0.5 + 0.5 * rng_v.random()))
+            emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
 
         boxes = _project_boxes(cam, np.array(ground, dtype=float).reshape(-1, 4)).tolist()
         frame_ids.append(frame_id)
@@ -354,34 +468,50 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
 
 # --- scenario config file ---------------------------------------------------
 
+def _finite(value, key: str) -> float:
+    """``value`` as a float if it is a finite JSON number; else an error naming ``key``."""
+    json_number(value, key)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValidationError(key, f"{key} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ValidationError(key, f"{key} must be finite, got {value!r}")
+    return value
+
+
 def scenario_from_document(doc: Mapping) -> ScenarioConfig:
-    """Build a ScenarioConfig from its JSON document (field names mirror the class)."""
+    """Build a ScenarioConfig from its JSON document (field names mirror the class).
+
+    Nothing is coerced: counts and the seed must be JSON integers, every other
+    number a finite JSON number, and a bool is neither.
+    """
     check_keys(doc, {f.name for f in fields(ScenarioConfig)}, "scenario config")
     try:
         sites = []
         for i, s in enumerate(doc.get("violation_sites", [])):
             check_keys(s, {f.name for f in fields(ViolationSite)}, f"scenario violation_sites entry {i}")
-            sites.append(ViolationSite(**{k: float(v) for k, v in s.items()}))
+            sites.append(ViolationSite(**{k: _finite(v, f"violation_sites entry {i} {k}") for k, v in s.items()}))
         camera = doc.get("camera", "identity")
         if isinstance(camera, Mapping):
-            camera = tuple(float(v) for v in camera["matrix"])
-        elif not isinstance(camera, str):
-            camera = tuple(float(v) for v in camera)
+            camera = camera["matrix"]
+        if not isinstance(camera, str):
+            camera = tuple(_finite(v, "camera") for v in camera)
         return ScenarioConfig(
-            rows=int(doc["rows"]),
-            cols=int(doc["cols"]),
-            slot_pitch=float(doc["slot_pitch"]),
-            slot_size=(float(doc["slot_size"][0]), float(doc["slot_size"][1])),
-            frame_count=int(doc["frame_count"]),
-            occupancy_prob=float(doc["occupancy_prob"]),
-            center_noise_sigma=float(doc.get("center_noise_sigma", 0.0)),
-            size_noise_sigma=float(doc.get("size_noise_sigma", 0.0)),
-            miss_prob=float(doc.get("miss_prob", 0.0)),
-            passing_rate=float(doc.get("passing_rate", 0.0)),
+            rows=json_number(doc["rows"], "rows", int),
+            cols=json_number(doc["cols"], "cols", int),
+            slot_pitch=_finite(doc["slot_pitch"], "slot_pitch"),
+            slot_size=(_finite(doc["slot_size"][0], "slot_size"), _finite(doc["slot_size"][1], "slot_size")),
+            frame_count=json_number(doc["frame_count"], "frame_count", int),
+            occupancy_prob=_finite(doc["occupancy_prob"], "occupancy_prob"),
+            center_noise_sigma=_finite(doc.get("center_noise_sigma", 0.0), "center_noise_sigma"),
+            size_noise_sigma=_finite(doc.get("size_noise_sigma", 0.0), "size_noise_sigma"),
+            miss_prob=_finite(doc.get("miss_prob", 0.0), "miss_prob"),
+            passing_rate=_finite(doc.get("passing_rate", 0.0), "passing_rate"),
             violation_sites=sites,
             camera=camera,
-            seed=int(doc.get("seed", 0)),
-            lane_y=None if doc.get("lane_y") is None else float(doc["lane_y"]),
+            seed=json_number(doc.get("seed", 0), "seed", int),
+            lane_y=None if doc.get("lane_y") is None else _finite(doc["lane_y"], "lane_y"),
         )
     except ConfigError:
         raise

@@ -233,3 +233,12 @@ def aggregate_report_by_rescan(records):
         errors = tuple(sorted(r.slot_id for r in recs if r.status is OccupancyStatus.ERROR))
         report[frame_id] = FrameReport(occupied, len(vacant), vacant, errors)
     return report
+
+
+# --- simulator: the per-substream seeding the block derivation replaced, kept as the reference ---
+
+def seed_sequence_stream(seed, frame_index, stream, *key):
+    """A simulator substream as the randomness contract defines it: one
+    ``default_rng(SeedSequence((seed mod 2**64, frame_index, stream, *key)))``."""
+    entropy = (seed & 0xFFFFFFFFFFFFFFFF, frame_index, stream, *key)
+    return np.random.default_rng(np.random.SeedSequence(entropy))

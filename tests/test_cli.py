@@ -600,6 +600,22 @@ SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
                      "unknown keys ['miss_probability']", id="unknown-scenario-key"),
         pytest.param({"scenario.json": {**SCENARIO, "violation_sites": [{**SITE, "emit_probability": 0.5}]}},
                      SIMULATE, "unknown keys ['emit_probability']", id="unknown-violation-site-key"),
+        *(pytest.param({"scenario.json": {**SCENARIO, key: value}}, SIMULATE, message, id=f"scenario-{key}-{case}")
+          for key, case, value, message in [
+              ("seed", "fraction", 1.5, "seed must be an integer, got 1.5"),
+              ("seed", "boolean", True, "seed must be an integer, got True"),
+              ("rows", "fraction", 2.7, "rows must be an integer, got 2.7"),
+              ("rows", "string", "4", "rows must be an integer, got '4'"),
+              ("frame_count", "fraction", 3.9, "frame_count must be an integer, got 3.9"),
+              ("rows", "2**32", 2**32, "rows must be below 2**32"),
+              ("cols", "2**32", 2**32, "cols must be below 2**32"),
+              ("frame_count", "2**32", 2**32, "frame_count must be below 2**32"),
+              ("center_noise_sigma", "infinite", float("inf"), "center_noise_sigma must be finite, got inf"),
+              ("slot_pitch", "infinite", float("inf"), "slot_pitch must be finite, got inf"),
+              ("slot_pitch", "beyond-float", 10**400, "slot_pitch is too large for a float"),
+          ]),
+        pytest.param({"scenario.json": {**SCENARIO, "violation_sites": [{**SITE, "x": float("inf")}]}}, SIMULATE,
+                     "violation_sites entry 0 x must be finite, got inf", id="scenario-site-x-inf"),
         pytest.param({"records.jsonl": SLOT2_RECORD}, EVALUATE[:7] + EVALUATE[9:],
                      "needs both --records and --truth-occupancy", id="evaluate-records-without-truth"),
         pytest.param({}, EVALUATE[:5] + EVALUATE[7:], "needs both --records and --truth-occupancy",

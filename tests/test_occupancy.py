@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -253,6 +254,16 @@ def test_records_round_trip():
     lines = buf.getvalue().splitlines()
     assert ['"error"' in line for line in lines] == [r.status is OccupancyStatus.ERROR for r in records]
 
+
+
+@pytest.mark.parametrize("status", ["BUSY", "occupied", "", None, 1, True, ["VACANT"], {"s": "ERROR"}])
+def test_unknown_record_status_names_the_value(status):
+    with pytest.raises(ValueError) as enum_error:
+        OccupancyStatus(status)
+    line = json.dumps({"frame": "f1", "slot": 0, "score": 0.5, "status": status})
+    with pytest.raises(ValidationError) as exc:
+        read_records(io.StringIO(line + "\n"))
+    assert str(exc.value) == f"line 1: bad record ({enum_error.value})"
 
 # --- the array code against the per-record loops it replaced ---------------------------
 

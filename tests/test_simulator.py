@@ -6,17 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import project_box_scalar
+from helpers import project_box_scalar, seed_sequence_stream
 from parkscan.detections import serialize_detections
 from parkscan.errors import ConfigError, ValidationError
 from parkscan.geometry import Homography, box_iou, boxes_array
 from parkscan.simulator import (
     CAMERA_PRESETS,
+    STREAM_PASSING,
+    STREAM_SLOT,
+    STREAM_VIOLATION,
     VEHICLE_DTYPE,
     GroundTruth,
     ScenarioConfig,
     ViolationSite,
     _project_boxes,
+    _seed_pcg64,
+    _substream_words,
     camera_homography,
     generate_scenario,
     read_ground_truth_occupancy,
@@ -205,6 +210,49 @@ def test_project_boxes_names_the_first_bad_field():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValidationError, match="cx must be finite"):
             _project_boxes(stretch, np.array([[10.0, 10.0, 5.0, 5.0], [1e300, 10.0, 5.0, 5.0]]))
+
+
+_WORD = st.integers(0, 2**32 - 1)
+_SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**64, max_value=2**96),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@given(seed=_SEEDS, first_frame=st.integers(0, 2**32 - 3), n_frames=st.integers(1, 3),
+       stream=st.sampled_from([STREAM_SLOT, STREAM_PASSING, STREAM_VIOLATION]),
+       keys=st.integers(0, 3).flatmap(
+           lambda m: st.lists(st.lists(_WORD, min_size=m, max_size=m), min_size=1, max_size=3)))
+@settings(max_examples=300, deadline=None)
+def test_derived_substream_states_equal_seed_sequence(seed, first_frame, n_frames, stream, keys):
+    frames = range(first_frame, first_frame + n_frames)
+    words = _substream_words(seed, frames, stream, np.array(keys, dtype=np.uint32).reshape(len(keys), -1))
+    assert words.shape == (n_frames, len(keys), 4)
+    bitgen = np.random.PCG64(0)
+    for f, frame_words in zip(frames, words):
+        for key, stream_words in zip(keys, frame_words.tolist()):
+            _seed_pcg64(bitgen, stream_words)
+            assert bitgen.state == seed_sequence_stream(seed, f, stream, *key).bit_generator.state
+
+
+def test_reseeded_generator_draws_like_a_fresh_one():
+    keys = [(0, 0), (1, 2), (3, 1)]
+    words = _substream_words(-7, range(4), STREAM_SLOT, np.array(keys, dtype=np.uint32))
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    draws = (lambda g: g.random(), lambda g: g.normal(0.0, 2.0, 2), lambda g: g.poisson(0.7),
+             lambda g: g.poisson(30.0), lambda g: g.uniform(0.0, 5.0))
+    for f, frame_words in enumerate(words.tolist()):
+        for key, stream_words in zip(keys, frame_words):
+            rng.integers(0, 10, dtype=np.int32)
+            assert bitgen.state["has_uint32"] == 1  # half a 64-bit output is buffered
+            _seed_pcg64(bitgen, stream_words)
+            fresh = seed_sequence_stream(-7, f, STREAM_SLOT, *key)
+            for draw in draws:
+                assert np.array_equal(draw(rng), draw(fresh))
+            assert bitgen.state == fresh.bit_generator.state
 
 
 def test_config_validation():
