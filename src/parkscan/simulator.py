@@ -491,7 +491,8 @@ def scenario_from_document(doc: Mapping) -> ScenarioConfig:
         sites = []
         for i, s in enumerate(doc.get("violation_sites", [])):
             check_keys(s, {f.name for f in fields(ViolationSite)}, f"scenario violation_sites entry {i}")
-            sites.append(ViolationSite(**{k: _finite(v, f"violation_sites entry {i} {k}") for k, v in s.items()}))
+            sites.append(ViolationSite(**{k: _finite(v, f"violation_sites entry {i} {k}")
+                                          for k, v in s.items()}))
         camera = doc.get("camera", "identity")
         if isinstance(camera, Mapping):
             camera = camera["matrix"]

@@ -600,7 +600,8 @@ SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
                      "unknown keys ['miss_probability']", id="unknown-scenario-key"),
         pytest.param({"scenario.json": {**SCENARIO, "violation_sites": [{**SITE, "emit_probability": 0.5}]}},
                      SIMULATE, "unknown keys ['emit_probability']", id="unknown-violation-site-key"),
-        *(pytest.param({"scenario.json": {**SCENARIO, key: value}}, SIMULATE, message, id=f"scenario-{key}-{case}")
+        *(pytest.param({"scenario.json": {**SCENARIO, key: value}}, SIMULATE, message,
+                       id=f"scenario-{key}-{case}")
           for key, case, value, message in [
               ("seed", "fraction", 1.5, "seed must be an integer, got 1.5"),
               ("seed", "boolean", True, "seed must be an integer, got True"),
@@ -614,8 +615,8 @@ SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
               ("slot_pitch", "infinite", float("inf"), "slot_pitch must be finite, got inf"),
               ("slot_pitch", "beyond-float", 10**400, "slot_pitch is too large for a float"),
           ]),
-        pytest.param({"scenario.json": {**SCENARIO, "violation_sites": [{**SITE, "x": float("inf")}]}}, SIMULATE,
-                     "violation_sites entry 0 x must be finite, got inf", id="scenario-site-x-inf"),
+        pytest.param({"scenario.json": {**SCENARIO, "violation_sites": [{**SITE, "x": float("inf")}]}},
+                     SIMULATE, "violation_sites entry 0 x must be finite, got inf", id="scenario-site-x-inf"),
         pytest.param({"records.jsonl": SLOT2_RECORD}, EVALUATE[:7] + EVALUATE[9:],
                      "needs both --records and --truth-occupancy", id="evaluate-records-without-truth"),
         pytest.param({}, EVALUATE[:5] + EVALUATE[7:], "needs both --records and --truth-occupancy",
