@@ -255,7 +255,6 @@ def test_records_round_trip():
     assert ['"error"' in line for line in lines] == [r.status is OccupancyStatus.ERROR for r in records]
 
 
-
 @pytest.mark.parametrize("status", ["BUSY", "occupied", "", None, 1, True, ["VACANT"], {"s": "ERROR"}])
 def test_unknown_record_status_names_the_value(status):
     with pytest.raises(ValueError) as enum_error:
@@ -264,6 +263,7 @@ def test_unknown_record_status_names_the_value(status):
     with pytest.raises(ValidationError) as exc:
         read_records(io.StringIO(line + "\n"))
     assert str(exc.value) == f"line 1: bad record ({enum_error.value})"
+
 
 # --- the array code against the per-record loops it replaced ---------------------------
 

@@ -228,7 +228,7 @@ _SEEDS = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_derived_substream_states_equal_seed_sequence(seed, first_frame, n_frames, stream, keys):
     frames = range(first_frame, first_frame + n_frames)
-    words = _substream_words(seed, frames, stream, np.array(keys, dtype=np.uint32).reshape(len(keys), -1))
+    words = _substream_words(seed, frames, stream, np.array(keys, dtype=np.uint32))
     assert words.shape == (n_frames, len(keys), 4)
     bitgen = np.random.PCG64(0)
     for f, frame_words in zip(frames, words):
