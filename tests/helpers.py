@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 
+from parkscan.detections import DETECTION_DTYPE
 from parkscan.errors import ValidationError
 from parkscan.occupancy import FrameReport, OccupancyRecord, OccupancyStatus
+from parkscan.simulator import VEHICLE_DTYPE
 
 
 def brute_force_core_partition(points, eps, min_points):
@@ -242,3 +244,40 @@ def seed_sequence_stream(seed, frame_index, stream, *key):
     ``default_rng(SeedSequence((seed mod 2**64, frame_index, stream, *key)))``."""
     entropy = (seed & 0xFFFFFFFFFFFFFFFF, frame_index, stream, *key)
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+# --- simulator outputs: the json.dumps writers the line formatters replaced, kept as references ---
+
+# Characters JSON escapes differently from plain text: quotes, backslashes, control
+# characters, non-ASCII (BMP and astral) and the line separators U+2028/U+2029.
+AWKWARD_CHARS = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "漢", "\u2028", "\u2029",
+                 "\U0001f697", "a", " ", "'"]
+# Floats whose shortest repr is easy to get wrong: signed zero, the smallest subnormal,
+# exponent notation, a rounding sum and integral values.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2, 1.0, 3.0, 2.0**53 + 2, 1e300, 123456789.0]
+
+def serialize_detections_by_dumps(frames):
+    """A detection log as one string, one ``json.dumps(record, sort_keys=True)`` per frame."""
+    lines = []
+    for frame in frames:
+        columns = [frame.detections[name].tolist() for name in DETECTION_DTYPE.names]
+        record = {
+            "frame": frame.frame_id,
+            "dets": [dict(zip(DETECTION_DTYPE.names, row)) for row in zip(*columns)],
+        }
+        if frame.timestamp is not None:
+            record["ts"] = frame.timestamp
+        lines.append(json.dumps(record, sort_keys=True))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def write_ground_truth_occupancy_by_dumps(stream, truth):
+    """Per-frame truth records, one ``json.dumps(record, sort_keys=True)`` per frame."""
+    for fid, bits, vehicles in zip(truth.frame_ids, truth.occupancy, truth.vehicles):
+        record = {
+            "frame": fid,
+            "occupancy": {str(i): bool(b) for i, b in enumerate(bits)},
+            "vehicles": [dict(zip(VEHICLE_DTYPE.names, row)) for row in vehicles.tolist()],
+        }
+        stream.write(json.dumps(record, sort_keys=True))
+        stream.write("\n")

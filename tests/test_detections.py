@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import AWKWARD_CHARS, EDGE_FLOATS, serialize_detections_by_dumps
 from parkscan.detections import (
     DetectionFilter,
     FrameDetections,
@@ -155,6 +156,25 @@ def test_filter_is_idempotent_submultiset(frames, det_filter):
 def test_serialize_parse_round_trip(frames):
     text = serialize_detections(frames)
     assert parse_detections(io.StringIO(text)) == frames
+
+
+_text = st.one_of(st.text(alphabet=st.sampled_from(AWKWARD_CHARS), min_size=1), st.text(min_size=1))
+_coord = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_size = st.one_of(st.sampled_from([v for v in EDGE_FLOATS if v > 0]),
+                  st.floats(min_value=5e-324, allow_infinity=False))
+_conf = st.one_of(st.sampled_from([v for v in EDGE_FLOATS if 0 <= v <= 1]), st.floats(0.0, 1.0))
+_any_frame = st.builds(
+    FrameDetections,
+    frame_id=_text,
+    detections=st.lists(st.tuples(_coord, _coord, _size, _size, _conf, _text), max_size=5),
+    timestamp=st.none() | _text,
+)
+
+
+@given(frames=st.lists(_any_frame, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_serialize_matches_json_dumps_byte_for_byte(frames):
+    assert serialize_detections(frames) == serialize_detections_by_dumps(frames)
 
 
 def test_serialize_emits_one_json_object_per_line():

@@ -7,6 +7,9 @@ of two words, a seed at or above 2**64 (masked back to one word) and a lot
 with two violation sites, the strong-tilt camera and heavy passing traffic.
 A digest that moves means a simulated byte moved, which the randomness
 contract in ``parkscan.simulator`` forbids.
+
+The simulator works through frames in blocks, and every lot above fits in one.
+A lot that spans several blocks must write the same bytes as when it fits in one.
 """
 
 import hashlib
@@ -14,6 +17,7 @@ import json
 
 import pytest
 
+from parkscan import simulator
 from parkscan.cli import main
 
 BASE = {
@@ -83,3 +87,32 @@ def test_simulate_output_digests(tmp_path, capsys, case):
     assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out-dir", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert digests == GOLDEN[case]
+
+
+# 3x4 slots, the passing stream and two sites: 15 substreams per frame.
+SPANNING_LOT = {
+    **CASES["two-sites-strong-tilt"],
+    "rows": 3,
+    "cols": 4,
+    "frame_count": 60,
+    "passing_rate": 1.5,
+    "seed": 11,
+}
+STREAMS_PER_FRAME = 3 * 4 + 1 + 2
+
+
+def simulate_bytes(workdir, doc):
+    (workdir / "scenario.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = workdir / "sim"
+    assert main(["simulate", "--scenario", str(workdir / "scenario.json"), "--out-dir", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("frames_per_block", [1, 7])  # 7 does not divide 60
+def test_simulate_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, frames_per_block):
+    (tmp_path / "one-block").mkdir()
+    (tmp_path / "blocks").mkdir()
+    assert simulator._BLOCK_STREAMS // STREAMS_PER_FRAME >= SPANNING_LOT["frame_count"]
+    one_block = simulate_bytes(tmp_path / "one-block", SPANNING_LOT)
+    monkeypatch.setattr(simulator, "_BLOCK_STREAMS", frames_per_block * STREAMS_PER_FRAME)
+    assert simulate_bytes(tmp_path / "blocks", SPANNING_LOT) == one_block

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import project_box_scalar, seed_sequence_stream
+from helpers import (
+    AWKWARD_CHARS,
+    EDGE_FLOATS,
+    project_box_scalar,
+    seed_sequence_stream,
+    write_ground_truth_occupancy_by_dumps,
+)
 from parkscan.detections import serialize_detections
 from parkscan.errors import ConfigError, ValidationError
 from parkscan.geometry import Homography, box_iou, boxes_array
@@ -131,6 +137,32 @@ def test_ground_truth_files_round_trip():
     assert [slot.members for slot in registry] == np.array(truth.occupancy).sum(axis=0).tolist()
     assert all(slot.spread == 0.0 for slot in registry)
     assert json.loads(slots_buf.getvalue())["config_echo"] == {"source": "simulator-ground-truth"}
+
+
+_text = st.one_of(st.text(alphabet=st.sampled_from(AWKWARD_CHARS), min_size=1), st.text(min_size=1))
+_coord = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_size = st.one_of(st.sampled_from([v for v in EDGE_FLOATS if v > 0]),
+                  st.floats(min_value=5e-324, allow_infinity=False))
+_bits = st.one_of(
+    st.sampled_from([0, 1, 11, 101]).flatmap(lambda n: st.lists(st.booleans(), min_size=n, max_size=n)),
+    st.lists(st.one_of(st.booleans(), st.booleans().map(np.bool_)), max_size=30),
+)
+_truth_frame = st.tuples(_text, _bits, st.lists(st.tuples(_coord, _coord, _size, _size, _text), max_size=4))
+
+
+@given(frames=st.lists(_truth_frame, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_write_ground_truth_occupancy_matches_json_dumps_byte_for_byte(frames):
+    truth = GroundTruth(
+        frame_ids=tuple(fid for fid, _, _ in frames),
+        slots=(),
+        occupancy=tuple(tuple(bits) for _, bits, _ in frames),
+        vehicles=tuple(np.array(rows, VEHICLE_DTYPE) for _, _, rows in frames),
+    )
+    buf, ref = io.StringIO(), io.StringIO()
+    write_ground_truth_occupancy(buf, truth)
+    write_ground_truth_occupancy_by_dumps(ref, truth)
+    assert buf.getvalue() == ref.getvalue()
 
 
 def test_slot_streams_stable_when_grid_grows():
