@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import apply_overrides, config_echo, load_run_config
-from .detections import filter_detections, parse_detections, serialize_detections
+from .detections import filter_detections, parse_detections, write_detections
 from .errors import ConfigError, ValidationError
 from .geometry import SingularProjectionError
 from .metrics import (
@@ -73,7 +73,8 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(out_dir / "detections.jsonl", serialize_detections(frames))
+    with open(out_dir / "detections.jsonl", "w", encoding="utf-8") as fh:
+        write_detections(fh, frames)
     with open(out_dir / "slots_truth.json", "w", encoding="utf-8") as fh:
         write_ground_truth_slots(fh, truth)
     with open(out_dir / "occupancy_truth.jsonl", "w", encoding="utf-8") as fh:

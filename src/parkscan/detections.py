@@ -11,9 +11,10 @@ one row per box.
 """
 
 import copy
-import json
+import io
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Union
 
 import numpy as np
@@ -153,19 +154,23 @@ def parse_detections(stream: IO[str]) -> list[FrameDetections]:
     return frames
 
 
-def serialize_detections(frames: Iterable[FrameDetections]) -> str:
-    """Inverse of :func:`parse_detections` for valid frame lists."""
-    lines = []
+def write_detections(stream: IO[str], frames: Iterable[FrameDetections]) -> None:
+    """Inverse of :func:`parse_detections` for valid frame lists: per frame, the line
+    ``json.dumps(record, sort_keys=True)`` gives, built from json's own encoders (keys
+    sorted, floats by ``repr`` as a frame's numbers are finite, strings ASCII-escaped)."""
     for frame in frames:
-        columns = [frame.detections[name].tolist() for name in DETECTION_DTYPE.names]
-        record = {
-            "frame": frame.frame_id,
-            "dets": [dict(zip(DETECTION_DTYPE.names, row)) for row in zip(*columns)],
-        }
-        if frame.timestamp is not None:
-            record["ts"] = frame.timestamp
-        lines.append(json.dumps(record, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
+        dets = ", ".join([f'{{"cls": {encode_basestring_ascii(cls)}, "conf": {conf!r}, "cx": {cx!r}, '
+                          f'"cy": {cy!r}, "h": {h!r}, "w": {w!r}}}'
+                          for cx, cy, w, h, conf, cls in frame.detections.tolist()])
+        ts = "" if frame.timestamp is None else f', "ts": {encode_basestring_ascii(frame.timestamp)}'
+        stream.write(f'{{"dets": [{dets}], "frame": {encode_basestring_ascii(frame.frame_id)}{ts}}}\n')
+
+
+def serialize_detections(frames: Iterable[FrameDetections]) -> str:
+    """The detection log :func:`write_detections` writes, as one string."""
+    buf = io.StringIO()
+    write_detections(buf, frames)
+    return buf.getvalue()
 
 
 def filter_detections(

@@ -36,11 +36,12 @@ import json
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .detections import FrameDetections
+from .detections import DETECTION_DTYPE, FrameDetections
 from .errors import (
     JSON_NUMBER_TYPES, ConfigError, ValidationError, check_keys, json_frame_id, json_lines, json_number,
     note_first_line,
@@ -54,6 +55,8 @@ _BOX_FIELDS = VEHICLE_DTYPE.names[:4]
 STREAM_SLOT = 0
 STREAM_PASSING = 1
 STREAM_VIOLATION = 2
+# numpy's Generator.poisson rejects a larger mean ("lam value too large").
+_POISSON_LAM_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 _BASE_TIMESTAMP = datetime(2026, 1, 1, 8, 0, 0)
 _SAMPLE_INTERVAL = timedelta(minutes=5)
@@ -110,6 +113,8 @@ class ScenarioConfig:
         for name in ("rows", "cols", "frame_count"):  # one 32-bit entropy word each
             if getattr(self, name) >= 1 << 32:
                 raise ValidationError(name, f"{name} must be below 2**32")
+        if len(self.slot_size) != 2:
+            raise ValidationError("slot_size", f"slot_size must have two entries, got {len(self.slot_size)}")
         w, h = self.slot_size
         if w <= 0 or h <= 0:
             raise ValidationError("slot_size", "slot dimensions must be > 0")
@@ -124,6 +129,8 @@ class ScenarioConfig:
         for name in ("center_noise_sigma", "size_noise_sigma", "passing_rate"):
             if getattr(self, name) < 0:
                 raise ValidationError(name, f"{name} must be >= 0")
+        if self.passing_rate > _POISSON_LAM_MAX:
+            raise ValidationError("passing_rate", f"passing_rate must be at most {_POISSON_LAM_MAX!r}")
         object.__setattr__(self, "slot_size", (float(w), float(h)))
         object.__setattr__(self, "violation_sites", tuple(self.violation_sites))
 
@@ -267,13 +274,10 @@ def _seed_pcg64(bitgen: np.random.PCG64, words: Sequence[int]) -> None:
                     "has_uint32": 0, "uinteger": 0}
 
 
-def _frame_substreams(config: ScenarioConfig) -> Iterator[tuple[list, list, list]]:
-    """Per frame, in order, the generate_state words of its slot substreams (grid order),
-    its passing substream and its violation substreams (site order), as Python ints.
-
-    Frames are derived in blocks of about :data:`_BLOCK_STREAMS` substreams, so memory is
-    bounded by the block, not by the scenario.
-    """
+def _frame_substreams(config: ScenarioConfig) -> Iterator[Iterator[tuple[list, list, list]]]:
+    """Per block of about :data:`_BLOCK_STREAMS` substreams, so memory is bounded by the
+    block, each frame's generate_state words as Python ints, in order: its slot substreams
+    (grid order), its one passing substream and its violation substreams (site order)."""
     slot_keys = np.array([(row, col) for row in range(config.rows) for col in range(config.cols)],
                          dtype=np.uint32)
     keys = ((STREAM_SLOT, slot_keys), (STREAM_PASSING, np.empty((1, 0), np.uint32)),
@@ -281,9 +285,7 @@ def _frame_substreams(config: ScenarioConfig) -> Iterator[tuple[list, list, list
     step = max(1, _BLOCK_STREAMS // sum(len(k) for _, k in keys))
     for start in range(0, config.frame_count, step):
         frames = range(start, min(start + step, config.frame_count))
-        blocks = [_substream_words(config.seed, frames, stream, k) for stream, k in keys]
-        for slots, passing, sites in zip(*blocks):
-            yield slots.tolist(), passing[0].tolist(), sites.tolist()
+        yield zip(*(_substream_words(config.seed, frames, stream, k).tolist() for stream, k in keys))
 
 
 def _check_boxes(boxes: np.ndarray) -> None:
@@ -315,14 +317,37 @@ def _project_boxes(cam: Homography, ground: np.ndarray) -> np.ndarray:
     return image
 
 
-def _noisy_size(nominal: float, rng_delta: float, floor_fraction: float = 0.2) -> float:
-    # Sizes stay positive; the clamp never binds for realistic sigmas.
-    return max(nominal + rng_delta, floor_fraction * nominal)
+def _block_arrays(cam: Homography, ground: list, kinds: list, emitted: list,
+                  frame_ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """A block's vehicles and detections (``emitted``: vehicle index, confidence) as one
+    read-only :data:`VEHICLE_DTYPE` and one :data:`DETECTION_DTYPE` array, from one
+    projection.  A bad box is named as projecting frame by frame (``frame_ends``: vehicle
+    end offsets) names it: the first faulty frame, its ground boxes before its image boxes."""
+    ground = np.array(ground, dtype=float).reshape(-1, 4)
+    try:
+        image = _project_boxes(cam, ground)
+    except ValueError:
+        for frame_ground in np.split(ground, frame_ends[:-1]):
+            _project_boxes(cam, frame_ground)
+        raise
+    seen, confs = np.array(emitted, dtype=float).reshape(-1, 2).T
+    vehicles = np.zeros(len(image), VEHICLE_DTYPE)  # np.empty fills object fields slowly
+    dets = np.zeros(len(emitted), DETECTION_DTYPE)
+    for name, column, det_column in zip(_BOX_FIELDS, image.T, image[seen.astype(np.intp)].T):
+        vehicles[name] = column
+        dets[name] = det_column
+    vehicles["kind"] = np.array(kinds, dtype=object)
+    dets["conf"] = confs
+    dets["cls"] = "car"
+    for array in (vehicles, dets):
+        array.setflags(write=False)
+    return vehicles, dets
 
 
 def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], GroundTruth]:
     cam = camera_homography(config.camera)
     slot_w, slot_h = config.slot_size
+    w_floor, h_floor = 0.2 * slot_w, 0.2 * slot_h  # noisy sizes stay positive; binds only for huge sigmas
 
     slot_centers = [config.slot_center_ground(row, col)
                     for row in range(config.rows) for col in range(config.cols)]
@@ -335,59 +360,59 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
     bitgen = np.random.PCG64(0)  # re-seeded for every substream; one Generator draws from it
     rng = np.random.Generator(bitgen)
 
-    frame_ids = []
     frames = []
     occupancy = []
     vehicles_all = []
-    for f, (slot_words, passing_words, site_words) in enumerate(_frame_substreams(config)):
-        frame_id = f"f{f:06d}"
-        ts = (_BASE_TIMESTAMP + f * _SAMPLE_INTERVAL).isoformat()
+    for block in _frame_substreams(config):
         ground: list[tuple[float, float, float, float]] = []  # each vehicle's ground box, in draw order
         kinds: list[str] = []
         emitted: list[tuple[int, float]] = []  # (vehicle index, confidence) of each detection
-        bits = []
+        ends: list[tuple[int, int]] = []  # each frame's vehicle and detection end offsets
+        for slot_words, (passing_words,), site_words in block:
+            bits = []
+            for (cx, cy), words in zip(slot_centers, slot_words):
+                _seed_pcg64(bitgen, words)
+                occupied = rng.random() < config.occupancy_prob
+                bits.append(occupied)
+                if not occupied:
+                    continue
+                dx, dy = rng.normal(0.0, config.center_noise_sigma, 2).tolist()
+                dw, dh = rng.normal(0.0, config.size_noise_sigma, 2).tolist()
+                ground.append((cx + dx, cy + dy, max(slot_w + dw, w_floor), max(slot_h + dh, h_floor)))
+                kinds.append("parked")
+                if rng.random() < config.miss_prob:
+                    continue
+                emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
 
-        for (cx, cy), words in zip(slot_centers, slot_words):
-            _seed_pcg64(bitgen, words)
-            occupied = rng.random() < config.occupancy_prob
-            bits.append(occupied)
-            if not occupied:
-                continue
-            dx, dy = rng.normal(0.0, config.center_noise_sigma, 2)
-            dw, dh = rng.normal(0.0, config.size_noise_sigma, 2)
-            ground.append((cx + dx, cy + dy, _noisy_size(slot_w, dw), _noisy_size(slot_h, dh)))
-            kinds.append("parked")
-            missed = rng.random() < config.miss_prob
-            if missed:
-                continue
-            emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
+            _seed_pcg64(bitgen, passing_words)
+            for _ in range(rng.poisson(config.passing_rate)):
+                x = rng.uniform(0.0, lane_x_max)
+                ground.append((x, lane_y, slot_w, slot_h))
+                kinds.append("passing")
+                emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
 
-        _seed_pcg64(bitgen, passing_words)
-        for _ in range(rng.poisson(config.passing_rate)):
-            x = rng.uniform(0.0, lane_x_max)
-            ground.append((x, lane_y, slot_w, slot_h))
-            kinds.append("passing")
-            emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
+            for site, words in zip(config.violation_sites, site_words):
+                _seed_pcg64(bitgen, words)
+                if rng.random() >= site.emit_prob:
+                    continue
+                dx, dy = rng.normal(0.0, site.center_spread_sigma, 2).tolist()
+                ground.append((site.x + dx, site.y + dy, slot_w, slot_h))
+                kinds.append("violation")
+                emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
 
-        for site, words in zip(config.violation_sites, site_words):
-            _seed_pcg64(bitgen, words)
-            if rng.random() >= site.emit_prob:
-                continue
-            dx, dy = rng.normal(0.0, site.center_spread_sigma, 2)
-            ground.append((site.x + dx, site.y + dy, slot_w, slot_h))
-            kinds.append("violation")
-            emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
+            occupancy.append(tuple(bits))
+            ends.append((len(ground), len(emitted)))
 
-        boxes = _project_boxes(cam, np.array(ground, dtype=float).reshape(-1, 4)).tolist()
-        frame_ids.append(frame_id)
-        rows = [(*boxes[i], conf, "car") for i, conf in emitted]
-        frames.append(FrameDetections(frame_id=frame_id, detections=rows, timestamp=ts))
-        occupancy.append(tuple(bits))
-        vehicles_all.append(np.array([(*box, kind) for box, kind in zip(boxes, kinds)], VEHICLE_DTYPE))
-        vehicles_all[-1].setflags(write=False)
+        vehicle_ends, detection_ends = zip(*ends)
+        vehicles, dets = _block_arrays(cam, ground, kinds, emitted, vehicle_ends)
+        vehicles_all.extend(np.split(vehicles, vehicle_ends[:-1]))
+        for frame_dets in np.split(dets, detection_ends[:-1]):
+            f = len(frames)
+            ts = (_BASE_TIMESTAMP + f * _SAMPLE_INTERVAL).isoformat()
+            frames.append(FrameDetections(f"f{f:06d}", frame_dets, ts))
 
     truth = GroundTruth(
-        frame_ids=tuple(frame_ids),
+        frame_ids=tuple(frame.frame_id for frame in frames),
         slots=tuple(slot_boxes_image),
         occupancy=tuple(occupancy),
         vehicles=tuple(vehicles_all),
@@ -409,15 +434,18 @@ def write_ground_truth_slots(stream: IO[str], truth: GroundTruth) -> None:
 
 
 def write_ground_truth_occupancy(stream: IO[str], truth: GroundTruth) -> None:
-    """Per-frame record: occupancy bits keyed by slot id plus true vehicle boxes."""
+    """Per-frame record: occupancy bits keyed by slot id plus true vehicle boxes, with the
+    bytes ``json.dumps(record, sort_keys=True)`` gives (built as ``write_detections`` does)."""
+    bit_formats = {}  # bit count -> '"0": {0}, "1": {1}, "10": {10}, ...', keys in string order
     for fid, bits, vehicles in zip(truth.frame_ids, truth.occupancy, truth.vehicles):
-        record = {
-            "frame": fid,
-            "occupancy": {str(i): bool(b) for i, b in enumerate(bits)},
-            "vehicles": [dict(zip(VEHICLE_DTYPE.names, row)) for row in vehicles.tolist()],
-        }
-        stream.write(json.dumps(record, sort_keys=True))
-        stream.write("\n")
+        if len(bits) not in bit_formats:
+            bit_formats[len(bits)] = ", ".join(f'"{i}": {{{i}}}' for i in sorted(range(len(bits)), key=str))
+        occupancy = bit_formats[len(bits)].format(*["true" if bit else "false" for bit in bits])
+        boxes = ", ".join([f'{{"cx": {cx!r}, "cy": {cy!r}, "h": {h!r}, '
+                           f'"kind": {encode_basestring_ascii(kind)}, "w": {w!r}}}'
+                           for cx, cy, w, h, kind in vehicles.tolist()])
+        stream.write(f'{{"frame": {encode_basestring_ascii(fid)}, "occupancy": {{{occupancy}}}, '
+                     f'"vehicles": [{boxes}]}}\n')
 
 
 def _vehicle_array(entries: list) -> np.ndarray:
@@ -495,6 +523,7 @@ def scenario_from_document(doc: Mapping) -> ScenarioConfig:
                                           for k, v in s.items()}))
         camera = doc.get("camera", "identity")
         if isinstance(camera, Mapping):
+            check_keys(camera, {"matrix"}, "scenario camera")
             camera = camera["matrix"]
         if not isinstance(camera, str):
             camera = tuple(_finite(v, "camera") for v in camera)
@@ -502,7 +531,7 @@ def scenario_from_document(doc: Mapping) -> ScenarioConfig:
             rows=json_number(doc["rows"], "rows", int),
             cols=json_number(doc["cols"], "cols", int),
             slot_pitch=_finite(doc["slot_pitch"], "slot_pitch"),
-            slot_size=(_finite(doc["slot_size"][0], "slot_size"), _finite(doc["slot_size"][1], "slot_size")),
+            slot_size=tuple(_finite(v, "slot_size") for v in doc["slot_size"]),
             frame_count=json_number(doc["frame_count"], "frame_count", int),
             occupancy_prob=_finite(doc["occupancy_prob"], "occupancy_prob"),
             center_noise_sigma=_finite(doc.get("center_noise_sigma", 0.0), "center_noise_sigma"),

@@ -614,6 +614,10 @@ SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
               ("center_noise_sigma", "infinite", float("inf"), "center_noise_sigma must be finite, got inf"),
               ("slot_pitch", "infinite", float("inf"), "slot_pitch must be finite, got inf"),
               ("slot_pitch", "beyond-float", 10**400, "slot_pitch is too large for a float"),
+              ("passing_rate", "beyond-poisson", 1e300, "passing_rate must be at most 9.22"),
+              ("slot_size", "three-entries", [22.0, 30.0, 99.0], "slot_size must have two entries, got 3"),
+              ("camera", "extra-key", {"matrix": [1, 0, 0, 0, 1, 0, 0, 0, 1], "extra": 5},
+               "scenario camera has unknown keys ['extra']"),
           ]),
         pytest.param({"scenario.json": {**SCENARIO, "violation_sites": [{**SITE, "x": float("inf")}]}},
                      SIMULATE, "violation_sites entry 0 x must be finite, got inf", id="scenario-site-x-inf"),

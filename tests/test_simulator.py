@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from helpers import (
     seed_sequence_stream,
     write_ground_truth_occupancy_by_dumps,
 )
-from parkscan.detections import serialize_detections
+from parkscan.detections import serialize_detections, write_detections
 from parkscan.errors import ConfigError, ValidationError
 from parkscan.geometry import Homography, box_iou, boxes_array
 from parkscan.simulator import (
@@ -25,6 +26,7 @@ from parkscan.simulator import (
     GroundTruth,
     ScenarioConfig,
     ViolationSite,
+    _block_arrays,
     _project_boxes,
     _seed_pcg64,
     _substream_words,
@@ -165,6 +167,30 @@ def test_write_ground_truth_occupancy_matches_json_dumps_byte_for_byte(frames):
     assert buf.getvalue() == ref.getvalue()
 
 
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def _peak_bytes(write, *args):
+    """Peak traced allocation while ``write`` writes to a sink that keeps nothing."""
+    tracemalloc.start()
+    try:
+        write(_Discard(), *args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writers_stream_instead_of_building_the_file():
+    frames, truth = generate_scenario(small_config(rows=2, occupancy_prob=0.6, passing_rate=1.0,
+                                                   frame_count=2000))
+    head = GroundTruth(truth.frame_ids[:200], truth.slots, truth.occupancy[:200], truth.vehicles[:200])
+    assert _peak_bytes(write_detections, frames) < 2 * _peak_bytes(write_detections, frames[:200])
+    assert (_peak_bytes(write_ground_truth_occupancy, truth)
+            < 2 * _peak_bytes(write_ground_truth_occupancy, head))
+
+
 def test_slot_streams_stable_when_grid_grows():
     # Slot draws are keyed by (row, col): adding a column must not perturb
     # the existing slots' noise draws.
@@ -242,6 +268,14 @@ def test_project_boxes_names_the_first_bad_field():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValidationError, match="cx must be finite"):
             _project_boxes(stretch, np.array([[10.0, 10.0, 5.0, 5.0], [1e300, 10.0, 5.0, 5.0]]))
+
+
+def test_block_names_the_first_frame_fault_as_frame_by_frame_projection_did():
+    # Frame 0's width is fine on the ground but rounds to 0 in the image; frame 1's
+    # width is negative on the ground.  Frame 0 holds the first fault.
+    ground = [(0.0, 0.0, 5e-324, 1.0), (0.0, 0.0, -1.0, 1.0)]
+    with pytest.raises(ValidationError, match=r"width must be > 0, got 0\.0"):
+        _block_arrays(camera_homography("identity"), ground, ["parked"] * 2, [], [1, 2])
 
 
 _WORD = st.integers(0, 2**32 - 1)
