@@ -30,6 +30,11 @@ block of frames at a time, and one re-seeded ``Generator`` draws from each
 state in turn.  Tests hold the derived states equal to numpy's.  The
 derivation takes each entropy element after the seed as one 32-bit word,
 which is why ``rows``, ``cols`` and ``frame_count`` stay below 2**32.
+
+Frames are generated per substream block too: after a block's draws, its
+boxes are projected in one call into one vehicle and one detection array,
+and each frame holds read-only row views of them.  The block size changes
+no output byte.
 """
 
 import json
@@ -275,9 +280,9 @@ def _seed_pcg64(bitgen: np.random.PCG64, words: Sequence[int]) -> None:
 
 
 def _frame_substreams(config: ScenarioConfig) -> Iterator[Iterator[tuple[list, list, list]]]:
-    """Per block of about :data:`_BLOCK_STREAMS` substreams, so memory is bounded by the
-    block, each frame's generate_state words as Python ints, in order: its slot substreams
-    (grid order), its one passing substream and its violation substreams (site order)."""
+    """Each block of frames (about :data:`_BLOCK_STREAMS` substreams, which bounds memory by
+    the block) as an iterator over its frames' generate_state words, as Python ints: slot
+    substreams (grid order), the one passing substream and violation substreams (site order)."""
     slot_keys = np.array([(row, col) for row in range(config.rows) for col in range(config.cols)],
                          dtype=np.uint32)
     keys = ((STREAM_SLOT, slot_keys), (STREAM_PASSING, np.empty((1, 0), np.uint32)),
@@ -319,10 +324,10 @@ def _project_boxes(cam: Homography, ground: np.ndarray) -> np.ndarray:
 
 def _block_arrays(cam: Homography, ground: list, kinds: list, emitted: list,
                   frame_ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """A block's vehicles and detections (``emitted``: vehicle index, confidence) as one
-    read-only :data:`VEHICLE_DTYPE` and one :data:`DETECTION_DTYPE` array, from one
-    projection.  A bad box is named as projecting frame by frame (``frame_ends``: vehicle
-    end offsets) names it: the first faulty frame, its ground boxes before its image boxes."""
+    """A block's vehicles as one read-only :data:`VEHICLE_DTYPE` array and its detections
+    (``emitted``: vehicle index, confidence) as one :data:`DETECTION_DTYPE` array, from one
+    projection.  A bad box is named as frame-by-frame projection names it, using each
+    frame's vehicle end offset in ``frame_ends``: first faulty frame, ground before image."""
     ground = np.array(ground, dtype=float).reshape(-1, 4)
     try:
         image = _project_boxes(cam, ground)

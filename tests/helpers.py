@@ -15,6 +15,16 @@ from parkscan.errors import ValidationError
 from parkscan.occupancy import FrameReport, OccupancyRecord, OccupancyStatus
 from parkscan.simulator import VEHICLE_DTYPE
 
+# --- edge cases for the JSON writer tests ---
+
+# Characters JSON escapes differently from plain text: quotes, backslashes, control
+# characters, non-ASCII (BMP and astral) and the line separators U+2028/U+2029.
+AWKWARD_CHARS = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "漢", "\u2028", "\u2029",
+                 "\U0001f697", "a", " ", "'"]
+# Floats whose shortest repr is easy to get wrong: signed zero, the smallest subnormal,
+# exponent notation, a rounding sum and integral values.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2, 1.0, 3.0, 2.0**53 + 2, 1e300, 123456789.0]
+
 
 def brute_force_core_partition(points, eps, min_points):
     """Core flags and the partition of core points into eps-components.
@@ -247,14 +257,6 @@ def seed_sequence_stream(seed, frame_index, stream, *key):
 
 
 # --- simulator outputs: the json.dumps writers the line formatters replaced, kept as references ---
-
-# Characters JSON escapes differently from plain text: quotes, backslashes, control
-# characters, non-ASCII (BMP and astral) and the line separators U+2028/U+2029.
-AWKWARD_CHARS = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "漢", "\u2028", "\u2029",
-                 "\U0001f697", "a", " ", "'"]
-# Floats whose shortest repr is easy to get wrong: signed zero, the smallest subnormal,
-# exponent notation, a rounding sum and integral values.
-EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2, 1.0, 3.0, 2.0**53 + 2, 1e300, 123456789.0]
 
 def serialize_detections_by_dumps(frames):
     """A detection log as one string, one ``json.dumps(record, sort_keys=True)`` per frame."""
