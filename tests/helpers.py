@@ -247,6 +247,28 @@ def aggregate_report_by_rescan(records):
     return report
 
 
+def occupancy_join_by_loop(records, pred_to_truth, occupancy):
+    """The evaluate loop over records: for each scored record of a matched slot in a
+    frame with truth, its predicted-occupied flag, its true bit and its score."""
+    preds, labels, scores = [], [], []
+    for rec in records:
+        if rec.status is OccupancyStatus.ERROR:
+            continue
+        if rec.frame_id not in occupancy or rec.slot_id not in pred_to_truth:
+            continue
+        bits = occupancy[rec.frame_id]
+        truth_id = pred_to_truth[rec.slot_id]
+        if not 0 <= truth_id < len(bits):
+            raise ValidationError(
+                "truth_occupancy",
+                f"frame {rec.frame_id!r} has no occupancy bit for truth slot {truth_id}",
+            )
+        preds.append(rec.status is OccupancyStatus.OCCUPIED)
+        labels.append(bits[truth_id])
+        scores.append(rec.score)
+    return preds, labels, scores
+
+
 # --- simulator: the per-substream seeding the block derivation replaced, kept as the reference ---
 
 def seed_sequence_stream(seed, frame_index, stream, *key):

@@ -85,8 +85,8 @@ def _write_scores(path, truth_occupancy):
                 fh.write(json.dumps({"frame": frame, "slot": slot, "score": score}) + "\n")
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_run_pipeline_output_digests(tmp_path, capsys, case):
+def _run_pipeline(tmp_path, case):
+    """Simulate the golden lot, write its score table, and run ``run-pipeline`` into ``out``."""
     mode, run_config = CASES[case]
     (tmp_path / "scenario.json").write_text(json.dumps(SCENARIO), encoding="utf-8")
     (tmp_path / "run.json").write_text(json.dumps(run_config), encoding="utf-8")
@@ -102,5 +102,36 @@ def test_run_pipeline_output_digests(tmp_path, capsys, case):
         "--mode", mode, "--scores", str(tmp_path / "scores.jsonl"),
         "--out-dir", str(out), "--emit-plot-data",
     ]) == 0
+    return sim, out
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_run_pipeline_output_digests(tmp_path, capsys, case):
+    _, out = _run_pipeline(tmp_path, case)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert digests == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", ["oracle", "scores"])
+def test_split_subcommands_write_the_run_pipeline_bytes(tmp_path, capsys, case):
+    # run-pipeline hands the occupancy records to evaluate in memory; evaluate
+    # on its own reads them back from occupancy.jsonl, ERROR records included.
+    sim, out = _run_pipeline(tmp_path, case)
+    split = tmp_path / "split"
+    split.mkdir()
+    config = ["--config", str(tmp_path / "run.json")]
+    source = tmp_path / "scores.jsonl" if case == "scores" else sim / "occupancy_truth.jsonl"
+    assert main(["detect-slots", "--detections", str(sim / "detections.jsonl"), *config,
+                 "--out", str(split / "slots.json")]) == 0
+    assert main(["classify", "--slots", str(split / "slots.json"), "--mode", case,
+                 "--input", str(source), *config, "--out-records", str(split / "occupancy.jsonl"),
+                 "--out-report", str(split / "report.json")]) == 0
+    assert main(["evaluate", "--pred-slots", str(split / "slots.json"),
+                 "--truth-slots", str(sim / "slots_truth.json"),
+                 "--records", str(split / "occupancy.jsonl"),
+                 "--truth-occupancy", str(sim / "occupancy_truth.jsonl"), *config,
+                 "--out", str(split / "metrics.json"), "--emit-plot-data"]) == 0
+    for name in ("slots.json", "occupancy.jsonl", "report.json", "metrics.json", "metrics.json.roc.tsv"):
+        assert (split / name).read_bytes() == (out / name).read_bytes(), name
+    if case == "scores":
+        assert b'"status": "ERROR"' in (split / "occupancy.jsonl").read_bytes()
