@@ -30,11 +30,9 @@ from .occupancy import (
     FileScoreClassifier,
     GeometricOracleClassifier,
     MissingGroundTruthError,
-    OccupancyStatus,
-    aggregate_report,
-    classify_frame,
+    OccupancyTable,
+    classify_frames,
     read_records,
-    write_records,
 )
 from .simulator import (
     generate_scenario,
@@ -160,13 +158,10 @@ def classify_stage(slots, classifier, threshold, frame_ids, out_records, out_rep
     """Classify every slot in every frame; write records and the per-frame report."""
     if not slots:
         raise EmptyInputError("slot registry is empty; nothing to classify")
-    records = []
-    for frame_id in frame_ids:
-        records.extend(classify_frame(slots, frame_id, classifier, threshold=threshold))
-
-    report = aggregate_report(records)  # rejects duplicate records before any file is written
+    table = classify_frames(slots, frame_ids, classifier, threshold=threshold)
+    report = table.report()
     with open(out_records, "w", encoding="utf-8") as fh:
-        write_records(fh, records)
+        table.write(fh)
     doc = {
         fid: {
             "occupied": rep.occupied,
@@ -178,12 +173,13 @@ def classify_stage(slots, classifier, threshold, frame_ids, out_records, out_rep
     }
     _write_text(out_report, _json_dumps(doc))
     errors = sum(len(rep.error_slots) for rep in report.values())
-    print(json.dumps({"frames": len(report), "records": len(records), "errors": errors}, sort_keys=True))
-    return records
+    print(json.dumps({"frames": len(report), "records": len(table.score), "errors": errors}, sort_keys=True))
+    return table
 
 
-def evaluate_stage(pred, truth, records, gt, cfg, out, emit_plot_data: bool) -> None:
-    """Score slots against ``truth`` and, given records and ``gt``, occupancy; write ``out``."""
+def evaluate_stage(pred, truth, table, gt, cfg, out, emit_plot_data: bool) -> None:
+    """Score slots against ``truth`` and, given an occupancy table and ``gt``, occupancy;
+    write ``out``."""
     truth_centers = [t.center for t in truth]
     pred_centers = [p.center for p in pred]
     if cfg.tolerance is not None:
@@ -202,25 +198,9 @@ def evaluate_stage(pred, truth, records, gt, cfg, out, emit_plot_data: bool) -> 
     acc = None
     auc = None
     counts = None
-    if records is not None:
+    if table is not None:
         pred_to_truth = {pred[i].slot_id: truth[j].slot_id for i, j, _ in match.pairs}
-        occupancy = gt.occupancy_by_frame()
-        preds, labels, scores = [], [], []
-        for rec in records:
-            if rec.status is OccupancyStatus.ERROR:
-                continue
-            if rec.frame_id not in occupancy or rec.slot_id not in pred_to_truth:
-                continue
-            bits = occupancy[rec.frame_id]
-            truth_id = pred_to_truth[rec.slot_id]
-            if not 0 <= truth_id < len(bits):
-                raise ValidationError(
-                    "truth_occupancy",
-                    f"frame {rec.frame_id!r} has no occupancy bit for truth slot {truth_id}",
-                )
-            preds.append(rec.status is OccupancyStatus.OCCUPIED)
-            labels.append(bits[truth_id])
-            scores.append(rec.score)
+        preds, labels, scores = table.join_truth(pred_to_truth, gt.occupancy_by_frame())
         if labels:
             counts = classification_counts(preds, labels)
             acc = accuracy(counts)
@@ -292,12 +272,12 @@ def cmd_evaluate(args) -> int:
     pred = _read_registry(args.pred_slots)
     truth = _read_registry(args.truth_slots)
     cfg = apply_overrides(load_run_config(args.config), tolerance=args.tolerance)
-    records = gt = None
+    table = gt = None
     if args.records is not None:
         with open(args.records, encoding="utf-8") as fh:
-            records = read_records(fh)
+            table = OccupancyTable.from_records(read_records(fh))
         gt = _read_truth(args.truth_occupancy)
-    evaluate_stage(pred, truth, records, gt, cfg, args.out, args.emit_plot_data)
+    evaluate_stage(pred, truth, table, gt, cfg, args.out, args.emit_plot_data)
     return 0
 
 
@@ -319,11 +299,11 @@ def cmd_run_pipeline(args) -> int:
     gt = _read_truth(args.truth_occupancy)
     source = args.truth_occupancy if args.mode == "oracle" else args.scores
     classifier = _classifier(args.mode, source, gt, cfg)
-    records = classify_stage(
+    table = classify_stage(
         slots, *classifier, out_dir / "occupancy.jsonl", out_dir / "report.json"
     )
     evaluate_stage(
-        slots, _read_registry(args.truth_slots), records, gt, cfg,
+        slots, _read_registry(args.truth_slots), table, gt, cfg,
         out_dir / "metrics.json", args.emit_plot_data,
     )
     return 0

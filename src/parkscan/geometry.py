@@ -81,8 +81,8 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    acx, acy, aw, ah = np.moveaxis(a, -1, 0)
-    bcx, bcy, bw, bh = np.moveaxis(b, -1, 0)
+    acx, acy, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bcx, bcy, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     iw = np.minimum(acx + aw / 2.0, bcx + bw / 2.0) - np.maximum(acx - aw / 2.0, bcx - bw / 2.0)
     ih = np.minimum(acy + ah / 2.0, bcy + bh / 2.0) - np.maximum(acy - ah / 2.0, bcy - bh / 2.0)
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)

@@ -4,8 +4,10 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -31,12 +33,40 @@ class OccupancyStatus(str, Enum):
     ERROR = "ERROR"
 
 
+_STATUSES = tuple(OccupancyStatus)  # an OccupancyTable's status codes index this tuple
+_OCCUPIED, _ERROR = 0, 2
+_CODE = {status: code for code, status in enumerate(_STATUSES)}
+_IOU_BLOCK_PAIRS = 1 << 16  # (slot, vehicle) pairs per box_iou broadcast of the oracle
+_WRITE_ROWS = 1 << 12  # records formatted per stream write
+
+
 class ClassifierAdapter:
     """Contract: deterministic probability-of-occupied in [0, 1] per slot of a frame."""
 
     def classify(self, frame_id: str, slots: Sequence[ParkingSlot]) -> Sequence[float]:
         """One score per slot, in slot order; NaN for a slot it has no score for."""
         raise NotImplementedError
+
+    def score_frames(
+        self, frame_ids: Sequence[str], slots: Sequence[ParkingSlot]
+    ) -> tuple[np.ndarray, dict[int, str]]:
+        """A frames x slots score array, and the reason for each failed frame (by index), whose
+        row is ignored. This default calls :meth:`classify` per frame: a frame fails if that
+        raises or returns the wrong shape."""
+        scores = np.full((len(frame_ids), len(slots)), math.nan)
+        failed = {}
+        for i, frame_id in enumerate(frame_ids):
+            try:
+                row = np.asarray(self.classify(frame_id, slots), dtype=float)
+                if row.shape != (len(slots),):
+                    raise ValidationError(
+                        "score", f"classifier returned scores of shape {row.shape} for {len(slots)} slots"
+                    )
+            except Exception as exc:
+                failed[i] = str(exc)
+            else:
+                scores[i] = row
+        return scores, failed
 
 
 class OccupancyRecord(NamedTuple):
@@ -47,44 +77,161 @@ class OccupancyRecord(NamedTuple):
     error: Union[str, None] = None
 
 
+_record = partial(tuple.__new__, OccupancyRecord)  # OccupancyRecord._make without its length check
+
+
+@dataclass(frozen=True)
+class FrameReport:
+    occupied: int
+    vacant: int
+    vacant_slots: tuple[int, ...]
+    error_slots: tuple[int, ...] = ()
+
+
+def _factorize(values: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct values in order of first appearance, and each value's index among them."""
+    index = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    return list(index), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
+@dataclass(frozen=True, eq=False)
+class OccupancyTable:
+    """Occupancy records as columns, in record order; iterating yields :class:`OccupancyRecord`s.
+
+    ``frame`` and ``slot`` index ``frame_ids`` and ``slot_ids``, ``status`` holds codes in
+    :class:`OccupancyStatus` order, ``score`` keeps each score object as given, and
+    ``errors`` maps a row to its error reason.
+    """
+
+    frame_ids: list
+    frame: np.ndarray
+    slot_ids: list
+    slot: np.ndarray
+    score: list
+    status: np.ndarray
+    errors: dict
+
+    @classmethod
+    def from_records(cls, records: Iterable[OccupancyRecord]) -> "OccupancyTable":
+        """Any records, sparse, shuffled or with a (frame, slot) key repeated, in their order."""
+        records = list(records)
+        slot_ids, frame_ids, score, statuses, errors = zip(*records) if records else [()] * 5
+        status = np.fromiter(map(_CODE.__getitem__, statuses), np.intp, len(records))
+        error_rows = (np.flatnonzero(status == _ERROR).tolist()
+                      + [row for row, error in enumerate(errors) if error is not None])
+        return cls(*_factorize(frame_ids), *_factorize(slot_ids), list(score), status,
+                   {row: errors[row] for row in error_rows})
+
+    def __iter__(self) -> Iterator[OccupancyRecord]:
+        errors = [None] * len(self.score)
+        for row, error in self.errors.items():
+            errors[row] = error
+        slot_ids = map(self.slot_ids.__getitem__, self.slot.tolist())
+        frame_ids = map(self.frame_ids.__getitem__, self.frame.tolist())
+        statuses = map(_STATUSES.__getitem__, self.status.tolist())
+        return map(_record, zip(slot_ids, frame_ids, self.score, statuses, errors))
+
+    def write(self, stream: IO[str]) -> None:
+        """One JSON line per record, the bytes ``json.dumps(doc, sort_keys=True)`` gives, built
+        from json's own encoders as a head per frame, the score and a tail per (slot, status);
+        ERROR records also carry their ``"error"`` reason."""
+        heads = [f'"frame": {encode_basestring_ascii(fid)}, "score": ' for fid in self.frame_ids]
+        tails = [f', "slot": {sid!r}, "status": "{status.value}"}}\n'
+                 for status in _STATUSES for sid in self.slot_ids]
+        tail = self.status * len(self.slot_ids) + self.slot  # ERROR tails start at first_error
+        opens = iter([f'{{"error": {json.dumps(self.errors.get(row))}, '
+                      for row in np.flatnonzero(self.status == _ERROR).tolist()])
+        dumps, isfinite, brace, first_error = json.dumps, math.isfinite, "{", _ERROR * len(self.slot_ids)
+        for lo in range(0, len(self.score), _WRITE_ROWS):
+            hi = lo + _WRITE_ROWS
+            stream.write("".join([
+                f"{brace if t < first_error else next(opens)}{heads[f]}"
+                f"{repr(v) if type(v) is float and isfinite(v) else dumps(v)}{tails[t]}"
+                for f, v, t in zip(self.frame[lo:hi].tolist(), self.score[lo:hi], tail[lo:hi].tolist())
+            ]))
+
+    def report(self) -> dict[str, FrameReport]:
+        """Per-frame summary: status counts along the frame axis, and each frame's vacant
+        and error slot ids in ascending order."""
+        counts = np.bincount(self.frame * 3 + self.status, minlength=3 * len(self.frame_ids))
+        rank = np.empty(len(self.slot_ids), np.intp)
+        rank[sorted(range(len(rank)), key=self.slot_ids.__getitem__)] = np.arange(len(rank))
+        listed = np.flatnonzero(self.status != _OCCUPIED)
+        listed = listed[np.lexsort((rank[self.slot[listed]], self.status[listed], self.frame[listed]))]
+        ids, end, report = [self.slot_ids[s] for s in self.slot[listed].tolist()], 0, {}
+        for fid, (occupied, vacant, errors) in zip(self.frame_ids, counts.reshape(-1, 3).tolist()):
+            start, end = end, end + vacant + errors
+            report[fid] = FrameReport(occupied, vacant, tuple(ids[start:start + vacant]),
+                                      tuple(ids[start + vacant:end]))
+        return report
+
+    def join_truth(
+        self, pred_to_truth: Mapping[int, int], occupancy: Mapping[str, Sequence[bool]]
+    ) -> tuple[list[bool], list[bool], list]:
+        """(predicted occupied, true bit, score) lists in record order, over the non-ERROR
+        records of slots in ``pred_to_truth`` (predicted id -> truth id) in frames of
+        ``occupancy`` (frame id -> bits by truth id). A truth id outside a frame's bits raises."""
+        bits = [occupancy.get(fid, ()) for fid in self.frame_ids]
+        sizes = np.array([len(b) for b in bits], np.intp)
+        flat = np.fromiter(chain.from_iterable(bits), bool, int(sizes.sum()))
+        truth = [pred_to_truth.get(sid) for sid in self.slot_ids]
+        top = int(sizes.max(initial=0))  # an id beyond every frame's bits fails the range test as -1
+        index = np.array([-2 if t is None else t if 0 <= t < top else -1 for t in truth], np.intp)
+        known = np.array([fid in occupancy for fid in self.frame_ids], bool)
+        rows = np.flatnonzero((self.status != _ERROR) & known[self.frame] & (index[self.slot] > -2))
+        f, t = self.frame[rows], index[self.slot[rows]]
+        bad = np.flatnonzero((t < 0) | (t >= sizes[f]))
+        if len(bad):
+            row = rows[bad[0]]
+            raise ValidationError("truth_occupancy", f"frame {self.frame_ids[self.frame[row]]!r} has no "
+                                  f"occupancy bit for truth slot {truth[self.slot[row]]}")
+        labels = flat[np.cumsum(sizes)[f] - sizes[f] + t]
+        scores = [self.score[r] for r in rows.tolist()]
+        return (self.status[rows] == _OCCUPIED).tolist(), labels.tolist(), scores
+
+
+def classify_frames(
+    slots: Sequence[ParkingSlot],
+    frame_ids: Sequence[str],
+    classifier: ClassifierAdapter,
+    threshold: float = DEFAULT_DECISION_THRESHOLD,
+) -> OccupancyTable:
+    """One record per slot per frame, in frame then slot order. OCCUPIED iff score >= threshold.
+
+    A NaN or out-of-range score yields an ERROR record for that slot. If the
+    classifier fails a frame (it raised, or returned the wrong number of
+    scores), every slot of the frame gets an ERROR record with that reason.
+    """
+    if not slots:
+        raise ValueError("slots must be non-empty")
+    if not (0.0 < threshold < 1.0):
+        raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
+    scores, failed = classifier.score_frames(frame_ids, slots)
+    in_range = (scores >= 0.0) & (scores <= 1.0)  # NaN fails both tests
+    in_range[list(failed)] = False
+    status = np.where(in_range, scores < threshold, _ERROR).ravel()
+    score, slot_ids, errors = scores.ravel().tolist(), [slot.slot_id for slot in slots], {}
+    for row in np.flatnonzero(status == _ERROR).tolist():
+        f, j = divmod(row, len(slots))
+        if f in failed:
+            errors[row] = failed[f]
+        elif math.isnan(score[row]):
+            errors[row] = f"no score for frame {frame_ids[f]!r}, slot {slot_ids[j]}"
+        else:
+            errors[row] = f"classifier returned {score[row]!r}, outside [0, 1]"
+        score[row] = None
+    frame, slot = np.divmod(np.arange(len(score)), len(slots))
+    return OccupancyTable(list(frame_ids), frame, slot_ids, slot, score, status, errors)
+
+
 def classify_frame(
     slots: Sequence[ParkingSlot],
     frame_id: str,
     classifier: ClassifierAdapter,
     threshold: float = DEFAULT_DECISION_THRESHOLD,
 ) -> list[OccupancyRecord]:
-    """One record per slot, in slot order. OCCUPIED iff score >= threshold.
-
-    A NaN or out-of-range score yields an ERROR record for that slot. If the
-    classifier raises or returns the wrong number of scores, every slot of
-    the frame gets an ERROR record with that reason.
-    """
-    if not slots:
-        raise ValueError("slots must be non-empty")
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
-    try:
-        scores = np.asarray(classifier.classify(frame_id, slots), dtype=float)
-        if scores.shape != (len(slots),):
-            raise ValidationError(
-                "score", f"classifier returned scores of shape {scores.shape} for {len(slots)} slots"
-            )
-    except Exception as exc:
-        return [
-            OccupancyRecord(slot.slot_id, frame_id, None, OccupancyStatus.ERROR, str(exc))
-            for slot in slots
-        ]
-    in_range = ((scores >= 0.0) & (scores <= 1.0)).tolist()  # NaN fails both tests
-    statuses = (OccupancyStatus.VACANT, OccupancyStatus.OCCUPIED)
-    records = []
-    for slot, score, ok, occ in zip(slots, scores.tolist(), in_range, (scores >= threshold).tolist()):
-        if ok:
-            records.append(OccupancyRecord(slot.slot_id, frame_id, score, statuses[occ]))
-        else:
-            error = (f"no score for frame {frame_id!r}, slot {slot.slot_id}" if math.isnan(score)
-                     else f"classifier returned {score!r}, outside [0, 1]")
-            records.append(OccupancyRecord(slot.slot_id, frame_id, None, OccupancyStatus.ERROR, error))
-    return records
+    """The records of :func:`classify_frames` for one frame."""
+    return list(classify_frames(slots, [frame_id], classifier, threshold))
 
 
 class GeometricOracleClassifier(ClassifierAdapter):
@@ -105,12 +252,29 @@ class GeometricOracleClassifier(ClassifierAdapter):
         self.decision_threshold = iou_threshold
 
     def classify(self, frame_id: str, slots: Sequence[ParkingSlot]) -> np.ndarray:
-        try:
-            vehicles = self._vehicles[frame_id]
-        except KeyError:
-            raise MissingGroundTruthError(f"no ground truth for frame {frame_id!r}") from None
-        areas = boxes_array([s.area for s in slots])
-        return box_iou(areas[:, None], vehicles[None]).max(axis=1, initial=0.0)
+        scores, failed = self.score_frames([frame_id], slots)
+        if failed:
+            raise MissingGroundTruthError(failed[0])
+        return scores[0]
+
+    def score_frames(self, frame_ids, slots):
+        """All frames' scores from a few ``box_iou`` broadcasts over every frame's vehicles end
+        to end, of at most ``_IOU_BLOCK_PAIRS`` (slot, vehicle) pairs each, then each frame's
+        maximum; a frame with no vehicles scores 0.0, and one with no ground truth fails."""
+        areas = boxes_array([s.area for s in slots])[:, None]
+        scores = np.zeros((len(frame_ids), len(slots)))
+        failed = {i: f"no ground truth for frame {fid!r}"
+                  for i, fid in enumerate(frame_ids) if fid not in self._vehicles}
+        boxes = [self._vehicles[fid] for fid in frame_ids if fid in self._vehicles]
+        vehicles = np.concatenate([np.empty((0, 4)), *boxes])[None]
+        owner = np.repeat([i for i in range(len(frame_ids)) if i not in failed], [len(b) for b in boxes])
+        step = max(1, _IOU_BLOCK_PAIRS // len(slots))
+        for lo in range(0, len(owner), step):
+            block = owner[lo:lo + step]
+            starts = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))  # frame by frame
+            best = np.maximum.reduceat(box_iou(areas, vehicles[:, lo:lo + step]), starts, axis=1)
+            scores[block[starts]] = np.maximum(scores[block[starts]], best.T)
+        return scores, failed
 
 
 class FileScoreClassifier(ClassifierAdapter):
@@ -149,42 +313,25 @@ class FileScoreClassifier(ClassifierAdapter):
         return [self._table.get((frame_id, s.slot_id), math.nan) for s in slots]
 
 
-@dataclass(frozen=True)
-class FrameReport:
-    occupied: int
-    vacant: int
-    vacant_slots: tuple[int, ...]
-    error_slots: tuple[int, ...] = ()
-
-
 def aggregate_report(records: Iterable[OccupancyRecord]) -> dict[str, FrameReport]:
-    """Per-frame occupancy summary; occupied + vacant + errors cover every slot."""
-    seen: set[tuple[str, int]] = set()
-    by_frame: dict[str, dict[OccupancyStatus, list[int]]] = {}  # slot ids by status
-    for slot_id, frame_id, _, status, _ in records:
-        if (frame_id, slot_id) in seen:
-            raise DuplicateRecordError(f"duplicate record for frame {frame_id!r}, slot {slot_id}")
-        seen.add((frame_id, slot_id))
-        if frame_id not in by_frame:
-            by_frame[frame_id] = {s: [] for s in OccupancyStatus}
-        by_frame[frame_id][status].append(slot_id)
-    report = {}
-    for fid, ids in by_frame.items():
-        occupied, vacant, errors = ids.values()  # in OccupancyStatus order
-        report[fid] = FrameReport(len(occupied), len(vacant), tuple(sorted(vacant)), tuple(sorted(errors)))
-    return report
+    """Per-frame occupancy summary; occupied + vacant + errors cover every slot.
+
+    A (frame, slot) key given twice raises :class:`DuplicateRecordError`.
+    """
+    table = OccupancyTable.from_records(records)
+    key = table.frame * len(table.slot_ids) + table.slot
+    first = np.zeros(len(key), bool)
+    first[np.unique(key, return_index=True)[1]] = True
+    if not first.all():
+        row = np.argmin(first)
+        raise DuplicateRecordError(f"duplicate record for frame {table.frame_ids[table.frame[row]]!r}, "
+                                   f"slot {table.slot_ids[table.slot[row]]}")
+    return table.report()
 
 
 def write_records(stream: IO[str], records: Iterable[OccupancyRecord]) -> None:
-    """One JSON line per record, the bytes ``json.dumps(doc, sort_keys=True)`` gives, built
-    from json's own encoders; ERROR records also carry their ``"error"`` reason."""
-    value_of = {status: status.value for status in OccupancyStatus}
-    for slot_id, frame_id, score, status, error in records:
-        score_text = repr(score) if type(score) is float and math.isfinite(score) else json.dumps(score)
-        status_text = value_of[status]
-        head = f'{{"error": {json.dumps(error)}, ' if status_text == "ERROR" else "{"
-        stream.write(f'{head}"frame": {encode_basestring_ascii(frame_id)}, "score": {score_text}, '
-                     f'"slot": {slot_id!r}, "status": "{status_text}"}}\n')
+    """:meth:`OccupancyTable.write` for a list of records."""
+    OccupancyTable.from_records(records).write(stream)
 
 
 _STATUS_BY_VALUE = {status.value: status for status in OccupancyStatus}

@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import IO, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -56,6 +57,7 @@ from .slots import ParkingSlot, slot_registry_document
 
 VEHICLE_DTYPE = np.dtype([("cx", float), ("cy", float), ("w", float), ("h", float), ("kind", object)])
 _BOX_FIELDS = VEHICLE_DTYPE.names[:4]
+_VEHICLE_ROW = itemgetter(*VEHICLE_DTYPE.names)  # a truth vehicle object's values, in row order
 
 STREAM_SLOT = 0
 STREAM_PASSING = 1
@@ -136,6 +138,10 @@ class ScenarioConfig:
                 raise ValidationError(name, f"{name} must be >= 0")
         if self.passing_rate > _POISSON_LAM_MAX:
             raise ValidationError("passing_rate", f"passing_rate must be at most {_POISSON_LAM_MAX!r}")
+        lane_fit = self.cols * self.slot_pitch / w  # slot-width vehicles end to end on the lane
+        if self.passing_rate > lane_fit:
+            raise ValidationError("passing_rate", f"passing_rate must be at most {lane_fit!r}, the "
+                                  "slot-width vehicles that fit on the lane")
         object.__setattr__(self, "slot_size", (float(w), float(h)))
         object.__setattr__(self, "violation_sites", tuple(self.violation_sites))
 
@@ -453,17 +459,20 @@ def write_ground_truth_occupancy(stream: IO[str], truth: GroundTruth) -> None:
                      f'"vehicles": [{boxes}]}}\n')
 
 
-def _vehicle_array(entries: list) -> np.ndarray:
-    """A truth line's vehicles as one read-only :data:`VEHICLE_DTYPE` array: a type test
-    per value, then the finite and positive-size checks as masks over the line."""
-    rows = []
-    for v in entries:
-        row = (v["cx"], v["cy"], v["w"], v["h"], v["kind"])
+def _append_vehicle_rows(rows: list, entries: list) -> None:
+    """Append a truth line's vehicles to ``rows`` as :data:`VEHICLE_DTYPE` row tuples, after a
+    type test per value."""
+    for row in map(_VEHICLE_ROW, entries):
         if not (JSON_NUMBER_TYPES.issuperset(map(type, row[:4])) and type(row[4]) is str):
             for value, name in zip(row, _BOX_FIELDS):
                 json_number(value, name)
             raise TypeError(f"kind must be a string, got {row[4]!r}")
         rows.append(row)
+
+
+def _vehicle_array(rows: list) -> np.ndarray:
+    """Vehicle rows as one read-only :data:`VEHICLE_DTYPE` array, after the finite and
+    positive-size checks as masks."""
     vehicles = np.array(rows, VEHICLE_DTYPE)
     _check_boxes(np.column_stack([vehicles[k] for k in _BOX_FIELDS]))
     vehicles.setflags(write=False)
@@ -473,29 +482,44 @@ def _vehicle_array(entries: list) -> np.ndarray:
 def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
     """Ground truth from the per-frame occupancy file alone (empty slot layout).
 
-    A frame id given twice is rejected, naming both lines.
+    Each line's values are type-tested as it is read, then all vehicles go into one
+    array and are checked at once; each frame holds a view of its rows. A bad box is
+    named with its line, and a frame id given twice is rejected, naming both lines.
     """
     first_line = {}  # frame id -> line number, in file order
     occupancy = []
-    vehicles = []
+    rows = []
+    ends = []  # each frame's end in rows
+    bit_keys = {}  # bit count -> the keys "0", "1", ... of the occupancy object
     for line_no, record in json_lines(occupancy_stream, "occupancy"):
         try:
             frame_id = json_frame_id(record["frame"])
             bits = record["occupancy"]
-            frame_bits = tuple(bits[str(i)] for i in range(len(bits)))
-            if not all(isinstance(bit, bool) for bit in frame_bits):
+            keys = bit_keys.get(len(bits)) or bit_keys.setdefault(len(bits), list(map(str, range(len(bits)))))
+            frame_bits = tuple(map(bits.__getitem__, keys))
+            if not {bool}.issuperset(map(type, frame_bits)):
                 raise TypeError("occupancy bits must be true or false")
-            frame_vehicles = _vehicle_array(record["vehicles"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            _append_vehicle_rows(rows, record["vehicles"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
         note_first_line(first_line, frame_id, line_no, "occupancy")
         occupancy.append(frame_bits)
-        vehicles.append(frame_vehicles)
+        ends.append(len(rows))
+    starts = [0, *ends[:-1]]
+    try:
+        vehicles = _vehicle_array(rows)
+    except (ValueError, OverflowError):
+        for line_no, lo, hi in zip(first_line.values(), starts, ends):  # name the first bad line
+            try:
+                _vehicle_array(rows[lo:hi])
+            except (ValueError, OverflowError) as exc:
+                raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
+        raise
     return GroundTruth(
         frame_ids=tuple(first_line),
         slots=(),
         occupancy=tuple(occupancy),
-        vehicles=tuple(vehicles),
+        vehicles=tuple(vehicles[lo:hi] for lo, hi in zip(starts, ends)),
     )
 
 
@@ -511,6 +535,13 @@ def _finite(value, key: str) -> float:
     if not math.isfinite(value):
         raise ValidationError(key, f"{key} must be finite, got {value!r}")
     return value
+
+
+def _finite_list(value, key: str) -> tuple[float, ...]:
+    """``value`` as floats if it is a JSON array of finite numbers; else an error naming ``key``."""
+    if not isinstance(value, list):
+        raise ValidationError(key, f"{key} must be a list of numbers, got {value!r}")
+    return tuple(_finite(v, key) for v in value)
 
 
 def scenario_from_document(doc: Mapping) -> ScenarioConfig:
@@ -531,12 +562,12 @@ def scenario_from_document(doc: Mapping) -> ScenarioConfig:
             check_keys(camera, {"matrix"}, "scenario camera")
             camera = camera["matrix"]
         if not isinstance(camera, str):
-            camera = tuple(_finite(v, "camera") for v in camera)
+            camera = _finite_list(camera, "camera")
         return ScenarioConfig(
             rows=json_number(doc["rows"], "rows", int),
             cols=json_number(doc["cols"], "cols", int),
             slot_pitch=_finite(doc["slot_pitch"], "slot_pitch"),
-            slot_size=tuple(_finite(v, "slot_size") for v in doc["slot_size"]),
+            slot_size=_finite_list(doc["slot_size"], "slot_size"),
             frame_count=json_number(doc["frame_count"], "frame_count", int),
             occupancy_prob=_finite(doc["occupancy_prob"], "occupancy_prob"),
             center_noise_sigma=_finite(doc.get("center_noise_sigma", 0.0), "center_noise_sigma"),

@@ -616,6 +616,8 @@ SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
               ("slot_pitch", "beyond-float", 10**400, "slot_pitch is too large for a float"),
               ("passing_rate", "beyond-poisson", 1e300, "passing_rate must be at most 9.22"),
               ("slot_size", "three-entries", [22.0, 30.0, 99.0], "slot_size must have two entries, got 3"),
+              ("slot_size", "number", 5, "slot_size must be a list of numbers, got 5"),
+              ("camera", "number", 5, "camera must be a list of numbers, got 5"),
               ("camera", "extra-key", {"matrix": [1, 0, 0, 0, 1, 0, 0, 0, 1], "extra": 5},
                "scenario camera has unknown keys ['extra']"),
           ]),

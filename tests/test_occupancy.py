@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from helpers import (
     aggregate_report_by_rescan,
     box_iou_scalar,
     classify_frame_per_slot,
+    occupancy_join_by_loop,
     write_records_by_dumps,
 )
+from parkscan import occupancy
 from parkscan.errors import ValidationError
-from parkscan.geometry import Box, boxes_array
+from parkscan.geometry import Box, box_iou, boxes_array
 from parkscan.occupancy import (
     ClassifierAdapter,
     DuplicateRecordError,
@@ -24,8 +27,10 @@ from parkscan.occupancy import (
     MissingGroundTruthError,
     OccupancyRecord,
     OccupancyStatus,
+    OccupancyTable,
     aggregate_report,
     classify_frame,
+    classify_frames,
     read_records,
     write_records,
 )
@@ -350,3 +355,109 @@ def test_classify_frame_errors_match_per_slot_loop():
         assert classify_frame(SLOTS, "f1", classifier, 0.5) == classify_frame_per_slot(
             SLOTS, "f1", classifier, 0.5
         )
+
+
+# --- the occupancy table: batch oracle, records converter and evaluate join -----------------
+
+_frame_vehicles = st.lists(_box, max_size=12).map(boxes_array)
+
+
+@given(areas=st.lists(_box, min_size=1, max_size=6),
+       frames=st.lists(st.one_of(st.just(np.empty((0, 4))), _frame_vehicles), min_size=1, max_size=8),
+       block_pairs=st.sampled_from([1, 7, 1 << 16]))
+@settings(max_examples=150, deadline=None)
+def test_batch_oracle_equals_per_frame_iou_bit_for_bit(areas, frames, block_pairs):
+    slots = [ParkingSlot(slot_id=i, area=a, spread=0.0, members=1) for i, a in enumerate(areas)]
+    truth = {f"f{i}": v for i, v in enumerate(frames)}
+    oracle = GeometricOracleClassifier(truth)
+    expected = np.array([box_iou(boxes_array(areas)[:, None], v[None]).max(axis=1, initial=0.0)
+                         for v in truth.values()])
+    with mock.patch.object(occupancy, "_IOU_BLOCK_PAIRS", block_pairs):
+        scores, failed = oracle.score_frames(list(truth) + ["missing"], slots)
+    assert failed == {len(truth): "no ground truth for frame 'missing'"}
+    assert scores[:-1].tobytes() == expected.tobytes()
+
+
+def test_batch_oracle_splits_a_frame_across_blocks(monkeypatch):
+    # One frame with 30 vehicles against 3 slots: at 7 pairs per block each block holds
+    # two vehicles, so the frame's maximum is taken over 15 blocks.
+    rng = np.random.default_rng(5)
+    vehicles = np.column_stack([rng.uniform(0, 60, (30, 2)), rng.uniform(5, 20, (30, 2))])
+    slots = [make_slot(i, cx=20.0 * i, w=15.0, h=15.0) for i in range(3)]
+    oracle = GeometricOracleClassifier({"empty": np.empty((0, 4)), "busy": vehicles, "also-empty": []})
+    expected = box_iou(boxes_array([s.area for s in slots])[:, None], vehicles[None]).max(axis=1, initial=0.0)
+    monkeypatch.setattr(occupancy, "_IOU_BLOCK_PAIRS", 7)
+    scores, failed = oracle.score_frames(["empty", "busy", "also-empty"], slots)
+    assert failed == {}
+    assert scores.tobytes() == np.array([np.zeros(3), expected, np.zeros(3)]).tobytes()
+    assert oracle.classify("busy", slots).tobytes() == expected.tobytes()
+
+
+class _FlakyTable(ClassifierAdapter):
+    """Scores from a table; a frame listed in ``broken`` raises, one in ``short`` returns too few."""
+
+    def __init__(self, scores, broken=(), short=()):
+        self.scores, self.broken, self.short = scores, broken, short
+
+    def classify(self, frame_id, slots):
+        if frame_id in self.broken:
+            raise RuntimeError(f"camera offline for {frame_id}")
+        row = [self.scores[frame_id][s.slot_id] for s in slots]
+        return row[:-1] if frame_id in self.short else row
+
+
+@given(rows=st.lists(st.lists(_classifier_score, min_size=3, max_size=3), min_size=1, max_size=6),
+       broken=st.sets(st.integers(0, 5)), short=st.sets(st.integers(0, 5)),
+       threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=150, deadline=None)
+def test_classify_frames_matches_the_per_slot_loop_frame_by_frame(rows, broken, short, threshold):
+    frame_ids = [f"f{i}" for i in range(len(rows))]
+    classifier = _FlakyTable(dict(zip(frame_ids, [dict(enumerate(r)) for r in rows])),
+                             broken={f"f{i}" for i in broken}, short={f"f{i}" for i in short})
+    expected = [r for fid in frame_ids for r in classify_frame_per_slot(SLOTS, fid, classifier, threshold)]
+    table = classify_frames(SLOTS, frame_ids, classifier, threshold=threshold)
+    assert list(table) == expected
+    assert table.report() == aggregate_report_by_rescan(expected)
+
+
+@given(records=st.lists(st.one_of(_scored, _error), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_table_from_records_iterates_the_same_records(records):
+    assert list(OccupancyTable.from_records(records)) == records
+
+
+_join_record = st.builds(
+    OccupancyRecord,
+    slot_id=st.integers(-1, 4),
+    frame_id=st.sampled_from(["a", "b", "c", "d"]),
+    score=st.one_of(st.floats(0.0, 1.0), st.integers(0, 1), st.none()),
+    status=st.sampled_from(list(OccupancyStatus)),
+)
+
+
+@given(records=st.lists(_join_record, max_size=40),
+       pred_to_truth=st.dictionaries(st.integers(-1, 4), st.one_of(st.integers(0, 5), st.integers(-3, 2**70))),
+       occupancy=st.dictionaries(st.sampled_from(["a", "b", "c", "x"]), st.lists(st.booleans(), max_size=6)),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_truth_join_matches_the_record_loop(records, pred_to_truth, occupancy, seed):
+    # Shuffled record order, ERROR records, frames missing from truth, unmatched slots,
+    # and truth ids outside a frame's bits (which must name the same record).
+    records = [records[i] for i in np.random.default_rng(seed).permutation(len(records))]
+    try:
+        expected = occupancy_join_by_loop(records, pred_to_truth, occupancy)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            OccupancyTable.from_records(records).join_truth(pred_to_truth, occupancy)
+        assert str(got.value) == str(exc)
+        return
+    assert OccupancyTable.from_records(records).join_truth(pred_to_truth, occupancy) == expected
+
+
+def test_truth_join_rejects_a_truth_id_beyond_its_own_frames_bits():
+    # Truth slot 3 exists in frame "b" but not in frame "a".
+    records = [rec("b", 1, OccupancyStatus.VACANT), rec("a", 1, OccupancyStatus.OCCUPIED)]
+    table = OccupancyTable.from_records(records)
+    with pytest.raises(ValidationError, match="frame 'a' has no occupancy bit for truth slot 3"):
+        table.join_truth({1: 3}, {"a": (True, False), "b": (True,) * 5})
+    assert table.join_truth({1: 3}, {"b": (False, False, False, True)}) == ([False], [True], [0.5])

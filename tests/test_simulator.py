@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -330,6 +331,14 @@ def test_config_validation():
         small_config(frame_count=0)
     with pytest.raises(ValidationError):
         ViolationSite(0.0, 0.0, -1.0)
+
+
+def test_passing_rate_is_bounded_by_the_vehicles_that_fit_on_the_lane():
+    # Built only, never simulated: 3 columns at pitch 40 hold 3 * 40 / 22 slot-width vehicles.
+    bound = 3 * 40.0 / 22.0
+    assert small_config(passing_rate=bound).passing_rate == bound
+    with pytest.raises(ValidationError, match=r"passing_rate must be at most 5\.45"):
+        small_config(passing_rate=math.nextafter(bound, math.inf))
 
 
 def test_scenario_from_document():
