@@ -174,11 +174,12 @@ class OccupancyTable:
         bits = [occupancy.get(fid, ()) for fid in self.frame_ids]
         sizes = np.array([len(b) for b in bits], np.intp)
         flat = np.fromiter(chain.from_iterable(bits), bool, int(sizes.sum()))
-        truth = [pred_to_truth.get(sid) for sid in self.slot_ids]
-        top = int(sizes.max(initial=0))  # an id beyond every frame's bits fails the range test as -1
-        index = np.array([-2 if t is None else t if 0 <= t < top else -1 for t in truth], np.intp)
         known = np.array([fid in occupancy for fid in self.frame_ids], bool)
-        rows = np.flatnonzero((self.status != _ERROR) & known[self.frame] & (index[self.slot] > -2))
+        truth = [pred_to_truth.get(sid) for sid in self.slot_ids]
+        matched = np.array([t is not None for t in truth], bool)
+        top = int(sizes.max(initial=0))  # an id outside every frame's bits becomes -1
+        index = np.array([t if t is not None and 0 <= t < top else -1 for t in truth], np.intp)
+        rows = np.flatnonzero((self.status != _ERROR) & known[self.frame] & matched[self.slot])
         f, t = self.frame[rows], index[self.slot[rows]]
         bad = np.flatnonzero((t < 0) | (t >= sizes[f]))
         if len(bad):
