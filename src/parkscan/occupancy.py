@@ -350,15 +350,13 @@ def read_records(stream: IO[str]) -> list[OccupancyRecord]:
     records = []
     for line_no, raw in json_lines(stream, "records"):
         try:
-            records.append(
-                OccupancyRecord(
-                    slot_id=json_number(raw["slot"], "slot", int),
-                    frame_id=json_frame_id(raw["frame"]),
-                    score=None if raw["score"] is None else json_number(raw["score"], "score"),
-                    status=_status(raw["status"]),
-                    error=raw.get("error"),
-                )
-            )
+            records.append(_record((
+                json_number(raw["slot"], "slot", int),
+                json_frame_id(raw["frame"]),
+                None if raw["score"] is None else json_number(raw["score"], "score"),
+                _status(raw["status"]),
+                raw.get("error"),
+            )))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("records", f"line {line_no}: bad record ({exc})") from exc
     return records
