@@ -459,37 +459,33 @@ def write_ground_truth_occupancy(stream: IO[str], truth: GroundTruth) -> None:
                      f'"vehicles": [{boxes}]}}\n')
 
 
-def _append_vehicle_rows(rows: list, entries: list) -> None:
-    """Append a truth line's vehicles to ``rows`` as :data:`VEHICLE_DTYPE` row tuples, after a
-    type test per value."""
+def _vehicle_rows(entries: list) -> np.ndarray:
+    """A truth line's vehicles as a :data:`VEHICLE_DTYPE` array, after a type test per value."""
+    rows = []
     for row in map(_VEHICLE_ROW, entries):
         if not (JSON_NUMBER_TYPES.issuperset(map(type, row[:4])) and type(row[4]) is str):
             for value, name in zip(row, _BOX_FIELDS):
                 json_number(value, name)
             raise TypeError(f"kind must be a string, got {row[4]!r}")
         rows.append(row)
+    return np.array(rows, VEHICLE_DTYPE)
 
 
-def _vehicle_array(rows: list) -> np.ndarray:
-    """Vehicle rows as one read-only :data:`VEHICLE_DTYPE` array, after the finite and
-    positive-size checks as masks."""
-    vehicles = np.array(rows, VEHICLE_DTYPE)
+def _check_vehicles(vehicles: np.ndarray) -> None:
     _check_boxes(np.column_stack([vehicles[k] for k in _BOX_FIELDS]))
-    vehicles.setflags(write=False)
-    return vehicles
 
 
 def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
     """Ground truth from the per-frame occupancy file alone (empty slot layout).
 
-    Each line's values are type-tested as it is read, then all vehicles go into one
-    array and are checked at once; each frame holds a view of its rows. A bad box is
-    named with its line, and a frame id given twice is rejected, naming both lines.
+    Each line's values are type-tested as it is read; then all vehicles go into one
+    read-only array, checked for finite, positive-size boxes at once, and each frame
+    holds a view of its rows. A bad box is named with its line, and a frame id given
+    twice is rejected, naming both lines.
     """
     first_line = {}  # frame id -> line number, in file order
     occupancy = []
-    rows = []
-    ends = []  # each frame's end in rows
+    frames = []  # each frame's vehicle array, until they are joined
     bit_keys = {}  # bit count -> the keys "0", "1", ... of the occupancy object
     for line_no, record in json_lines(occupancy_stream, "occupancy"):
         try:
@@ -499,27 +495,28 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
             frame_bits = tuple(map(bits.__getitem__, keys))
             if not {bool}.issuperset(map(type, frame_bits)):
                 raise TypeError("occupancy bits must be true or false")
-            _append_vehicle_rows(rows, record["vehicles"])
-        except (KeyError, TypeError, ValueError) as exc:
+            frames.append(_vehicle_rows(record["vehicles"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
         note_first_line(first_line, frame_id, line_no, "occupancy")
         occupancy.append(frame_bits)
-        ends.append(len(rows))
-    starts = [0, *ends[:-1]]
+    vehicles = np.concatenate([np.empty(0, VEHICLE_DTYPE), *frames])
     try:
-        vehicles = _vehicle_array(rows)
-    except (ValueError, OverflowError):
-        for line_no, lo, hi in zip(first_line.values(), starts, ends):  # name the first bad line
+        _check_vehicles(vehicles)
+    except ValidationError:
+        for line_no, frame in zip(first_line.values(), frames):  # name the first bad line
             try:
-                _vehicle_array(rows[lo:hi])
-            except (ValueError, OverflowError) as exc:
+                _check_vehicles(frame)
+            except ValidationError as exc:
                 raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
         raise
+    vehicles.setflags(write=False)
+    ends = np.cumsum([len(frame) for frame in frames]).tolist()
     return GroundTruth(
         frame_ids=tuple(first_line),
         slots=(),
         occupancy=tuple(occupancy),
-        vehicles=tuple(vehicles[lo:hi] for lo, hi in zip(starts, ends)),
+        vehicles=tuple(vehicles[lo:hi] for lo, hi in zip([0, *ends], ends)),
     )
 
 
