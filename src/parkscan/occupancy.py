@@ -34,8 +34,8 @@ class OccupancyStatus(str, Enum):
 
 
 _STATUSES = tuple(OccupancyStatus)  # an OccupancyTable's status codes index this tuple
-_OCCUPIED, _ERROR = 0, 2
 _CODE = {status: code for code, status in enumerate(_STATUSES)}
+_OCCUPIED, _VACANT, _ERROR = range(3)  # the order OccupancyStatus declares them in
 _IOU_BLOCK_PAIRS = 1 << 16  # (slot, vehicle) pairs per box_iou broadcast of the oracle
 _WRITE_ROWS = 1 << 12  # records formatted per stream write
 
@@ -123,9 +123,7 @@ class OccupancyTable:
                    {row: errors[row] for row in error_rows})
 
     def __iter__(self) -> Iterator[OccupancyRecord]:
-        errors = [None] * len(self.score)
-        for row, error in self.errors.items():
-            errors[row] = error
+        errors = map(self.errors.get, range(len(self.score)))
         slot_ids = map(self.slot_ids.__getitem__, self.slot.tolist())
         frame_ids = map(self.frame_ids.__getitem__, self.frame.tolist())
         statuses = map(_STATUSES.__getitem__, self.status.tolist())
@@ -210,7 +208,7 @@ def classify_frames(
     scores, failed = classifier.score_frames(frame_ids, slots)
     in_range = (scores >= 0.0) & (scores <= 1.0)  # NaN fails both tests
     in_range[list(failed)] = False
-    status = np.where(in_range, scores < threshold, _ERROR).ravel()
+    status = np.where(in_range, scores < threshold, _ERROR).ravel()  # True is _VACANT, False _OCCUPIED
     score, slot_ids, errors = scores.ravel().tolist(), [slot.slot_id for slot in slots], {}
     for row in np.flatnonzero(status == _ERROR).tolist():
         f, j = divmod(row, len(slots))

@@ -459,7 +459,7 @@ def write_ground_truth_occupancy(stream: IO[str], truth: GroundTruth) -> None:
                      f'"vehicles": [{boxes}]}}\n')
 
 
-def _vehicle_rows(entries: list) -> np.ndarray:
+def _vehicle_array(entries: list) -> np.ndarray:
     """A truth line's vehicles as a :data:`VEHICLE_DTYPE` array, after a type test per value."""
     rows = []
     for row in map(_VEHICLE_ROW, entries):
@@ -472,6 +472,7 @@ def _vehicle_rows(entries: list) -> np.ndarray:
 
 
 def _check_vehicles(vehicles: np.ndarray) -> None:
+    """:func:`_check_boxes` over a :data:`VEHICLE_DTYPE` array's boxes."""
     _check_boxes(np.column_stack([vehicles[k] for k in _BOX_FIELDS]))
 
 
@@ -495,7 +496,7 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
             frame_bits = tuple(map(bits.__getitem__, keys))
             if not {bool}.issuperset(map(type, frame_bits)):
                 raise TypeError("occupancy bits must be true or false")
-            frames.append(_vehicle_rows(record["vehicles"]))
+            frames.append(_vehicle_array(record["vehicles"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
         note_first_line(first_line, frame_id, line_no, "occupancy")
