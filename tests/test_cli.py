@@ -503,6 +503,14 @@ SIMULATE = ["simulate", "--scenario", "{d}/scenario.json", "--out-dir", "{d}/sim
 SINGULAR_RUN_CONFIG = {"n_bottom": 1, "homography": {"matrix": [1, 0, 0, 0, 1, 0, -0.01, 0, 1]}}
 NUMERIC_FRAME = 'line 1: bad record ("frame" must be a non-empty string, got 5)'
 SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
+SLOT0_RECORD = {"frame": "f1", "slot": 0, "score": 0.9, "status": "OCCUPIED"}
+EVALUATE_SLOTS = EVALUATE[:5] + EVALUATE[9:]  # slots only: no records, no truth occupancy
+# The first two slots coincide, so the median nearest-neighbour distance is 0.
+COINCIDENT_REGISTRY = {"slots": [{**GOOD_REGISTRY["slots"][0], "id": i, "cx": cx} for i, cx in enumerate((0, 0, 100))]}
+# The unit square onto itself, with one coordinate that only coercion reads as the same number.
+UNIT_SQUARE = [{"src": [x, y], "dst": [x, y]} for x, y in ((0, 0), (1, 0), (0, 1), (1, 1))]
+SQUARE_STRING_COORDINATE = [{"src": ["0", 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]]
+SQUARE_BOOLEAN_COORDINATE = [UNIT_SQUARE[0], {"src": [1, 0], "dst": [True, 0]}, *UNIT_SQUARE[2:]]
 
 
 @pytest.mark.parametrize(
@@ -627,6 +635,37 @@ SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
                      "needs both --records and --truth-occupancy", id="evaluate-records-without-truth"),
         pytest.param({}, EVALUATE[:5] + EVALUATE[7:], "needs both --records and --truth-occupancy",
                      id="evaluate-truth-without-records"),
+        pytest.param({"records.jsonl": [SLOT0_RECORD, {**SLOT0_RECORD, "status": "VACANT"}]}, EVALUATE,
+                     "line 2: frame 'f1', slot 0 repeats line 1", id="repeated-record-key"),
+        *(pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1, **doc}}, DETECT, message,
+                       id=f"run-config-{case}")
+          for case, doc, message in [
+              ("classes-string", {"filter": {"classes": "car"}}, "classes must be a list of strings, got 'car'"),
+              ("classes-number", {"filter": {"classes": ["car", 5]}}, "classes must be a list of strings"),
+              ("min-confidence-string", {"filter": {"min_confidence": "0.5"}},
+               "min_confidence must be a number, got '0.5'"),
+              ("n-bottom-fraction", {"n_bottom": 40.7}, "n_bottom must be an integer, got 40.7"),
+              ("n-bottom-boolean", {"n_bottom": True}, "n_bottom must be an integer, got True"),
+              ("eps-string", {"eps": "15"}, "eps must be a number, got '15'"),
+              ("min-points-fraction", {"min_points": 2.9}, "min_points must be an integer, got 2.9"),
+              ("matrix-boolean", {"homography": {"matrix": [True, 0, 0, 0, True, 0, 0, 0, True]}},
+               "bad homography matrix: matrix entry must be a number, got True"),
+              ("matrix-string", {"homography": {"matrix": ["1", 0, 0, 0, 1, 0, 0, 0, 1]}},
+               "bad homography matrix: matrix entry must be a number, got '1'"),
+              ("correspondence-string", {"homography": {"correspondences": SQUARE_STRING_COORDINATE}},
+               "bad correspondence entry: src coordinate must be a number, got '0'"),
+              ("correspondence-boolean", {"homography": {"correspondences": SQUARE_BOOLEAN_COORDINATE}},
+               "bad correspondence entry: dst coordinate must be a number, got True"),
+          ]),
+        pytest.param({"run.json": {"tolerance": 0}}, EVALUATE_SLOTS + ["--config", "{d}/run.json"],
+                     "tolerance must be finite and > 0, got 0", id="tolerance-config-key-zero"),
+        *(pytest.param({}, EVALUATE_SLOTS + ["--tolerance", value], f"tolerance must be finite and > 0, got {value}",
+                       id=f"tolerance-flag-{value}")
+          for value in ("0", "-1", "nan")),
+        pytest.param({"coincident.json": COINCIDENT_REGISTRY},
+                     EVALUATE_SLOTS[:3] + ["--truth-slots", "{d}/coincident.json"] + EVALUATE_SLOTS[5:],
+                     "truth slot registry: half or more of its slot centers coincide, so the default match "
+                     "tolerance is 0; give --tolerance", id="coincident-truth-centers"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, files, argv, names):

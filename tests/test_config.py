@@ -74,3 +74,17 @@ def test_load_run_config_file_errors(tmp_path):
     good.write_text(json.dumps({"n_bottom": 5}))
     assert load_run_config(good).n_bottom == 5
     assert load_run_config(None).n_bottom is None
+
+
+def test_null_only_where_a_default_is_derived():
+    cfg = run_config_from_document({"n_bottom": None, "eps": None, "min_points": None, "tolerance": None})
+    assert (cfg.n_bottom, cfg.eps, cfg.min_points, cfg.tolerance) == (None, None, None, None)
+    for doc in ({"threshold": None}, {"iou_threshold": None}, {"filter": {"min_confidence": None}},
+                {"filter": {"classes": None}}):
+        with pytest.raises(ConfigError):
+            run_config_from_document(doc)
+
+
+def test_numbers_read_as_floats_keep_the_echoed_bytes():
+    cfg = run_config_from_document({"filter": {"min_confidence": 1}, "tolerance": 7, "eps": 15})
+    assert [type(v) for v in (cfg.det_filter.min_confidence, cfg.tolerance, cfg.eps)] == [float] * 3

@@ -256,7 +256,7 @@ def test_records_round_trip():
     assert records[-1].status is OccupancyStatus.ERROR and "outside [0, 1]" in records[-1].error
     buf = io.StringIO()
     write_records(buf, records)
-    assert read_records(io.StringIO(buf.getvalue())) == records
+    assert list(read_records(io.StringIO(buf.getvalue()))) == records
     lines = buf.getvalue().splitlines()
     assert ['"error"' in line for line in lines] == [r.status is OccupancyStatus.ERROR for r in records]
 
@@ -309,6 +309,28 @@ def test_write_records_matches_json_dumps_byte_for_byte(records):
     write_records(buf, records)
     write_records_by_dumps(ref, records)
     assert buf.getvalue() == ref.getvalue()
+
+
+# Records as the writer writes them: only ERROR records carry a reason, and no score is NaN.
+_written = st.one_of(_scored.map(lambda r: r._replace(error=None)).filter(lambda r: r.score == r.score), _error)
+
+
+@given(records=st.lists(_written, max_size=30, unique_by=lambda r: (r.frame_id, r.slot_id)))
+@settings(max_examples=300, deadline=None)
+def test_read_records_returns_the_written_records(records):
+    buf = io.StringIO()
+    write_records(buf, records)
+    assert list(read_records(io.StringIO(buf.getvalue()))) == records
+
+
+def test_read_records_rejects_a_repeated_key():
+    lines = [{"frame": "f1", "slot": 0, "score": 0.5, "status": "VACANT"},
+             {"frame": "f1", "slot": 1, "score": None, "status": "ERROR", "error": "x"},
+             {"frame": "f1", "slot": 0, "score": 0.9, "status": "OCCUPIED"}]
+    with pytest.raises(ValidationError) as exc:
+        read_records(io.StringIO("".join(json.dumps(line) + "\n" for line in lines)))
+    assert exc.value.field == "records"
+    assert str(exc.value) == "line 3: frame 'f1', slot 0 repeats line 1"
 
 
 @given(records=st.lists(st.one_of(_scored, _error), max_size=30))
