@@ -26,11 +26,9 @@ from .metrics import (
     roc_points,
 )
 from .occupancy import (
-    DuplicateRecordError,
     FileScoreClassifier,
     GeometricOracleClassifier,
     MissingGroundTruthError,
-    OccupancyTable,
     classify_frames,
     read_records,
 )
@@ -186,6 +184,10 @@ def evaluate_stage(pred, truth, table, gt, cfg, out, emit_plot_data: bool) -> No
         tolerance = cfg.tolerance
     elif len(truth_centers) >= 2:
         tolerance = default_match_tolerance(truth_centers)
+        if tolerance == 0:
+            raise ValidationError("truth_slots", "truth slot registry: more than half of its slot "
+                                  "centers coincide with another, so the default match tolerance "
+                                  "is 0; give --tolerance")
     elif truth:
         # Single truth slot: fall back to half its smaller side.
         tolerance = min(truth[0].area.w, truth[0].area.h) / 2.0
@@ -275,7 +277,7 @@ def cmd_evaluate(args) -> int:
     table = gt = None
     if args.records is not None:
         with open(args.records, encoding="utf-8") as fh:
-            table = OccupancyTable.from_records(read_records(fh))
+            table = read_records(fh)
         gt = _read_truth(args.truth_occupancy)
     evaluate_stage(pred, truth, table, gt, cfg, args.out, args.emit_plot_data)
     return 0
@@ -398,11 +400,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input ({exc.msg}, line {exc.lineno})", file=sys.stderr)
         return 2
-    except (
-        EmptyInputError,
-        MissingGroundTruthError,
-        DuplicateRecordError,
-    ) as exc:
+    except (EmptyInputError, MissingGroundTruthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

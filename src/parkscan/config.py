@@ -15,21 +15,25 @@ Precedence is CLI flag > config key > built-in default.  Example document:
 """
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Union
 
 from .detections import DetectionFilter
-from .errors import ConfigError, ValidationError, check_keys
+from .errors import ConfigError, ValidationError, check_keys, json_number
 from .geometry import Homography, homography_from_config
 from .occupancy import DEFAULT_DECISION_THRESHOLD, DEFAULT_IOU_THRESHOLD
 from .slots import SlotDetectionConfig
 
+_DEFAULT_FILTER = DetectionFilter()
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    det_filter: DetectionFilter
-    homography: Homography
+    homography: Homography = field(default_factory=Homography.identity)
+    classes: frozenset = _DEFAULT_FILTER.allowed_classes
+    min_confidence: float = _DEFAULT_FILTER.min_confidence
     n_bottom: Union[int, None] = None
     eps: Union[float, None] = None
     min_points: Union[int, None] = None
@@ -38,10 +42,18 @@ class RunConfig:
     tolerance: Union[float, None] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "classes", self.det_filter.allowed_classes)  # checks the filter
         for name in ("threshold", "iou_threshold"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise ValidationError(name, f"{name} must be in (0, 1), got {value!r}")
+        if self.tolerance is not None and not (0.0 < self.tolerance < math.inf):
+            raise ValidationError("tolerance", f"tolerance must be finite and > 0, got {self.tolerance!r}")
+
+    @property
+    def det_filter(self) -> DetectionFilter:
+        """The class allow-list and confidence floor the detect stage applies."""
+        return DetectionFilter(self.classes, self.min_confidence)
 
     def slot_detection_config(self) -> SlotDetectionConfig:
         if self.n_bottom is None:
@@ -54,48 +66,46 @@ class RunConfig:
         )
 
 
-def default_run_config() -> RunConfig:
-    return RunConfig(det_filter=DetectionFilter(), homography=Homography.identity())
-
-
 _KEYS = {"filter", "homography", "n_bottom", "eps", "min_points", "threshold", "iou_threshold",
          "tolerance"}
 _FILTER_KEYS = {"classes", "min_confidence"}
+_NULLABLE_KEYS = {"n_bottom", "eps", "min_points", "tolerance"}  # null: the default is derived
+_INTEGER_KEYS = {"n_bottom", "min_points"}
+
+
+def _checked(key: str, value):
+    """The RunConfig field for a document key and its value, which must have the key's JSON type."""
+    if key == "homography":
+        return homography_from_config(value)
+    if key == "classes":
+        if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
+            raise TypeError(f"classes must be a list of strings, got {value!r}")
+        return value
+    if value is None and key in _NULLABLE_KEYS:
+        return None
+    if key in _INTEGER_KEYS:
+        return json_number(value, key, int)
+    return float(json_number(value, key))
 
 
 def run_config_from_document(doc: Mapping) -> RunConfig:
+    """Nothing is coerced: ``n_bottom`` and ``min_points`` must be JSON integers, the
+    other numbers JSON numbers (a bool is neither), and ``classes`` a list of strings."""
     check_keys(doc, _KEYS, "run config")
     filter_doc = doc.get("filter", {})
     check_keys(filter_doc, _FILTER_KEYS, 'run config "filter"')
     try:
-        det_filter = DetectionFilter(
-            allowed_classes=frozenset(filter_doc.get("classes", ("car", "truck"))),
-            min_confidence=float(filter_doc.get("min_confidence", 0.5)),
-        )
-        homography = (
-            homography_from_config(doc["homography"])
-            if "homography" in doc
-            else Homography.identity()
-        )
-        return RunConfig(
-            det_filter=det_filter,
-            homography=homography,
-            n_bottom=None if doc.get("n_bottom") is None else int(doc["n_bottom"]),
-            eps=None if doc.get("eps") is None else float(doc["eps"]),
-            min_points=None if doc.get("min_points") is None else int(doc["min_points"]),
-            threshold=float(doc.get("threshold", DEFAULT_DECISION_THRESHOLD)),
-            iou_threshold=float(doc.get("iou_threshold", DEFAULT_IOU_THRESHOLD)),
-            tolerance=None if doc.get("tolerance") is None else float(doc["tolerance"]),
-        )
+        return RunConfig(**{key: _checked(key, value)
+                            for key, value in [*doc.items(), *filter_doc.items()] if key != "filter"})
     except ValidationError as exc:
         raise ConfigError(f"invalid run config: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad run config value: {exc}") from exc
 
 
 def load_run_config(path: Union[str, Path, None]) -> RunConfig:
     if path is None:
-        return default_run_config()
+        return RunConfig()
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -107,17 +117,7 @@ def load_run_config(path: Union[str, Path, None]) -> RunConfig:
 def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
     """Apply non-None CLI overrides on top of a loaded config."""
     try:
-        updates = {k: v for k, v in overrides.items() if v is not None}
-        if "classes" in updates:
-            updates["det_filter"] = replace(
-                cfg.det_filter, allowed_classes=frozenset(updates.pop("classes"))
-            )
-        if "min_confidence" in updates:
-            base = updates.get("det_filter", cfg.det_filter)
-            updates["det_filter"] = replace(
-                base, min_confidence=updates.pop("min_confidence")
-            )
-        return replace(cfg, **updates)
+        return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     except ValidationError as exc:
         raise ConfigError(f"invalid override: {exc}") from exc
 
@@ -126,8 +126,8 @@ def config_echo(cfg: RunConfig, eps: float, min_points: int) -> dict:
     """Effective configuration as echoed into output documents."""
     return {
         "filter": {
-            "classes": sorted(cfg.det_filter.allowed_classes),
-            "min_confidence": cfg.det_filter.min_confidence,
+            "classes": sorted(cfg.classes),
+            "min_confidence": cfg.min_confidence,
         },
         "homography": cfg.homography.flat(),
         "n_bottom": cfg.n_bottom,

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, json_number
 
 # Longest bounding-box side of a normalized point cloud, in normalized units.
 NORMALIZED_EXTENT = 1000.0
@@ -253,6 +253,11 @@ def normalize_point_cloud(points: np.ndarray) -> tuple[np.ndarray, float, Point2
     return (pts - lo) * scale, scale, Point2(float(lo[0]), float(lo[1]))
 
 
+def _config_point(entry: Mapping, end: str) -> Point2:
+    """``entry[end]`` of a correspondence; its first two values must be JSON numbers."""
+    return Point2(*(float(json_number(entry[end][i], f"{end} coordinate")) for i in (0, 1)))
+
+
 def homography_from_config(spec: Mapping) -> Homography:
     """Build a homography from its config representation.
 
@@ -273,17 +278,13 @@ def homography_from_config(spec: Mapping) -> Homography:
         return Homography.identity()
     if "matrix" in spec:
         try:
-            return Homography.from_flat(spec["matrix"])
-        except (TypeError, ValidationError, NonInvertibleMatrixError) as exc:
+            return Homography.from_flat([json_number(v, "matrix entry") for v in spec["matrix"]])
+        except (TypeError, OverflowError, ValidationError, NonInvertibleMatrixError) as exc:
             raise ConfigError(f"bad homography matrix: {exc}") from exc
     pairs = spec["correspondences"]
     try:
-        corr = [
-            (Point2(float(c["src"][0]), float(c["src"][1])),
-             Point2(float(c["dst"][0]), float(c["dst"][1])))
-            for c in pairs
-        ]
-    except (TypeError, KeyError, IndexError, ValidationError) as exc:
+        corr = [(_config_point(c, "src"), _config_point(c, "dst")) for c in pairs]
+    except (TypeError, KeyError, IndexError, OverflowError, ValidationError) as exc:
         raise ConfigError(f"bad correspondence entry: {exc}") from exc
     try:
         return estimate_homography_dlt(corr)

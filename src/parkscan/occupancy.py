@@ -333,28 +333,28 @@ def write_records(stream: IO[str], records: Iterable[OccupancyRecord]) -> None:
     OccupancyTable.from_records(records).write(stream)
 
 
-_STATUS_BY_VALUE = {status.value: status for status in OccupancyStatus}
-
-
-def _status(value) -> OccupancyStatus:
-    """``OccupancyStatus(value)``, looked up in a dict; the Enum call runs only to raise."""
-    try:
-        return _STATUS_BY_VALUE[value]
-    except (KeyError, TypeError):
-        return OccupancyStatus(value)
-
-
-def read_records(stream: IO[str]) -> list[OccupancyRecord]:
-    records = []
+def read_records(stream: IO[str]) -> OccupancyTable:
+    """The occupancy records of a JSON-lines stream as a table, in file order. A (frame, slot)
+    key given twice is rejected, naming both lines."""
+    frames, slots, first_line = {}, {}, {}
+    frame, slot, score, status, errors = [], [], [], [], {}
     for line_no, raw in json_lines(stream, "records"):
         try:
-            records.append(_record((
-                json_number(raw["slot"], "slot", int),
-                json_frame_id(raw["frame"]),
-                None if raw["score"] is None else json_number(raw["score"], "score"),
-                _status(raw["status"]),
-                raw.get("error"),
-            )))
+            slot_id = json_number(raw["slot"], "slot", int)
+            key = (json_frame_id(raw["frame"]), slot_id)
+            value = None if raw["score"] is None else json_number(raw["score"], "score")
+            code = _CODE.get(raw["status"]) if isinstance(raw["status"], str) else None
+            if code is None:
+                OccupancyStatus(raw["status"])  # not a status value: raises, naming it
+            error = raw.get("error")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("records", f"line {line_no}: bad record ({exc})") from exc
-    return records
+        note_first_line(first_line, key, line_no, "records")
+        if error is not None:
+            errors[len(score)] = error
+        frame.append(frames.setdefault(key[0], len(frames)))
+        slot.append(slots.setdefault(slot_id, len(slots)))
+        score.append(value)
+        status.append(code)
+    return OccupancyTable(list(frames), np.array(frame, np.intp), list(slots), np.array(slot, np.intp),
+                          score, np.array(status, np.intp), errors)

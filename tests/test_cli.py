@@ -664,8 +664,8 @@ SQUARE_BOOLEAN_COORDINATE = [UNIT_SQUARE[0], {"src": [1, 0], "dst": [True, 0]}, 
           for value in ("0", "-1", "nan")),
         pytest.param({"coincident.json": COINCIDENT_REGISTRY},
                      EVALUATE_SLOTS[:3] + ["--truth-slots", "{d}/coincident.json"] + EVALUATE_SLOTS[5:],
-                     "truth slot registry: half or more of its slot centers coincide, so the default match "
-                     "tolerance is 0; give --tolerance", id="coincident-truth-centers"),
+                     "truth slot registry: more than half of its slot centers coincide with another, so the "
+                     "default match tolerance is 0; give --tolerance", id="coincident-truth-centers"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, files, argv, names):

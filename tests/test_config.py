@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from parkscan.config import (
+    RunConfig,
     apply_overrides,
-    default_run_config,
     load_run_config,
     run_config_from_document,
 )
@@ -13,7 +13,7 @@ from parkscan.errors import ConfigError
 
 
 def test_defaults():
-    cfg = default_run_config()
+    cfg = RunConfig()
     assert cfg.det_filter.allowed_classes == {"car", "truck"}
     assert cfg.det_filter.min_confidence == 0.5
     assert np.array_equal(cfg.homography.m, np.eye(3))
@@ -40,7 +40,7 @@ def test_document_round_trip():
 
 
 def test_missing_n_bottom_raises_at_detection_time():
-    cfg = default_run_config()
+    cfg = RunConfig()
     with pytest.raises(ConfigError):
         cfg.slot_detection_config()
 
@@ -62,7 +62,7 @@ def test_invalid_documents_rejected():
     with pytest.raises(ConfigError):
         run_config_from_document([1, 2, 3])
     with pytest.raises(ConfigError):
-        apply_overrides(default_run_config(), min_confidence=3.0)
+        apply_overrides(RunConfig(), min_confidence=3.0)
 
 
 def test_load_run_config_file_errors(tmp_path):
