@@ -69,7 +69,7 @@ class RunConfig:
 _KEYS = {"filter", "homography", "n_bottom", "eps", "min_points", "threshold", "iou_threshold",
          "tolerance"}
 _FILTER_KEYS = {"classes", "min_confidence"}
-_NULLABLE_KEYS = {"n_bottom", "eps", "min_points", "tolerance"}  # null: the default is derived
+_NULLABLE_KEYS = {"n_bottom", "eps", "min_points", "tolerance"}  # where null means the key is absent
 _INTEGER_KEYS = {"n_bottom", "min_points"}
 
 
