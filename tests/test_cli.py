@@ -59,20 +59,6 @@ def test_simulate_is_deterministic(workdir):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_simulate_seed_flag_overrides(workdir):
-    a = simulate(workdir, "a")
-    rc = main(
-        [
-            "simulate",
-            "--scenario", str(workdir / "scenario.json"),
-            "--out-dir", str(workdir / "c"),
-            "--seed", "5151",
-        ]
-    )
-    assert rc == 0
-    assert (a / "detections.jsonl").read_bytes() != (workdir / "c" / "detections.jsonl").read_bytes()
-
-
 def test_simulate_missing_config_exits_2(workdir):
     assert main(["simulate", "--scenario", str(workdir / "nope.json"), "--out-dir", str(workdir / "x")]) == 2
 
@@ -99,12 +85,12 @@ def test_detect_slots_end_to_end(workdir, capsys):
 
 def test_detect_slots_shortfall_flag(workdir, capsys):
     sim = simulate(workdir)
+    (workdir / "run44.json").write_text(json.dumps({**RUN_CONFIG, "n_bottom": 44}))
     rc = main(
         [
             "detect-slots",
             "--detections", str(sim / "detections.jsonl"),
-            "--config", str(workdir / "run.json"),
-            "--n-bottom", "44",
+            "--config", str(workdir / "run44.json"),
             "--out", str(workdir / "slots.json"),
         ]
     )
@@ -296,12 +282,13 @@ def test_evaluate_prints_two_decimal_percentages(workdir, capsys):
     pred = [(10.0 * i, 0.0) for i in range(43)] + [(2000.0, 2000.0)]
     _write_registry(workdir / "pred.json", pred)
     _write_registry(workdir / "truth.json", truth)
+    (workdir / "tolerance.json").write_text(json.dumps({"tolerance": 1.0}))
     rc = main(
         [
             "evaluate",
             "--pred-slots", str(workdir / "pred.json"),
             "--truth-slots", str(workdir / "truth.json"),
-            "--tolerance", "1.0",
+            "--config", str(workdir / "tolerance.json"),
             "--out", str(workdir / "metrics.json"),
         ]
     )
@@ -511,6 +498,7 @@ COINCIDENT_REGISTRY = {"slots": [{**GOOD_REGISTRY["slots"][0], "id": i, "cx": cx
 UNIT_SQUARE = [{"src": [x, y], "dst": [x, y]} for x, y in ((0, 0), (1, 0), (0, 1), (1, 1))]
 SQUARE_STRING_COORDINATE = [{"src": ["0", 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]]
 SQUARE_BOOLEAN_COORDINATE = [UNIT_SQUARE[0], {"src": [1, 0], "dst": [True, 0]}, *UNIT_SQUARE[2:]]
+SQUARE_HUGE_COORDINATE = [{"src": [10**400, 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]]
 
 
 @pytest.mark.parametrize(
@@ -518,9 +506,6 @@ SQUARE_BOOLEAN_COORDINATE = [UNIT_SQUARE[0], {"src": [1, 0], "dst": [True, 0]}, 
     [
         pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1}},
                      RUN_PIPELINE + ["--mode", "scores"], "--scores", id="scores-mode-without-scores"),
-        pytest.param({}, CLASSIFY + ["--threshold", "1.5"], "threshold must be", id="threshold-flag"),
-        pytest.param({}, CLASSIFY + ["--iou-threshold", "0"], "iou_threshold must be",
-                     id="iou-threshold-flag"),
         pytest.param({"run.json": {"threshold": 1.5}}, CLASSIFY + ["--config", "{d}/run.json"],
                      "threshold must be", id="threshold-config-key"),
         pytest.param({"run.json": {"iou_threshold": 0}}, CLASSIFY + ["--config", "{d}/run.json"],
@@ -536,6 +521,22 @@ SQUARE_BOOLEAN_COORDINATE = [UNIT_SQUARE[0], {"src": [1, 0], "dst": [True, 0]}, 
                      id="argparse-usage-error"),
         pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1}}, DETECT + ["--iqr-one-sided"],
                      "unrecognized arguments: --iqr-one-sided", id="removed-iqr-flag"),
+        *(pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1}, "scenario.json": SCENARIO},
+                       argv + [flag, value], f"unrecognized arguments: {flag} {value}",
+                       id=f"removed-{argv[0]}-{flag[2:]}-flag")
+          for argv, flag, value in [
+              (SIMULATE, "--seed", "5"),
+              (DETECT, "--n-bottom", "1"),
+              (DETECT, "--eps", "15"),
+              (DETECT, "--min-points", "3"),
+              (DETECT, "--min-confidence", "0.5"),
+              (DETECT, "--classes", "car"),
+              (CLASSIFY, "--threshold", "0.5"),
+              (CLASSIFY, "--iou-threshold", "0.3"),
+              (EVALUATE_SLOTS, "--tolerance", "1.0"),
+              (RUN_PIPELINE, "--n-bottom", "1"),
+              (RUN_PIPELINE, "--tolerance", "1.0"),
+          ]),
         pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1, "epsilon": 99}}, DETECT,
                      "unknown keys ['epsilon']", id="unknown-config-key"),
         pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1, "iqr_one_sided": True}}, DETECT,
@@ -561,7 +562,7 @@ SQUARE_BOOLEAN_COORDINATE = [UNIT_SQUARE[0], {"src": [1, 0], "dst": [True, 0]}, 
                      'line 1: detection field "cx" is too large for a float', id="detection-integer-beyond-float"),
         pytest.param({"slots.json": {"slots": [{**GOOD_REGISTRY["slots"][0], "cx": 10**400}]},
                       "records.jsonl": SLOT2_RECORD}, EVALUATE,
-                     "slot entry 0: bad entry (int too large to convert to float)",
+                     "slot entry 0: bad entry (cx is too large for a float)",
                      id="registry-integer-beyond-float"),
         pytest.param({"d.jsonl": b'{"frame": "f\xff", "dets": []}\n', "run.json": {"n_bottom": 1}}, DETECT,
                      "not UTF-8", id="not-utf-8"),
@@ -622,6 +623,7 @@ SQUARE_BOOLEAN_COORDINATE = [UNIT_SQUARE[0], {"src": [1, 0], "dst": [True, 0]}, 
               ("center_noise_sigma", "infinite", float("inf"), "center_noise_sigma must be finite, got inf"),
               ("slot_pitch", "infinite", float("inf"), "slot_pitch must be finite, got inf"),
               ("slot_pitch", "beyond-float", 10**400, "slot_pitch is too large for a float"),
+              ("lane_y", "removed", 500.0, "unknown keys ['lane_y']"),
               ("passing_rate", "beyond-poisson", 1e300, "passing_rate must be at most 9.22"),
               ("slot_size", "three-entries", [22.0, 30.0, 99.0], "slot_size must have two entries, got 3"),
               ("slot_size", "number", 5, "slot_size must be a list of numbers, got 5"),
@@ -637,6 +639,19 @@ SQUARE_BOOLEAN_COORDINATE = [UNIT_SQUARE[0], {"src": [1, 0], "dst": [True, 0]}, 
                      id="evaluate-truth-without-records"),
         pytest.param({"records.jsonl": [SLOT0_RECORD, {**SLOT0_RECORD, "status": "VACANT"}]}, EVALUATE,
                      "line 2: frame 'f1', slot 0 repeats line 1", id="repeated-record-key"),
+        *(pytest.param({"records.jsonl": {**SLOT0_RECORD, **record}}, EVALUATE, f"line 1: bad record ({message})",
+                       id=f"record-{case}")
+          for case, record, message in [
+              ("score-beyond-float", {"score": 10**400}, "score is too large for a float"),
+              ("occupied-score-null", {"score": None}, "score must be a number, got None"),
+              ("score-above-one", {"score": 7.5}, "score must be in [0, 1], got 7.5"),
+              ("score-negative", {"score": -3}, "score must be in [0, 1], got -3"),
+              ("occupied-with-error", {"error": 5}, "an OCCUPIED record has no error, got 5"),
+              ("vacant-with-error", {"status": "VACANT", "score": 0.1, "error": "x"},
+               "a VACANT record has no error, got 'x'"),
+              ("error-with-score", {"status": "ERROR", "error": "x"}, "an ERROR record's score must be null, got 0.9"),
+              ("error-without-reason", {"status": "ERROR", "score": None}, "error must be a string, got None"),
+          ]),
         *(pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1, **doc}}, DETECT, message,
                        id=f"run-config-{case}")
           for case, doc, message in [
@@ -656,16 +671,21 @@ SQUARE_BOOLEAN_COORDINATE = [UNIT_SQUARE[0], {"src": [1, 0], "dst": [True, 0]}, 
                "bad correspondence entry: src coordinate must be a number, got '0'"),
               ("correspondence-boolean", {"homography": {"correspondences": SQUARE_BOOLEAN_COORDINATE}},
                "bad correspondence entry: dst coordinate must be a number, got True"),
+              ("eps-beyond-float", {"eps": 10**400}, "bad run config value: eps is too large for a float"),
+              ("matrix-beyond-float", {"homography": {"matrix": [10**400, 0, 0, 0, 1, 0, 0, 0, 1]}},
+               "bad homography matrix: matrix entry is too large for a float"),
+              ("correspondence-beyond-float", {"homography": {"correspondences": SQUARE_HUGE_COORDINATE}},
+               "bad correspondence entry: src coordinate is too large for a float"),
           ]),
         pytest.param({"run.json": {"tolerance": 0}}, EVALUATE_SLOTS + ["--config", "{d}/run.json"],
                      "tolerance must be finite and > 0, got 0", id="tolerance-config-key-zero"),
-        *(pytest.param({}, EVALUATE_SLOTS + ["--tolerance", value], f"tolerance must be finite and > 0, got {value}",
-                       id=f"tolerance-flag-{value}")
-          for value in ("0", "-1", "nan")),
+        *(pytest.param({"run.json": {"tolerance": value}}, EVALUATE_SLOTS + ["--config", "{d}/run.json"],
+                       f"tolerance must be finite and > 0, got {float(value)}", id=f"tolerance-config-key-{value}")
+          for value in (-1, float("nan"))),
         pytest.param({"coincident.json": COINCIDENT_REGISTRY},
                      EVALUATE_SLOTS[:3] + ["--truth-slots", "{d}/coincident.json"] + EVALUATE_SLOTS[5:],
                      "truth slot registry: more than half of its slot centers coincide with another, so the "
-                     "default match tolerance is 0; give --tolerance", id="coincident-truth-centers"),
+                     "default match tolerance is 0; set \"tolerance\" in the run config", id="coincident-truth-centers"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, files, argv, names):

@@ -5,7 +5,6 @@ import pytest
 
 from parkscan.config import (
     RunConfig,
-    apply_overrides,
     load_run_config,
     run_config_from_document,
 )
@@ -45,15 +44,6 @@ def test_missing_n_bottom_raises_at_detection_time():
         cfg.slot_detection_config()
 
 
-def test_flag_overrides_beat_config_keys():
-    cfg = run_config_from_document({"n_bottom": 12, "threshold": 0.4})
-    merged = apply_overrides(cfg, n_bottom=44, threshold=None, min_confidence=0.7)
-    assert merged.n_bottom == 44  # flag wins
-    assert merged.threshold == 0.4  # absent flag keeps config value
-    assert merged.det_filter.min_confidence == 0.7
-    assert merged.det_filter.allowed_classes == {"car", "truck"}
-
-
 def test_invalid_documents_rejected():
     with pytest.raises(ConfigError):
         run_config_from_document({"filter": {"classes": []}})
@@ -62,7 +52,7 @@ def test_invalid_documents_rejected():
     with pytest.raises(ConfigError):
         run_config_from_document([1, 2, 3])
     with pytest.raises(ConfigError):
-        apply_overrides(RunConfig(), min_confidence=3.0)
+        run_config_from_document({"filter": {"min_confidence": 3.0}})
 
 
 def test_load_run_config_file_errors(tmp_path):

@@ -311,8 +311,13 @@ def test_write_records_matches_json_dumps_byte_for_byte(records):
     assert buf.getvalue() == ref.getvalue()
 
 
-# Records as the writer writes them: only ERROR records carry a reason, and no score is NaN.
-_written = st.one_of(_scored.map(lambda r: r._replace(error=None)).filter(lambda r: r.score == r.score), _error)
+# Records as the writer writes them: every score is in [0, 1], and only ERROR records carry a
+# reason, a string.
+_written = st.one_of(
+    st.builds(lambda r, score: r._replace(score=score, error=None), _scored,
+              st.one_of(_edge_score.filter(lambda s: 0 <= s <= 1), st.floats(0.0, 1.0))),
+    _error.filter(lambda r: r.error is not None),
+)
 
 
 @given(records=st.lists(_written, max_size=30, unique_by=lambda r: (r.frame_id, r.slot_id)))

@@ -207,7 +207,7 @@ def test_slot_streams_stable_when_grid_grows():
 def test_passing_vehicles_sit_on_the_lane():
     cfg = small_config(occupancy_prob=0.0, passing_rate=2.0, frame_count=20)
     _, truth = generate_scenario(cfg)
-    lane_y = cfg.effective_lane_y
+    lane_y = (cfg.rows + 1.5) * cfg.slot_pitch  # one pitch below the last slot row
     passing = np.concatenate([v["cy"][v["kind"] == "passing"] for v in truth.vehicles])
     assert passing.size, "expected at least one passing vehicle at rate 2.0"
     assert (passing == lane_y).all()
@@ -402,7 +402,7 @@ _PARKED = {"cx": 0.0, "cy": 0.0, "w": 20.0, "h": 20.0, "kind": "parked"}
         ({"cy": float("inf")}, "cy must be finite"),
         ({"cx": True}, "cx must be a number, got True"),
         ({"kind": ["parked"]}, "kind must be a string, got ['parked']"),
-        ({"w": 10**400}, "int too large to convert to float"),
+        ({"w": 10**400}, "w is too large for a float"),
     ],
 )
 def test_truth_vehicle_faults_name_the_line_and_field(vehicle, message):
