@@ -574,6 +574,8 @@ SQUARE_HUGE_COORDINATE = [{"src": [10**400, 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]
                      "line 1: bad record (slot must be an integer, got 0.7)", id="score-slot-not-integer"),
         pytest.param({"scores.jsonl": {**F1_SLOT0_SCORE, "score": True}}, CLASSIFY_SCORES,
                      "line 1: bad record (score must be a number, got True)", id="score-is-boolean"),
+        pytest.param({"scores.jsonl": {**F1_SLOT0_SCORE, "score": 10**400}}, CLASSIFY_SCORES,
+                     "line 1: bad record (score is too large for a float)", id="score-beyond-float"),
         pytest.param({"slots.json": {"slots": [{**GOOD_REGISTRY["slots"][0], "id": 1.9}]}}, CLASSIFY,
                      "slot entry 0: bad entry (id must be an integer, got 1.9)", id="registry-id-not-integer"),
         pytest.param({"records.jsonl": {**SLOT2_RECORD, "slot": 0.7}}, EVALUATE,
@@ -646,9 +648,9 @@ SQUARE_HUGE_COORDINATE = [{"src": [10**400, 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]
               ("occupied-score-null", {"score": None}, "score must be a number, got None"),
               ("score-above-one", {"score": 7.5}, "score must be in [0, 1], got 7.5"),
               ("score-negative", {"score": -3}, "score must be in [0, 1], got -3"),
-              ("occupied-with-error", {"error": 5}, "an OCCUPIED record has no error, got 5"),
+              ("occupied-with-error", {"error": 5}, "only an ERROR record has an error, got 5"),
               ("vacant-with-error", {"status": "VACANT", "score": 0.1, "error": "x"},
-               "a VACANT record has no error, got 'x'"),
+               "only an ERROR record has an error, got 'x'"),
               ("error-with-score", {"status": "ERROR", "error": "x"}, "an ERROR record's score must be null, got 0.9"),
               ("error-without-reason", {"status": "ERROR", "score": None}, "error must be a string, got None"),
           ]),
