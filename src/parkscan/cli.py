@@ -1,5 +1,7 @@
 """Batch CLI: simulate, detect-slots, classify, evaluate, run-pipeline.
 
+Flags name files, the mode, plot output and the log level; every parameter
+lives in the run config (detect, classify, evaluate) or the scenario (simulate).
 Exit codes: 0 success, 2 usage/config/parse error, 3 data-content error.
 stdout carries machine-readable results; logs go to stderr.
 """
@@ -10,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import apply_overrides, config_echo, load_run_config
+from .config import config_echo, load_run_config
 from .detections import filter_detections, parse_detections, write_detections
 from .errors import ConfigError, ValidationError
 from .geometry import SingularProjectionError
@@ -63,8 +65,6 @@ def cmd_simulate(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario {args.scenario}: invalid JSON ({exc.msg})") from exc
     scenario = scenario_from_document(doc)
-    if args.seed is not None:
-        scenario = scenario_from_document({**doc, "seed": args.seed})
     frames, truth = generate_scenario(scenario)
 
     out_dir = Path(args.out_dir)
@@ -187,7 +187,7 @@ def evaluate_stage(pred, truth, table, gt, cfg, out, emit_plot_data: bool) -> No
         if tolerance == 0:
             raise ValidationError("truth_slots", "truth slot registry: more than half of its slot "
                                   "centers coincide with another, so the default match tolerance "
-                                  "is 0; give --tolerance")
+                                  "is 0; set \"tolerance\" in the run config")
     elif truth:
         # Single truth slot: fall back to half its smaller side.
         tolerance = min(truth[0].area.w, truth[0].area.h) / 2.0
@@ -245,22 +245,13 @@ def evaluate_stage(pred, truth, table, gt, cfg, out, emit_plot_data: bool) -> No
 # --- subcommands: read arguments and files, then run the stages ---------------
 
 def cmd_detect(args) -> int:
-    cfg = apply_overrides(
-        load_run_config(args.config),
-        n_bottom=args.n_bottom,
-        eps=args.eps,
-        min_points=args.min_points,
-        classes=args.classes.split(",") if args.classes else None,
-        min_confidence=args.min_confidence,
-    )
+    cfg = load_run_config(args.config)
     detect_stage(_read_detections(args.detections, cfg), cfg, args.out, args.emit_plot_data)
     return 0
 
 
 def cmd_classify(args) -> int:
-    cfg = apply_overrides(
-        load_run_config(args.config), threshold=args.threshold, iou_threshold=args.iou_threshold
-    )
+    cfg = load_run_config(args.config)
     slots = _read_registry(args.slots)
     truth = _read_truth(args.input) if args.mode == "oracle" else None
     classifier = _classifier(args.mode, args.input, truth, cfg)
@@ -273,7 +264,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs both --records and --truth-occupancy, or neither")
     pred = _read_registry(args.pred_slots)
     truth = _read_registry(args.truth_slots)
-    cfg = apply_overrides(load_run_config(args.config), tolerance=args.tolerance)
+    cfg = load_run_config(args.config)
     table = gt = None
     if args.records is not None:
         with open(args.records, encoding="utf-8") as fh:
@@ -287,9 +278,7 @@ def cmd_run_pipeline(args) -> int:
     """detect, classify and evaluate in one pass, reading each input file once."""
     if args.mode == "scores" and args.scores is None:
         raise ConfigError("run-pipeline --mode scores needs --scores")
-    cfg = apply_overrides(
-        load_run_config(args.config), n_bottom=args.n_bottom, tolerance=args.tolerance
-    )
+    cfg = load_run_config(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -329,18 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic scenario")
     p.add_argument("--scenario", required=True, help="scenario config JSON")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("detect-slots", help="discover slot locations from a detection log")
     p.add_argument("--detections", required=True)
     p.add_argument("--config", default=None, help="run config JSON")
     p.add_argument("--out", required=True, help="slot registry output path")
-    p.add_argument("--n-bottom", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--min-points", type=int, default=None)
-    p.add_argument("--min-confidence", type=float, default=None)
-    p.add_argument("--classes", default=None, help="comma-separated class allow-list")
     p.add_argument("--emit-plot-data", action="store_true")
     p.set_defaults(func=cmd_detect)
 
@@ -349,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["oracle", "scores"])
     p.add_argument("--input", required=True, help="ground-truth occupancy file (oracle) or score table (scores)")
     p.add_argument("--config", default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--iou-threshold", type=float, default=None)
     p.add_argument("--out-records", required=True)
     p.add_argument("--out-report", required=True)
     p.set_defaults(func=cmd_classify)
@@ -361,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", default=None, help="occupancy records to score")
     p.add_argument("--truth-occupancy", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--out", required=True, help="metrics report output path")
     p.add_argument("--emit-plot-data", action="store_true")
     p.set_defaults(func=cmd_evaluate)
@@ -373,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth-occupancy", required=True)
     p.add_argument("--mode", default="oracle", choices=["oracle", "scores"])
     p.add_argument("--scores", default=None)
-    p.add_argument("--n-bottom", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--emit-plot-data", action="store_true")
     p.set_defaults(func=cmd_run_pipeline)

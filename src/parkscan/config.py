@@ -1,6 +1,7 @@
 """Run configuration: one JSON document covering ingest, geometry, and thresholds.
 
-Precedence is CLI flag > config key > built-in default.  Example document:
+It is the only source of these parameters; a key left out takes its built-in
+default.  Example document:
 
     {
       "filter": {"classes": ["car", "truck"], "min_confidence": 0.5},
@@ -16,7 +17,7 @@ Precedence is CLI flag > config key > built-in default.  Example document:
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -57,7 +58,7 @@ class RunConfig:
 
     def slot_detection_config(self) -> SlotDetectionConfig:
         if self.n_bottom is None:
-            raise ConfigError('slot detection needs "n_bottom" (config key or --n-bottom)')
+            raise ConfigError('slot detection needs "n_bottom" in the run config')
         return SlotDetectionConfig(
             n_bottom=self.n_bottom,
             homography=self.homography,
@@ -85,7 +86,7 @@ def _checked(key: str, value):
         return None
     if key in _INTEGER_KEYS:
         return json_number(value, key, int)
-    return float(json_number(value, key))
+    return json_number(value, key)
 
 
 def run_config_from_document(doc: Mapping) -> RunConfig:
@@ -99,7 +100,7 @@ def run_config_from_document(doc: Mapping) -> RunConfig:
                             for key, value in [*doc.items(), *filter_doc.items()] if key != "filter"})
     except ValidationError as exc:
         raise ConfigError(f"invalid run config: {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run config value: {exc}") from exc
 
 
@@ -112,14 +113,6 @@ def load_run_config(path: Union[str, Path, None]) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: invalid JSON ({exc.msg}, line {exc.lineno})") from exc
     return run_config_from_document(doc)
-
-
-def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    """Apply non-None CLI overrides on top of a loaded config."""
-    try:
-        return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    except ValidationError as exc:
-        raise ConfigError(f"invalid override: {exc}") from exc
 
 
 def config_echo(cfg: RunConfig, eps: float, min_points: int) -> dict:

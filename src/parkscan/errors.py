@@ -28,10 +28,17 @@ def check_keys(doc, known, where: str) -> None:
 
 
 def json_number(value, what: str, kind=(int, float)):
-    """``value`` if it is a JSON number of ``kind`` (a bool is not one); else TypeError naming ``what``."""
+    """``value`` if it is a JSON integer and ``kind`` is ``int``, else ``float(value)`` if it is
+    a JSON number (a bool is neither). A TypeError or, for an integer too large for a float,
+    a ValueError names ``what``."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise TypeError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    return value
+    if kind is int:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def json_frame_id(value) -> str:

@@ -255,7 +255,7 @@ def normalize_point_cloud(points: np.ndarray) -> tuple[np.ndarray, float, Point2
 
 def _config_point(entry: Mapping, end: str) -> Point2:
     """``entry[end]`` of a correspondence; its first two values must be JSON numbers."""
-    return Point2(*(float(json_number(entry[end][i], f"{end} coordinate")) for i in (0, 1)))
+    return Point2(*(json_number(entry[end][i], f"{end} coordinate") for i in (0, 1)))
 
 
 def homography_from_config(spec: Mapping) -> Homography:
@@ -279,12 +279,12 @@ def homography_from_config(spec: Mapping) -> Homography:
     if "matrix" in spec:
         try:
             return Homography.from_flat([json_number(v, "matrix entry") for v in spec["matrix"]])
-        except (TypeError, OverflowError, ValidationError, NonInvertibleMatrixError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad homography matrix: {exc}") from exc
     pairs = spec["correspondences"]
     try:
         corr = [(_config_point(c, "src"), _config_point(c, "dst")) for c in pairs]
-    except (TypeError, KeyError, IndexError, OverflowError, ValidationError) as exc:
+    except (TypeError, KeyError, IndexError, ValueError) as exc:
         raise ConfigError(f"bad correspondence entry: {exc}") from exc
     try:
         return estimate_homography_dlt(corr)

@@ -299,7 +299,7 @@ class FileScoreClassifier(ClassifierAdapter):
             try:
                 key = (json_frame_id(record["frame"]), json_number(record["slot"], "slot", int))
                 score = json_number(record["score"], "score")
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError("score_table", f"line {line_no}: bad record ({exc})") from exc
             note_first_line(first_line, key, line_no, "score_table")
             table[key] = score
@@ -334,19 +334,31 @@ def write_records(stream: IO[str], records: Iterable[OccupancyRecord]) -> None:
 
 
 def read_records(stream: IO[str]) -> OccupancyTable:
-    """The occupancy records of a JSON-lines stream as a table, in file order. A (frame, slot)
-    key given twice is rejected, naming both lines."""
+    """The occupancy records of a JSON-lines stream as a table, in file order. Each record must
+    be one the writer writes: OCCUPIED and VACANT with a score in [0, 1] and no ``"error"``,
+    ERROR with a null score and a string ``"error"``. A (frame, slot) key given twice is
+    rejected, naming both lines."""
     frames, slots, first_line = {}, {}, {}
     frame, slot, score, status, errors = [], [], [], [], {}
     for line_no, raw in json_lines(stream, "records"):
         try:
             slot_id = json_number(raw["slot"], "slot", int)
             key = (json_frame_id(raw["frame"]), slot_id)
-            value = None if raw["score"] is None else json_number(raw["score"], "score")
             code = _CODE.get(raw["status"]) if isinstance(raw["status"], str) else None
             if code is None:
                 OccupancyStatus(raw["status"])  # not a status value: raises, naming it
-            error = raw.get("error")
+            value, error = raw["score"], raw.get("error")
+            if code == _ERROR:
+                if value is not None:
+                    raise ValueError(f"an ERROR record's score must be null, got {value!r}")
+                if not isinstance(error, str):
+                    raise TypeError(f"error must be a string, got {error!r}")
+            else:
+                if "error" in raw:
+                    raise ValueError(f"only an ERROR record has an error, got {error!r}")
+                value = json_number(value, "score")
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"score must be in [0, 1], got {raw['score']!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("records", f"line {line_no}: bad record ({exc})") from exc
         note_first_line(first_line, key, line_no, "records")

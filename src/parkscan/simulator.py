@@ -110,7 +110,6 @@ class ScenarioConfig:
     violation_sites: tuple[ViolationSite, ...] = ()
     camera: Union[str, tuple[float, ...]] = "identity"
     seed: int = 0
-    lane_y: Union[float, None] = None
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -151,13 +150,6 @@ class ScenarioConfig:
 
     def slot_center_ground(self, row: int, col: int) -> tuple[float, float]:
         return ((col + 0.5) * self.slot_pitch, (row + 0.5) * self.slot_pitch)
-
-    @property
-    def effective_lane_y(self) -> float:
-        # Default lane runs one pitch below the last slot row.
-        if self.lane_y is not None:
-            return self.lane_y
-        return (self.rows + 1.5) * self.slot_pitch
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,7 +357,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
     slot_ground = np.array([(cx, cy, slot_w, slot_h) for cx, cy in slot_centers])
     slot_boxes_image = [Box(*box) for box in _project_boxes(cam, slot_ground).tolist()]
 
-    lane_y = config.effective_lane_y
+    lane_y = (config.rows + 1.5) * config.slot_pitch  # one pitch below the last slot row
     lane_x_max = config.cols * config.slot_pitch
 
     bitgen = np.random.PCG64(0)  # re-seeded for every substream; one Generator draws from it
@@ -460,7 +452,8 @@ def write_ground_truth_occupancy(stream: IO[str], truth: GroundTruth) -> None:
 
 
 def _vehicle_array(entries: list) -> np.ndarray:
-    """A truth line's vehicles as a :data:`VEHICLE_DTYPE` array, after a type test per value."""
+    """A truth line's vehicles as a :data:`VEHICLE_DTYPE` array, after a type test per value;
+    an integer too large for a float raises a ValueError naming its field."""
     rows = []
     for row in map(_VEHICLE_ROW, entries):
         if not (JSON_NUMBER_TYPES.issuperset(map(type, row[:4])) and type(row[4]) is str):
@@ -468,7 +461,13 @@ def _vehicle_array(entries: list) -> np.ndarray:
                 json_number(value, name)
             raise TypeError(f"kind must be a string, got {row[4]!r}")
         rows.append(row)
-    return np.array(rows, VEHICLE_DTYPE)
+    try:
+        return np.array(rows, VEHICLE_DTYPE)
+    except OverflowError:
+        for row in rows:  # names the first integer too large for a float
+            for value, name in zip(row, _BOX_FIELDS):
+                json_number(value, name)
+        raise
 
 
 def _check_vehicles(vehicles: np.ndarray) -> None:
@@ -497,7 +496,7 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
             if not {bool}.issuperset(map(type, frame_bits)):
                 raise TypeError("occupancy bits must be true or false")
             frames.append(_vehicle_array(record["vehicles"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
         note_first_line(first_line, frame_id, line_no, "occupancy")
         occupancy.append(frame_bits)
@@ -525,11 +524,7 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
 
 def _finite(value, key: str) -> float:
     """``value`` as a float if it is a finite JSON number; else an error naming ``key``."""
-    json_number(value, key)
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ValidationError(key, f"{key} is too large for a float") from None
+    value = json_number(value, key)
     if not math.isfinite(value):
         raise ValidationError(key, f"{key} must be finite, got {value!r}")
     return value
@@ -575,7 +570,6 @@ def scenario_from_document(doc: Mapping) -> ScenarioConfig:
             violation_sites=sites,
             camera=camera,
             seed=json_number(doc.get("seed", 0), "seed", int),
-            lane_y=None if doc.get("lane_y") is None else _finite(doc["lane_y"], "lane_y"),
         )
     except ConfigError:
         raise

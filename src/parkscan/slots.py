@@ -240,11 +240,11 @@ def read_slot_registry(stream: IO[str]) -> list[ParkingSlot]:
         try:
             slot = ParkingSlot(
                 slot_id=json_number(entry["id"], "id", int),
-                area=Box(*(float(json_number(entry[k], k)) for k in ("cx", "cy", "w", "h"))),
-                spread=float(json_number(entry.get("spread", 0.0), "spread")),
+                area=Box(*(json_number(entry[k], k) for k in ("cx", "cy", "w", "h"))),
+                spread=json_number(entry.get("spread", 0.0), "spread"),
                 members=json_number(entry.get("members", 0), "members", int),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("slots", f"slot entry {index}: bad entry ({exc})") from exc
         if slot.slot_id in first_entry:
             raise ValidationError(
