@@ -684,6 +684,8 @@ SQUARE_HUGE_COORDINATE = [{"src": [10**400, 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]
         *(pytest.param({"run.json": {"tolerance": value}}, EVALUATE_SLOTS + ["--config", "{d}/run.json"],
                        f"tolerance must be finite and > 0, got {float(value)}", id=f"tolerance-config-key-{value}")
           for value in (-1, float("nan"))),
+        pytest.param({}, EVALUATE_SLOTS + ["--tolerance", "0"], "unrecognized arguments: --tolerance 0",
+                     id="tolerance-flag-0"),
         pytest.param({"coincident.json": COINCIDENT_REGISTRY},
                      EVALUATE_SLOTS[:3] + ["--truth-slots", "{d}/coincident.json"] + EVALUATE_SLOTS[5:],
                      "truth slot registry: more than half of its slot centers coincide with another, so the "
