@@ -193,6 +193,22 @@ def box_iou_scalar(a, b):
     return min(inter / union, 1.0)
 
 
+# --- input lines: the json.loads reader the scanner-fed one replaced, kept as the reference ---
+
+def json_lines_by_loads(stream, field):
+    """``(line number, object)`` for each non-blank line, one ``json.loads`` per line."""
+    for line_no, line in enumerate(stream, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(field, f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise ValidationError(field, f"line {line_no}: record must be a JSON object")
+        yield line_no, record
+
+
 # --- occupancy: the per-record loops the array code replaced, kept as references ----------
 
 def write_records_by_dumps(stream, records):
@@ -231,6 +247,16 @@ def classify_frame_per_slot(slots, frame_id, classifier, threshold):
             continue
         records.append(OccupancyRecord(slot.slot_id, frame_id, None, OccupancyStatus.ERROR, error))
     return records
+
+
+def report_text_by_dumps(report):
+    """The per-frame report document, as ``json.dumps(doc, sort_keys=True, indent=2)`` writes it."""
+    doc = {
+        fid: {"occupied": rep.occupied, "vacant": rep.vacant, "vacant_slots": list(rep.vacant_slots),
+              "error_slots": list(rep.error_slots)}
+        for fid, rep in report.items()
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def aggregate_report_by_rescan(records):

@@ -491,6 +491,8 @@ SINGULAR_RUN_CONFIG = {"n_bottom": 1, "homography": {"matrix": [1, 0, 0, 0, 1, 0
 NUMERIC_FRAME = 'line 1: bad record ("frame" must be a non-empty string, got 5)'
 SITE = {"x": 10.0, "y": 20.0, "center_spread_sigma": 4.0}
 SLOT0_RECORD = {"frame": "f1", "slot": 0, "score": 0.9, "status": "OCCUPIED"}
+DEEP = b"[" * 100_000 + b"]" * 100_000  # past any recursion limit of the JSON decoder
+F1_SLOT0_LINE = json.dumps(F1_SLOT0_SCORE).encode() + b"\n"
 EVALUATE_SLOTS = EVALUATE[:5] + EVALUATE[9:]  # slots only: no records, no truth occupancy
 # The first two slots coincide, so the median nearest-neighbour distance is 0.
 COINCIDENT_REGISTRY = {"slots": [{**GOOD_REGISTRY["slots"][0], "id": i, "cx": cx} for i, cx in enumerate((0, 0, 100))]}
@@ -582,6 +584,21 @@ SQUARE_HUGE_COORDINATE = [{"src": [10**400, 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]
                      "line 1: bad record (slot must be an integer, got 0.7)", id="record-slot-not-integer"),
         pytest.param({"records.jsonl": {**SLOT2_RECORD, "score": True}}, EVALUATE,
                      "line 1: bad record (score must be a number, got True)", id="record-score-is-boolean"),
+        pytest.param({"scores.jsonl": [F1_SLOT0_SCORE, {**F1_SLOT0_SCORE, "slot": 1, "score": 1.5}]},
+                     CLASSIFY_SCORES, "line 2: bad record (score must be in [0, 1], got 1.5)",
+                     id="score-out-of-range"),
+        *(pytest.param({"d.jsonl": THREE_DETECTIONS, "run.json": {"n_bottom": 1}, name: data}, argv, message,
+                       id=f"nested-too-deeply-{case}")
+          for case, name, argv, data, message in [
+              ("detection-line", "d.jsonl", DETECT, b'{"frame": "f1", "dets": ' + DEEP + b"}\n",
+               "line 1: invalid JSON (nested too deeply)"),
+              ("score-table-line", "scores.jsonl", CLASSIFY_SCORES, F1_SLOT0_LINE + b'{"frame": ' + DEEP + b"}\n",
+               "line 2: invalid JSON (nested too deeply)"),
+              ("registry", "slots.json", CLASSIFY, b'{"slots": ' + DEEP + b"}",
+               "slot registry: invalid JSON (nested too deeply)"),
+              ("run-config", "run.json", DETECT, DEEP, "invalid JSON (nested too deeply)"),
+              ("scenario", "scenario.json", SIMULATE, DEEP, "invalid JSON (nested too deeply)"),
+          ]),
         pytest.param({"scores.jsonl": {**F1_SLOT0_SCORE, "frame": 5}}, CLASSIFY_SCORES,
                      NUMERIC_FRAME, id="score-frame-not-string"),
         pytest.param({"records.jsonl": {**SLOT2_RECORD, "frame": 5}}, EVALUATE,

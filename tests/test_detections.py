@@ -63,6 +63,14 @@ def test_parse_rejects_malformed_records(bad_line):
     assert exc.value.field == "detections" and str(exc.value).startswith("line 1: ")
 
 
+def test_first_fault_is_named_entry_by_entry():
+    good = {"cx": 1, "cy": 2, "w": 5, "h": 5, "cls": "car", "conf": 0.9}
+    line = json.dumps({"frame": "f1", "dets": [good, {**good, "cx": True}, {**good, "cls": 5}]})
+    with pytest.raises(ValidationError) as exc:  # a check of the cls column first would name cls
+        parse_detections(io.StringIO(line))
+    assert str(exc.value) == 'line 1: detection field "cx" must be a number'
+
+
 def test_detection_invariants():
     for row, name in [
         (det(w=-1.0), "width"),

@@ -14,6 +14,7 @@ from helpers import (
     box_iou_scalar,
     classify_frame_per_slot,
     occupancy_join_by_loop,
+    report_text_by_dumps,
     write_records_by_dumps,
 )
 from parkscan import occupancy
@@ -23,6 +24,7 @@ from parkscan.occupancy import (
     ClassifierAdapter,
     DuplicateRecordError,
     FileScoreClassifier,
+    FrameReport,
     GeometricOracleClassifier,
     MissingGroundTruthError,
     OccupancyRecord,
@@ -215,6 +217,34 @@ def test_file_scores_from_stream():
     assert clf.classify("f2", [make_slot(1)]) == [1.0]
 
 
+def test_file_scores_name_a_repeated_key_before_a_later_bad_line():
+    lines = [{"frame": "f1", "slot": 0, "score": 0.5}, {"frame": "f1", "slot": 0, "score": 0.5},
+             {"frame": "f1", "slot": 1, "score": 1.5}]
+    with pytest.raises(ValidationError) as exc:
+        FileScoreClassifier.from_stream(io.StringIO("".join(json.dumps(line) + "\n" for line in lines)))
+    assert str(exc.value) == "line 2: frame 'f1', slot 0 repeats line 1"
+
+
+_table_frame = st.sampled_from(["f1", "f2", "f10", "\u2028", 'a"b'])
+_table_slot = st.sampled_from([0, 1, 2, 40, -5, 2**64])
+
+
+@given(table=st.dictionaries(st.tuples(_table_frame, _table_slot), st.floats(0.0, 1.0), max_size=20),
+       frame_ids=st.lists(st.one_of(_table_frame, st.just("unknown")), max_size=6),
+       slot_ids=st.lists(st.one_of(_table_slot, st.just(7)), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_file_scores_score_frames_match_a_lookup_per_slot(table, frame_ids, slot_ids):
+    slots = [make_slot(i) for i in slot_ids]
+    expected = np.array([[table.get((f, i), math.nan) for i in slot_ids] for f in frame_ids], float)
+    text = "".join(json.dumps({"frame": f, "slot": i, "score": v}) + "\n" for (f, i), v in table.items())
+    for clf in (FileScoreClassifier(table), FileScoreClassifier.from_stream(io.StringIO(text))):
+        scores, failed = clf.score_frames(frame_ids, slots)
+        assert failed == {}
+        assert scores.reshape(len(frame_ids), len(slots)).tobytes() == expected.tobytes()
+        assert [repr(clf.classify(f, slots)) for f in frame_ids] == [repr(row) for row in expected.tolist()]
+        assert clf.frames() == sorted({f for f, _ in table})
+
+
 # --- aggregation ------------------------------------------------------------
 
 def rec(frame, slot, status, score=0.5):
@@ -336,6 +366,18 @@ def test_read_records_rejects_a_repeated_key():
         read_records(io.StringIO("".join(json.dumps(line) + "\n" for line in lines)))
     assert exc.value.field == "records"
     assert str(exc.value) == "line 3: frame 'f1', slot 0 repeats line 1"
+
+
+_frame_report = st.builds(
+    lambda occupied, vacant, errors: FrameReport(occupied, len(vacant), tuple(vacant), tuple(errors)),
+    st.integers(0, 10**6), *[st.lists(st.integers(-(2**40), 2**40), max_size=4)] * 2,
+)
+
+
+@given(report=st.dictionaries(_frame_id, _frame_report, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_report_json_matches_json_dumps_byte_for_byte(report):
+    assert occupancy.report_json(report) == report_text_by_dumps(report)
 
 
 @given(records=st.lists(st.one_of(_scored, _error), max_size=30))
