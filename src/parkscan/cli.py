@@ -33,6 +33,7 @@ from .occupancy import (
     MissingGroundTruthError,
     classify_frames,
     read_records,
+    report_json,
 )
 from .simulator import (
     generate_scenario,
@@ -64,6 +65,8 @@ def cmd_simulate(args) -> int:
         doc = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario {args.scenario}: invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise ConfigError(f"scenario {args.scenario}: invalid JSON (nested too deeply)") from None
     scenario = scenario_from_document(doc)
     frames, truth = generate_scenario(scenario)
 
@@ -160,16 +163,7 @@ def classify_stage(slots, classifier, threshold, frame_ids, out_records, out_rep
     report = table.report()
     with open(out_records, "w", encoding="utf-8") as fh:
         table.write(fh)
-    doc = {
-        fid: {
-            "occupied": rep.occupied,
-            "vacant": rep.vacant,
-            "vacant_slots": list(rep.vacant_slots),
-            "error_slots": list(rep.error_slots),
-        }
-        for fid, rep in report.items()
-    }
-    _write_text(out_report, _json_dumps(doc))
+    _write_text(out_report, report_json(report))
     errors = sum(len(rep.error_slots) for rep in report.values())
     print(json.dumps({"frames": len(report), "records": len(table.score), "errors": errors}, sort_keys=True))
     return table

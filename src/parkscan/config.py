@@ -112,6 +112,8 @@ def load_run_config(path: Union[str, Path, None]) -> RunConfig:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: invalid JSON ({exc.msg}, line {exc.lineno})") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path}: invalid JSON (nested too deeply)") from None
     return run_config_from_document(doc)
 
 

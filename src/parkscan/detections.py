@@ -15,6 +15,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import IO, Iterable, Union
 
 import numpy as np
@@ -25,6 +26,8 @@ DETECTION_DTYPE = np.dtype(
     [("cx", float), ("cy", float), ("w", float), ("h", float), ("conf", float), ("cls", object)]
 )
 _NUMBER_FIELDS = ("cx", "cy", "w", "h", "conf")
+_ROW = itemgetter(*DETECTION_DTYPE.names)  # an entry's values in row order, ``cls`` last
+_COLUMN_TYPES = (JSON_NUMBER_TYPES,) * len(_NUMBER_FIELDS) + (frozenset((str,)),)
 
 
 def _check(values: np.ndarray, ok: np.ndarray, name: str, message: str) -> None:
@@ -102,20 +105,24 @@ def _number(record: dict, key: str, line: int) -> float:
 
 
 def _frame_array(entries: list, line: int) -> np.ndarray:
-    """The log's detection entries as one structured array. An entry's first fault is
-    named in this order: not an object, ``cls``, then ``cx`` to ``conf``; an integer
-    too large for a float is named after every type fault of the line."""
-    rows = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise _log_error(line, "detection entries must be objects")
-        cls = entry.get("cls")
-        if not isinstance(cls, str):
-            raise _log_error(line, '"cls" must be a string')
-        numbers = tuple(map(entry.get, _NUMBER_FIELDS))
-        if not JSON_NUMBER_TYPES.issuperset(map(type, numbers)):
-            numbers = [_number(entry, name, line) for name in _NUMBER_FIELDS]
-        rows.append((*numbers, cls))
+    """The log's detection entries as one structured array. Their types are tested a column at
+    a time; only on a fault are the entries tested one by one, so that an entry's first fault
+    is named in this order: not an object, ``cls``, then ``cx`` to ``conf``; an integer too
+    large for a float is named after every type fault of the line."""
+    try:
+        rows = list(map(_ROW, entries))
+    except (KeyError, TypeError):  # a field is missing, or an entry is not an object
+        rows = None
+    if rows is None or not all(kinds.issuperset(map(type, column))
+                               for kinds, column in zip(_COLUMN_TYPES, zip(*rows))):
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise _log_error(line, "detection entries must be objects")
+            if not isinstance(entry.get("cls"), str):
+                raise _log_error(line, '"cls" must be a string')
+            if not JSON_NUMBER_TYPES.issuperset(map(type, map(entry.get, _NUMBER_FIELDS))):
+                for name in _NUMBER_FIELDS:
+                    _number(entry, name, line)
     try:
         return np.array(rows, DETECTION_DTYPE)
     except OverflowError:

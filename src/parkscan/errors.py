@@ -4,6 +4,7 @@ import json
 from typing import IO, Iterator, Mapping
 
 JSON_NUMBER_TYPES = frozenset((int, float))  # the exact types of json.loads numbers; bool is not one
+_raw_decode = json.JSONDecoder().raw_decode  # json.loads without its BOM and whitespace checks
 
 
 class ValidationError(ValueError):
@@ -52,17 +53,25 @@ def json_lines(stream: IO[str], field: str) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line of a JSON-lines text stream.
 
     The stream is read one line at a time and split at newlines only, so a raw
-    U+2028 inside a JSON string stays part of its line.  A line that is not
-    valid JSON, or not a JSON object, raises :class:`ValidationError` on
-    ``field`` with a ``line N:`` prefix.
+    U+2028 inside a JSON string stays part of its line.  A line that is one JSON
+    value and its newline is decoded by the scanner alone, any other by ``json.loads``.
+    A line that is not valid JSON, or not a JSON object, raises :class:`ValidationError`
+    on ``field`` with a ``line N:`` prefix.
     """
     for line_no, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
         try:
-            record = json.loads(line)
+            try:
+                record, end = _raw_decode(line)
+                if line[end:] not in ("\n", ""):
+                    raise ValueError
+            except ValueError:
+                if not line.strip():
+                    continue
+                record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(field, f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        except RecursionError:
+            raise ValidationError(field, f"line {line_no}: invalid JSON (nested too deeply)") from None
         if not isinstance(record, dict):
             raise ValidationError(field, f"line {line_no}: record must be a JSON object")
         yield line_no, record

@@ -88,6 +88,18 @@ class FrameReport:
     error_slots: tuple[int, ...] = ()
 
 
+def report_json(report: Mapping[str, FrameReport]) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline for the per-frame report
+    document, built from json's own encoders: frame ids in string order, and ``[]`` for no slots."""
+    def slot_list(ids):
+        return "[" + ",".join([f"\n      {sid!r}" for sid in ids]) + "\n    ]" if ids else "[]"
+    return "{" + ",".join([
+        f'\n  {encode_basestring_ascii(fid)}: {{\n    "error_slots": {slot_list(rep.error_slots)},\n'
+        f'    "occupied": {rep.occupied!r},\n    "vacant": {rep.vacant!r},\n'
+        f'    "vacant_slots": {slot_list(rep.vacant_slots)}\n  }}' for fid, rep in sorted(report.items())
+    ]) + ("\n}\n" if report else "}\n")
+
+
 def _factorize(values: Sequence) -> tuple[list, np.ndarray]:
     """The distinct values in order of first appearance, and each value's index among them."""
     index = {value: i for i, value in enumerate(dict.fromkeys(values))}
@@ -277,39 +289,71 @@ class GeometricOracleClassifier(ClassifierAdapter):
 
 
 class FileScoreClassifier(ClassifierAdapter):
-    """Replays externally computed scores keyed by (frame, slot)."""
+    """Replays externally computed scores keyed by (frame, slot), held as columns sorted by
+    key: a frame's index times the number of slot ids plus the slot's index."""
 
     def __init__(self, table: Mapping[tuple[str, int], float]):
         for key, score in table.items():
             if not (isinstance(score, (int, float)) and 0.0 <= score <= 1.0):
-                raise ValidationError(
-                    "score", f"score for {key!r} must be in [0, 1], got {score!r}"
-                )
-        self._table = dict(table)
+                raise ValidationError("score", f"score for {key!r} must be in [0, 1], got {score!r}")
+        self._index(*(zip(*table) if table else [(), ()]), list(table.values()), ())
+
+    def _index(self, frames: Sequence[str], slots: Sequence[int], scores: list, lines: Sequence) -> None:
+        """Hold the rows as columns; a key given twice raises, naming the lines of its first repeat."""
+        (self._frame_ids, frame), (slot_ids, slot) = _factorize(frames), _factorize(slots)
+        self._frame_row = {fid: i for i, fid in enumerate(self._frame_ids)}
+        self._slot_col = {sid: j for j, sid in enumerate(slot_ids)}
+        key = frame * len(slot_ids) + slot
+        order = np.argsort(key, kind="stable")
+        self._key = np.append(key[order], np.iinfo(np.intp).max)  # above every key: a search ends on a row
+        self._score = np.append(np.array(scores, float)[order], math.nan)
+        repeats = order[1:][self._key[1:-1] == self._key[:-2]]
+        if repeats.size:
+            row = repeats.min()
+            first = order[np.searchsorted(self._key, key[row])]
+            raise ValidationError("score_table", f"line {lines[row]}: frame {frames[row]!r}, slot "
+                                  f"{slots[row]} repeats line {lines[first]}")
 
     @classmethod
     def from_stream(cls, stream: IO[str]) -> "FileScoreClassifier":
-        """Load a line-delimited table: {"frame": str, "slot": int, "score": num}.
+        """Load a line-delimited table: {"frame": str, "slot": int, "score": num in [0, 1]}.
 
         A (frame, slot) key given twice is rejected, naming both lines.
         """
-        table = {}
-        first_line = {}
-        for line_no, record in json_lines(stream, "score_table"):
-            try:
-                key = (json_frame_id(record["frame"]), json_number(record["slot"], "slot", int))
-                score = json_number(record["score"], "score")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError("score_table", f"line {line_no}: bad record ({exc})") from exc
-            note_first_line(first_line, key, line_no, "score_table")
-            table[key] = score
-        return cls(table)
+        table, frame_ids, columns = cls.__new__(cls), {}, ([], [], [], [])
+        frames, slots, scores, lines = columns
+        try:
+            for line_no, record in json_lines(stream, "score_table"):
+                try:
+                    frame_id = json_frame_id(record["frame"])
+                    slot_id = json_number(record["slot"], "slot", int)
+                    score = json_number(record["score"], "score")
+                    if not 0.0 <= score <= 1.0:
+                        raise ValueError(f"score must be in [0, 1], got {record['score']!r}")
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValidationError("score_table", f"line {line_no}: bad record ({exc})") from exc
+                frames.append(frame_ids.setdefault(frame_id, frame_id))  # one string per frame id
+                slots.append(slot_id)
+                scores.append(score)
+                lines.append(line_no)
+        finally:  # also after a bad line, so that a key repeated before it is named first
+            table._index(*columns)
+        return table
 
     def frames(self) -> list[str]:
-        return sorted({frame for frame, _ in self._table})
+        return sorted(self._frame_ids)
 
     def classify(self, frame_id: str, slots: Sequence[ParkingSlot]) -> list[float]:
-        return [self._table.get((frame_id, s.slot_id), math.nan) for s in slots]
+        return self.score_frames([frame_id], slots)[0][0].tolist()
+
+    def score_frames(self, frame_ids, slots):
+        """Each (frame, slot) score by a binary search of the sorted keys, NaN where the table
+        has none; no frame fails."""
+        rows = np.array([self._frame_row.get(fid, -1) for fid in frame_ids], np.intp)[:, None]
+        cols = np.array([self._slot_col.get(s.slot_id, -1) for s in slots], np.intp)
+        keys = np.where((rows >= 0) & (cols >= 0), rows * len(self._slot_col) + cols, -1)
+        at = np.searchsorted(self._key, keys)
+        return np.where(self._key[at] == keys, self._score[at], math.nan), {}
 
 
 def aggregate_report(records: Iterable[OccupancyRecord]) -> dict[str, FrameReport]:

@@ -231,7 +231,10 @@ def slot_registry_document(slots: Iterable[ParkingSlot], config_echo: dict) -> d
 
 
 def read_slot_registry(stream: IO[str]) -> list[ParkingSlot]:
-    doc = json.load(stream)
+    try:
+        doc = json.load(stream)
+    except RecursionError:
+        raise ValidationError("slots", "slot registry: invalid JSON (nested too deeply)") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("slots"), list):
         raise ValidationError("slots", 'slot registry must be an object with a "slots" list')
     out = []
