@@ -240,7 +240,8 @@ def normalize_point_cloud(points: np.ndarray) -> tuple[np.ndarray, float, Point2
     The bounding box's longest side becomes exactly ``NORMALIZED_EXTENT``
     units; aspect ratio is preserved.  Returns ``(scaled, scale, offset)``
     with ``scaled = (points - offset) * scale``, so originals are recovered
-    as ``scaled / scale + offset``.  A cloud of identical points maps to the
+    as ``scaled / scale + offset``.  A cloud of identical points, or one so
+    tight that ``NORMALIZED_EXTENT / extent`` overflows a float, maps to the
     origin with scale 1.
     """
     pts = np.asarray(points, dtype=float)
@@ -248,9 +249,12 @@ def normalize_point_cloud(points: np.ndarray) -> tuple[np.ndarray, float, Point2
         raise ValueError(f"expected a non-empty (n, 2) array, got shape {pts.shape}")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
+    offset = Point2(float(lo[0]), float(lo[1]))
     extent = float((hi - lo).max())
-    scale = 1.0 if extent <= 0.0 else NORMALIZED_EXTENT / extent
-    return (pts - lo) * scale, scale, Point2(float(lo[0]), float(lo[1]))
+    scale = NORMALIZED_EXTENT / extent if extent > 0.0 else math.inf
+    if math.isinf(scale):
+        return np.zeros_like(pts), 1.0, offset
+    return (pts - lo) * scale, scale, offset
 
 
 def _config_point(entry: Mapping, end: str) -> Point2:

@@ -228,13 +228,17 @@ cloud_st = st.lists(
 
 
 @given(cloud=cloud_st)
+@example(cloud=[(0.0, 0.0), (0.0, 2.2250738585072014e-308)])
 @settings(max_examples=80)
 def test_normalize_point_cloud_properties(cloud):
     pts = np.array(cloud)
     scaled, scale, offset = normalize_point_cloud(pts)
 
     assert scaled.min() >= 0.0
-    extent = (pts.max(axis=0) - pts.min(axis=0)).max()
+    # A spread whose scale NORMALIZED_EXTENT / extent overflows counts as a point.
+    extent = float((pts.max(axis=0) - pts.min(axis=0)).max())
+    if extent > 0 and math.isinf(NORMALIZED_EXTENT / extent):
+        extent = 0.0
     if extent > 0:
         assert abs((scaled.max(axis=0) - scaled.min(axis=0)).max() - NORMALIZED_EXTENT) < 1e-9
     else:
