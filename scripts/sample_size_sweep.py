@@ -3,12 +3,15 @@
 
 Runs the detector on the chronologically first 30/50/80/100% of a simulated
 capture with fixed DBSCAN parameters and prints TP/FP/FN, precision, and
-recall per sample size.  With sparse occupancy the small subsets miss slots
+recall per sample size.  Each sample is simulated as a capture of its own
+length: the simulator keys its draws by frame index, so that capture is the
+full one's first frames.  With sparse occupancy the small subsets miss slots
 that have not accumulated min_points detections yet; recall climbs toward
 100% as frames accumulate while false positives stay flat.
 """
 
 import argparse
+from dataclasses import replace
 
 from parkscan.geometry import Point2, invert_homography
 from parkscan.metrics import default_match_tolerance, format_percent, match_slots, precision_recall
@@ -40,28 +43,28 @@ def main() -> int:
         camera="mild-tilt",
         seed=args.seed,
     )
-    frames, truth = generate_scenario(scenario)
-    truth_centers = [Point2(b.cx, b.cy) for b in truth.slots]
-    tolerance = default_match_tolerance(truth_centers)
     homography = invert_homography(camera_homography("mild-tilt"))
 
     print(f"{scenario.slot_count} slots, {args.frames} frames, "
           f"occupancy_prob={args.occupancy_prob}, min_points={args.min_points}\n")
     print(f"{'sample':>7} {'frames':>7} {'TP':>4} {'FP':>4} {'FN':>4} {'precision':>10} {'recall':>8}")
     for fraction in (0.30, 0.50, 0.80, 1.00):
-        subset = frames[: max(1, int(len(frames) * fraction))]
+        count = max(1, int(args.frames * fraction))
+        log, truth = generate_scenario(replace(scenario, frame_count=count))
+        truth_centers = [Point2(b.cx, b.cy) for b in truth.slots]
         outcome = run_slot_detection(
-            subset,
+            log,
             SlotDetectionConfig(
                 n_bottom=scenario.slot_count,
                 homography=homography,
                 min_points=args.min_points,
             ),
         )
-        match = match_slots([s.center for s in outcome.slots], truth_centers, tolerance)
+        match = match_slots([s.center for s in outcome.slots], truth_centers,
+                            default_match_tolerance(truth_centers))
         precision, recall = precision_recall(match.tp, match.fp, match.fn)
         print(
-            f"{fraction:>6.0%} {len(subset):>7} {match.tp:>4} {match.fp:>4} {match.fn:>4} "
+            f"{fraction:>6.0%} {count:>7} {match.tp:>4} {match.fp:>4} {match.fn:>4} "
             f"{format_percent(precision):>10} {format_percent(recall):>8}"
         )
     return 0

@@ -4,6 +4,7 @@ from .clustering import NOISE, ClusterAssignment, ClusterStats, DbscanParams, cl
 from .detections import (
     DETECTION_DTYPE,
     DetectionFilter,
+    DetectionLog,
     FrameDetections,
     filter_detections,
     parse_detections,

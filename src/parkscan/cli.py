@@ -68,12 +68,12 @@ def cmd_simulate(args) -> int:
     except RecursionError:
         raise ConfigError(f"scenario {args.scenario}: invalid JSON (nested too deeply)") from None
     scenario = scenario_from_document(doc)
-    frames, truth = generate_scenario(scenario)
+    detections, truth = generate_scenario(scenario)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "detections.jsonl", "w", encoding="utf-8") as fh:
-        write_detections(fh, frames)
+        write_detections(fh, detections)
     with open(out_dir / "slots_truth.json", "w", encoding="utf-8") as fh:
         write_ground_truth_slots(fh, truth)
     with open(out_dir / "occupancy_truth.jsonl", "w", encoding="utf-8") as fh:
@@ -118,9 +118,9 @@ def _classifier(mode, source, truth, cfg):
 
 # --- pipeline stages: objects in, the stage's files and stdout lines out ------
 
-def detect_stage(frames, cfg, out, emit_plot_data: bool):
-    """Find the slots in ``frames``; write the registry to ``out`` and print diagnostics."""
-    outcome = run_slot_detection(frames, cfg.slot_detection_config())
+def detect_stage(detections, cfg, out, emit_plot_data: bool):
+    """Find the slots in the ``detections`` log; write the registry to ``out`` and print diagnostics."""
+    outcome = run_slot_detection(detections, cfg.slot_detection_config())
 
     echo = config_echo(cfg, eps=outcome.eps, min_points=outcome.min_points)
     _write_text(out, _json_dumps(slot_registry_document(outcome.slots, echo)))
@@ -276,7 +276,7 @@ def cmd_run_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Only the slots outlive the detect stage: the frames and the clustering
+    # Only the slots outlive the detect stage: the detection log and the clustering
     # intermediates are freed before classification starts.
     slots = detect_stage(
         _read_detections(args.detections, cfg), cfg, out_dir / "slots.json", args.emit_plot_data

@@ -1,22 +1,22 @@
-"""Detection-log ingestion: parse, validate, and filter per-frame vehicle detections.
+"""Detection-log ingestion: parse, validate, and filter the vehicle detections of a log.
 
 Log format is line-delimited JSON, one frame per line:
 
     {"frame": "f000001", "ts": "2026-01-01T08:00:00", "dets":
         [{"cx": 10.0, "cy": 20.0, "w": 5.0, "h": 5.0, "cls": "car", "conf": 0.9}]}
 
-``ts`` is optional.  All coordinates are original-image pixels.  Each frame's
-boxes are held as one structured array with :data:`DETECTION_DTYPE` fields,
-one row per box.
+``ts`` is optional.  All coordinates are original-image pixels.  A log is one
+:class:`DetectionLog`: frame ids, timestamps, and every box in one read-only
+:data:`DETECTION_DTYPE` array with its frame's index, checked as each line is read.
 """
 
-import copy
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import IO, Iterable, Union
+from typing import IO, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -30,44 +30,40 @@ _ROW = itemgetter(*DETECTION_DTYPE.names)  # an entry's values in row order, ``c
 _COLUMN_TYPES = (JSON_NUMBER_TYPES,) * len(_NUMBER_FIELDS) + (frozenset((str,)),)
 
 
-def _check(values: np.ndarray, ok: np.ndarray, name: str, message: str) -> None:
+def _check(values: np.ndarray, ok: np.ndarray, name: str, message: str, line: int) -> None:
     bad = np.flatnonzero(~ok)
     if bad.size:
-        raise ValidationError(name, f"{message}, got {float(values[bad[0]])!r}")
+        raise ValidationError(name, f"line {line}: {message}, got {float(values[bad[0]])!r}")
+
+
+class FrameDetections(NamedTuple):
+    """One frame of a :class:`DetectionLog`: its id, its rows of the log's array, its timestamp."""
+
+    frame_id: str
+    detections: np.ndarray
+    timestamp: Union[str, None] = None
 
 
 @dataclass(frozen=True, eq=False)
-class FrameDetections:
-    """One frame's boxes: a read-only :data:`DETECTION_DTYPE` array, or rows
-    ``(cx, cy, w, h, conf, cls)`` to build one from."""
+class DetectionLog:
+    """Frame ids and timestamps in log order, and every box in one read-only
+    :data:`DETECTION_DTYPE` array, grouped by frame in log order: row ``i`` is in frame
+    ``frame_index[i]``, and a frame may have none.  Iterating yields each frame as a
+    :class:`FrameDetections` view, finding its rows only as it is reached."""
 
-    frame_id: str
-    detections: np.ndarray = field(default_factory=lambda: np.empty(0, DETECTION_DTYPE))
-    timestamp: Union[str, None] = None
+    frame_ids: tuple[str, ...]
+    timestamps: tuple[Union[str, None], ...]
+    frame_index: np.ndarray
+    detections: np.ndarray
 
     def __post_init__(self):
-        if not self.frame_id:
-            raise ValidationError("frame_id", "frame_id must be non-empty")
-        dets = self.detections
-        dets = np.asarray(dets if isinstance(dets, np.ndarray) else list(dets), DETECTION_DTYPE)
-        cx, cy, w, h, conf = (dets[name] for name in _NUMBER_FIELDS)
-        if not (np.isfinite([cx, cy, w, h]).all() and (w > 0).all() and (h > 0).all()
-                and ((conf >= 0.0) & (conf <= 1.0)).all()):  # one test; below, name the first fault
-            _check(cx, np.isfinite(cx), "x", "x coordinate must be finite")
-            _check(cy, np.isfinite(cy), "y", "y coordinate must be finite")
-            _check(w, np.isfinite(w) & (w > 0), "width", "width must be > 0")
-            _check(h, np.isfinite(h) & (h > 0), "height", "height must be > 0")
-            _check(conf, (conf >= 0.0) & (conf <= 1.0), "confidence", "confidence must be in [0, 1]")
-        dets.setflags(write=False)
-        object.__setattr__(self, "detections", dets)
+        self.frame_index.setflags(write=False)
+        self.detections.setflags(write=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, FrameDetections):
-            return NotImplemented
-        return (
-            (self.frame_id, self.timestamp) == (other.frame_id, other.timestamp)
-            and np.array_equal(self.detections, other.detections)
-        )
+    def __iter__(self) -> Iterator[FrameDetections]:
+        bounds = pairwise(map(self.frame_index.searchsorted, range(len(self.frame_ids) + 1)))
+        for frame_id, ts, (lo, hi) in zip(self.frame_ids, self.timestamps, bounds):
+            yield FrameDetections(frame_id, self.detections[lo:hi], ts)
 
 
 @dataclass(frozen=True)
@@ -105,10 +101,11 @@ def _number(record: dict, key: str, line: int) -> float:
 
 
 def _frame_array(entries: list, line: int) -> np.ndarray:
-    """The log's detection entries as one structured array. Their types are tested a column at
-    a time; only on a fault are the entries tested one by one, so that an entry's first fault
-    is named in this order: not an object, ``cls``, then ``cx`` to ``conf``; an integer too
-    large for a float is named after every type fault of the line."""
+    """A line's detection entries as one checked structured array. Their types are tested a
+    column at a time; only on a fault are the entries tested one by one, so that an entry's
+    first fault is named in this order: not an object, ``cls``, then ``cx`` to ``conf``; an
+    integer too large for a float is named after every type fault of the line. Value faults
+    are named last, by column: x, y, width, height, confidence."""
     try:
         rows = list(map(_ROW, entries))
     except (KeyError, TypeError):  # a field is missing, or an entry is not an object
@@ -124,23 +121,32 @@ def _frame_array(entries: list, line: int) -> np.ndarray:
                 for name in _NUMBER_FIELDS:
                     _number(entry, name, line)
     try:
-        return np.array(rows, DETECTION_DTYPE)
+        dets = np.array(rows, DETECTION_DTYPE)
     except OverflowError:
         for entry in entries:  # names the first integer too large for a float
             for name in _NUMBER_FIELDS:
                 _number(entry, name, line)
         raise
+    cx, cy, w, h, conf = (dets[name] for name in _NUMBER_FIELDS)
+    if not (np.isfinite([cx, cy, w, h]).all() and (w > 0).all() and (h > 0).all()
+            and ((conf >= 0.0) & (conf <= 1.0)).all()):  # one test; below, name the first fault
+        _check(cx, np.isfinite(cx), "x", "x coordinate must be finite", line)
+        _check(cy, np.isfinite(cy), "y", "y coordinate must be finite", line)
+        _check(w, np.isfinite(w) & (w > 0), "width", "width must be > 0", line)
+        _check(h, np.isfinite(h) & (h > 0), "height", "height must be > 0", line)
+        _check(conf, (conf >= 0.0) & (conf <= 1.0), "confidence", "confidence must be in [0, 1]", line)
+    return dets
 
 
-def parse_detections(stream: IO[str]) -> list[FrameDetections]:
-    """Parse a detection log text stream into frames, preserving record and detection order.
+def parse_detections(stream: IO[str]) -> DetectionLog:
+    """Parse a detection log text stream, preserving record and detection order.
 
     Malformed records and repeated frame ids raise :class:`ValidationError`
     on ``detections``; invariant violations raise it naming the field.  Every
     message starts ``line N:``.  Blank lines are ignored.
     """
-    frames = []
-    first_line = {}
+    first_line = {}  # frame id -> line number, in log order
+    timestamps, arrays = [], []
     for line_no, record in json_lines(stream, "detections"):
         try:
             frame_id = json_frame_id(record.get("frame"))
@@ -153,19 +159,18 @@ def parse_detections(stream: IO[str]) -> list[FrameDetections]:
         dets_raw = record.get("dets", [])
         if not isinstance(dets_raw, list):
             raise _log_error(line_no, '"dets" must be a list')
-        dets = _frame_array(dets_raw, line_no)
-        try:
-            frames.append(FrameDetections(frame_id, dets, ts))
-        except ValidationError as exc:
-            raise ValidationError(exc.field, f"line {line_no}: {exc}") from exc
-    return frames
+        timestamps.append(ts)
+        arrays.append(_frame_array(dets_raw, line_no))
+    frame_index = np.repeat(np.arange(len(arrays)), [len(dets) for dets in arrays])
+    detections = np.concatenate([np.empty(0, DETECTION_DTYPE), *arrays])
+    return DetectionLog(tuple(first_line), tuple(timestamps), frame_index, detections)
 
 
-def write_detections(stream: IO[str], frames: Iterable[FrameDetections]) -> None:
-    """Inverse of :func:`parse_detections` for valid frame lists: per frame, the line
-    ``json.dumps(record, sort_keys=True)`` gives, built from json's own encoders (keys
-    sorted, floats by ``repr`` as a frame's numbers are finite, strings ASCII-escaped)."""
-    for frame in frames:
+def write_detections(stream: IO[str], log: DetectionLog) -> None:
+    """Inverse of :func:`parse_detections`: per frame, the line ``json.dumps(record,
+    sort_keys=True)`` gives, built from json's own encoders (keys sorted, floats by
+    ``repr`` as a log's numbers are finite, strings ASCII-escaped)."""
+    for frame in log:
         dets = ", ".join([f'{{"cls": {encode_basestring_ascii(cls)}, "conf": {conf!r}, "cx": {cx!r}, '
                           f'"cy": {cy!r}, "h": {h!r}, "w": {w!r}}}'
                           for cx, cy, w, h, conf, cls in frame.detections.tolist()])
@@ -173,30 +178,22 @@ def write_detections(stream: IO[str], frames: Iterable[FrameDetections]) -> None
         stream.write(f'{{"dets": [{dets}], "frame": {encode_basestring_ascii(frame.frame_id)}{ts}}}\n')
 
 
-def serialize_detections(frames: Iterable[FrameDetections]) -> str:
+def serialize_detections(log: DetectionLog) -> str:
     """The detection log :func:`write_detections` writes, as one string."""
     buf = io.StringIO()
-    write_detections(buf, frames)
+    write_detections(buf, log)
     return buf.getvalue()
 
 
-def filter_detections(
-    frames: Iterable[FrameDetections], det_filter: DetectionFilter
-) -> list[FrameDetections]:
+def filter_detections(log: DetectionLog, det_filter: DetectionFilter) -> DetectionLog:
     """Keep detections passing the class/confidence filter.
 
     Frames that end up empty are retained: the frame count feeds the
     clustering min-points default and must reflect elapsed capture time.
     """
-    out = []
-    for f in frames:
-        dets = f.detections
-        allowed = np.zeros(len(dets), dtype=bool)
-        for cls in det_filter.allowed_classes:
-            allowed |= dets["cls"] == cls
-        keep = allowed & (dets["conf"] >= det_filter.min_confidence)
-        kept = copy.copy(f)  # a copy runs no __post_init__: these rows were checked when f was made
-        object.__setattr__(kept, "detections", dets[keep])
-        kept.detections.setflags(write=False)
-        out.append(kept)
-    return out
+    dets = log.detections
+    allowed = np.zeros(len(dets), dtype=bool)
+    for cls in det_filter.allowed_classes:
+        allowed |= dets["cls"] == cls
+    keep = allowed & (dets["conf"] >= det_filter.min_confidence)
+    return DetectionLog(log.frame_ids, log.timestamps, log.frame_index[keep], dets[keep])

@@ -32,9 +32,9 @@ derivation takes each entropy element after the seed as one 32-bit word,
 which is why ``rows``, ``cols`` and ``frame_count`` stay below 2**32.
 
 Frames are generated per substream block too: after a block's draws, its
-boxes are projected in one call into one vehicle and one detection array,
-and each frame holds read-only row views of them.  The block size changes
-no output byte.
+boxes are projected in one call into one vehicle and one detection array;
+each frame's truth views rows of the first, and the log joins the second.
+The block size changes no output byte.
 """
 
 import json
@@ -47,7 +47,7 @@ from typing import IO, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .detections import DETECTION_DTYPE, FrameDetections
+from .detections import DETECTION_DTYPE, DetectionLog
 from .errors import (
     JSON_NUMBER_TYPES, ConfigError, ValidationError, check_keys, json_frame_id, json_lines, json_number,
     note_first_line,
@@ -342,12 +342,11 @@ def _block_arrays(cam: Homography, ground: list, kinds: list, emitted: list,
     vehicles["kind"] = np.array(kinds, dtype=object)
     dets["conf"] = confs
     dets["cls"] = "car"
-    for array in (vehicles, dets):
-        array.setflags(write=False)
+    vehicles.setflags(write=False)
     return vehicles, dets
 
 
-def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], GroundTruth]:
+def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth]:
     cam = camera_homography(config.camera)
     slot_w, slot_h = config.slot_size
     w_floor, h_floor = 0.2 * slot_w, 0.2 * slot_h  # noisy sizes stay positive; binds only for huge sigmas
@@ -363,9 +362,9 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
     bitgen = np.random.PCG64(0)  # re-seeded for every substream; one Generator draws from it
     rng = np.random.Generator(bitgen)
 
-    frames = []
     occupancy = []
     vehicles_all = []
+    dets_all, det_counts = [], []  # each block's detections, and its frames' detection counts
     for block in _frame_substreams(config):
         ground: list[tuple[float, float, float, float]] = []  # each vehicle's ground box, in draw order
         kinds: list[str] = []
@@ -409,18 +408,23 @@ def generate_scenario(config: ScenarioConfig) -> tuple[list[FrameDetections], Gr
         vehicle_ends, detection_ends = zip(*ends)
         vehicles, dets = _block_arrays(cam, ground, kinds, emitted, vehicle_ends)
         vehicles_all.extend(np.split(vehicles, vehicle_ends[:-1]))
-        for frame_dets in np.split(dets, detection_ends[:-1]):
-            f = len(frames)
-            ts = (_BASE_TIMESTAMP + f * _SAMPLE_INTERVAL).isoformat()
-            frames.append(FrameDetections(f"f{f:06d}", frame_dets, ts))
+        dets_all.append(dets)
+        det_counts.append(np.diff(detection_ends, prepend=0))
 
+    frames = range(config.frame_count)
+    log = DetectionLog(
+        frame_ids=tuple(f"f{f:06d}" for f in frames),
+        timestamps=tuple((_BASE_TIMESTAMP + f * _SAMPLE_INTERVAL).isoformat() for f in frames),
+        frame_index=np.repeat(frames, np.concatenate(det_counts)),
+        detections=np.concatenate(dets_all),
+    )
     truth = GroundTruth(
-        frame_ids=tuple(frame.frame_id for frame in frames),
+        frame_ids=log.frame_ids,
         slots=tuple(slot_boxes_image),
         occupancy=tuple(occupancy),
         vehicles=tuple(vehicles_all),
     )
-    return frames, truth
+    return log, truth
 
 
 # --- ground truth files ---------------------------------------------------

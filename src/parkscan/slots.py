@@ -16,7 +16,7 @@ from typing import IO, Iterable, Sequence, Union
 import numpy as np
 
 from .clustering import NOISE, DbscanParams, cluster_stats, dbscan
-from .detections import FrameDetections
+from .detections import DetectionLog
 from .errors import ValidationError, json_number
 from .geometry import (
     Box,
@@ -140,16 +140,12 @@ def select_n_bottom(
     return ranked[:n_bottom], len(candidates) < n_bottom
 
 
-def run_slot_detection(
-    frames: Sequence[FrameDetections], config: SlotDetectionConfig
-) -> SlotDetectionOutcome:
-    if sum(len(f.detections) for f in frames) == 0:
+def run_slot_detection(log: DetectionLog, config: SlotDetectionConfig) -> SlotDetectionOutcome:
+    if len(log.detections) == 0:
         raise EmptyInputError("no detections in any input frame")
-    cx, cy, widths, heights = (
-        np.concatenate([f.detections[name] for f in frames]) for name in ("cx", "cy", "w", "h")
-    )
+    cx, cy, widths, heights = (log.detections[name] for name in ("cx", "cy", "w", "h"))
     # Canonical point order (cx, then cy, w, h): downstream means and cluster
-    # ids then depend only on the multiset of detections, not on frame ordering.
+    # ids then depend only on the multiset of detections, not on their order.
     order = np.lexsort((heights, widths, cy, cx))
     centers = np.column_stack((cx[order], cy[order]))
     widths, heights = widths[order], heights[order]
@@ -159,7 +155,7 @@ def run_slot_detection(
 
     eps = DEFAULT_EPS if config.eps is None else float(config.eps)
     min_points = (
-        default_min_points(len(frames)) if config.min_points is None else int(config.min_points)
+        default_min_points(len(log.frame_ids)) if config.min_points is None else int(config.min_points)
     )
     assignment = dbscan(normalized, DbscanParams(eps=eps, min_points=min_points))
     noise_points = int((assignment.labels == NOISE).sum())

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from parkscan.detections import DETECTION_DTYPE
+from parkscan.detections import DETECTION_DTYPE, DetectionLog
 from parkscan.errors import ValidationError
 from parkscan.occupancy import FrameReport, OccupancyRecord, OccupancyStatus
 from parkscan.simulator import VEHICLE_DTYPE
@@ -304,12 +304,28 @@ def seed_sequence_stream(seed, frame_index, stream, *key):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+# --- detection logs -------------------------------------------------------------------------
+
+def detection_log(frames):
+    """A :class:`DetectionLog` of ``frames``, each a ``FrameDetections`` whose detections are a
+    :data:`DETECTION_DTYPE` array or ``(cx, cy, w, h, conf, cls)`` rows; like the simulator's
+    log, its boxes are not checked."""
+    frames = list(frames)
+    arrays = [np.array(frame.detections, DETECTION_DTYPE) for frame in frames]
+    return DetectionLog(
+        frame_ids=tuple(frame.frame_id for frame in frames),
+        timestamps=tuple(frame.timestamp for frame in frames),
+        frame_index=np.repeat(np.arange(len(frames)), [len(dets) for dets in arrays]),
+        detections=np.concatenate([np.empty(0, DETECTION_DTYPE), *arrays]),
+    )
+
+
 # --- simulator outputs: the json.dumps writers the line formatters replaced, kept as references ---
 
-def serialize_detections_by_dumps(frames):
+def serialize_detections_by_dumps(log):
     """A detection log as one string, one ``json.dumps(record, sort_keys=True)`` per frame."""
     lines = []
-    for frame in frames:
+    for frame in log:
         columns = [frame.detections[name].tolist() for name in DETECTION_DTYPE.names]
         record = {
             "frame": frame.frame_id,

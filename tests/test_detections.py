@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import AWKWARD_CHARS, EDGE_FLOATS, serialize_detections_by_dumps
+from helpers import AWKWARD_CHARS, EDGE_FLOATS, detection_log, serialize_detections_by_dumps
 from parkscan.detections import (
+    DETECTION_DTYPE,
     DetectionFilter,
     FrameDetections,
     filter_detections,
@@ -21,16 +22,19 @@ def det(cx=10.0, cy=20.0, w=5.0, h=5.0, cls="car", conf=0.9):
 
 
 def test_parse_empty_stream():
-    assert parse_detections(io.StringIO("")) == []
+    log = parse_detections(io.StringIO(""))
+    assert log.frame_ids == () and log.detections.dtype == DETECTION_DTYPE and len(log.detections) == 0
+    assert list(log) == []
 
 
 def test_parse_single_record_round_trip():
     line = '{"frame": "f1", "dets": [{"cx": 10, "cy": 20, "w": 5, "h": 5, "cls": "car", "conf": 0.9}]}\n'
-    frames = parse_detections(io.StringIO(line))
-    assert len(frames) == 1
-    assert frames[0].frame_id == "f1"
-    assert frames[0] == FrameDetections("f1", [det()])
-    assert frames[0].detections.tolist() == [det()]
+    log = parse_detections(io.StringIO(line))
+    (frame,) = log
+    assert (frame.frame_id, frame.timestamp) == ("f1", None)
+    assert frame.detections.tolist() == [det()]
+    assert log.frame_index.tolist() == [0]
+    assert not log.detections.flags.writeable and not frame.detections.flags.writeable
 
 
 def test_parse_rejects_out_of_range_confidence():
@@ -71,18 +75,34 @@ def test_first_fault_is_named_entry_by_entry():
     assert str(exc.value) == 'line 1: detection field "cx" must be a number'
 
 
+def _entry(cx=10.0, cy=20.0, w=5.0, h=5.0, cls="car", conf=0.9):
+    return {"cx": cx, "cy": cy, "w": w, "h": h, "cls": cls, "conf": conf}
+
+
+def _log_text(*dets_per_frame):
+    return "".join(json.dumps({"frame": f"f{i}", "dets": dets}) + "\n"
+                   for i, dets in enumerate(dets_per_frame, start=1))
+
+
 def test_detection_invariants():
-    for row, name in [
-        (det(w=-1.0), "width"),
-        (det(h=0.0), "height"),
-        (det(w=float("inf")), "width"),
-        (det(cx=float("nan")), "x"),
-        (det(cy=float("inf")), "y"),
-        (det(conf=-0.1), "confidence"),
+    for bad, name in [
+        (_entry(w=-1.0), "width"),
+        (_entry(h=0.0), "height"),
+        (_entry(w=float("inf")), "width"),
+        (_entry(cx=float("nan")), "x"),
+        (_entry(cy=float("inf")), "y"),
+        (_entry(conf=-0.1), "confidence"),
     ]:
         with pytest.raises(ValidationError) as exc:
-            FrameDetections("f1", [det(), row])
+            parse_detections(io.StringIO(_log_text([_entry()], [_entry(), bad])))
         assert exc.value.field == name
+        assert str(exc.value).startswith("line 2: ")
+    # A line's box faults are named by field, not by entry, and before any fault of a later line.
+    text = _log_text([], [_entry(conf=1.5), _entry(cx=float("nan"))], [_entry(cx="x")])
+    with pytest.raises(ValidationError) as exc:
+        parse_detections(io.StringIO(text))
+    assert exc.value.field == "x"
+    assert str(exc.value) == "line 2: x coordinate must be finite, got nan"
 
 
 def test_parse_rejects_nan_center_with_line_number():
@@ -101,21 +121,25 @@ def test_parse_rejects_repeated_frame_id():
 
 
 def test_filter_keeps_threshold_inclusive():
-    frames = [FrameDetections("f1", [det(conf=0.50), det(conf=0.4999)])]
-    out = filter_detections(frames, DetectionFilter(min_confidence=0.5))
-    assert out[0].detections["conf"].tolist() == [0.50]
+    log = detection_log([FrameDetections("f1", [det(conf=0.50), det(conf=0.4999)])])
+    out = filter_detections(log, DetectionFilter(min_confidence=0.5))
+    assert out.detections["conf"].tolist() == [0.50]
 
 
 def test_filter_drops_disallowed_class():
-    frames = [FrameDetections("f1", [det(cls="person", conf=0.99), det(cls="truck")])]
-    out = filter_detections(frames, DetectionFilter(allowed_classes={"car", "truck"}))
-    assert out[0].detections["cls"].tolist() == ["truck"]
+    log = detection_log([FrameDetections("f1", [det(cls="person", conf=0.99), det(cls="truck")])])
+    out = filter_detections(log, DetectionFilter(allowed_classes={"car", "truck"}))
+    assert out.detections["cls"].tolist() == ["truck"]
 
 
 def test_filter_retains_empty_frames():
-    frames = [FrameDetections("f1"), FrameDetections("f2")]
-    out = filter_detections(frames, DetectionFilter())
-    assert out == frames
+    log = detection_log([FrameDetections("f1", [det(conf=0.1)]), FrameDetections("f2", []),
+                         FrameDetections("f3", [det(), det(cls="person")])])
+    out = filter_detections(log, DetectionFilter())
+    assert out.frame_ids == log.frame_ids and out.timestamps == log.timestamps
+    assert [len(f.detections) for f in out] == [0, 0, 1]
+    assert out.frame_index.tolist() == [2]
+    assert not out.detections.flags.writeable and not out.frame_index.flags.writeable
 
 
 def test_filter_requires_classes():
@@ -138,7 +162,7 @@ frame_st = st.builds(
     detections=st.lists(detection_st, max_size=6),
     timestamp=st.none() | st.just("2026-01-01T00:00:00"),
 )
-frames_st = st.lists(frame_st, max_size=8, unique_by=lambda f: f.frame_id)
+frames_st = st.lists(frame_st, max_size=8, unique_by=lambda f: f.frame_id).map(detection_log)
 filter_st = st.builds(
     DetectionFilter,
     allowed_classes=st.sets(class_label, min_size=1).map(frozenset),
@@ -146,24 +170,24 @@ filter_st = st.builds(
 )
 
 
-@given(frames=frames_st, det_filter=filter_st)
+@given(log=frames_st, det_filter=filter_st)
 @settings(max_examples=60)
-def test_filter_is_idempotent_submultiset(frames, det_filter):
-    once = filter_detections(frames, det_filter)
+def test_filter_is_idempotent_submultiset(log, det_filter):
+    once = filter_detections(log, det_filter)
     twice = filter_detections(once, det_filter)
-    assert once == twice
-    assert len(once) == len(frames)
-    for before, after in zip(frames, once):
+    assert serialize_detections(once) == serialize_detections(twice)
+    assert once.frame_ids == log.frame_ids
+    for before, after in zip(log, once):
         remaining = before.detections.tolist()
         for d in after.detections.tolist():
             remaining.remove(d)  # raises if not a sub-multiset
 
 
-@given(frames=frames_st)
+@given(log=frames_st)
 @settings(max_examples=60)
-def test_serialize_parse_round_trip(frames):
-    text = serialize_detections(frames)
-    assert parse_detections(io.StringIO(text)) == frames
+def test_serialize_parse_round_trip(log):
+    text = serialize_detections(log)
+    assert serialize_detections(parse_detections(io.StringIO(text))) == text
 
 
 _text = st.one_of(st.text(alphabet=st.sampled_from(AWKWARD_CHARS), min_size=1), st.text(min_size=1))
@@ -179,15 +203,15 @@ _any_frame = st.builds(
 )
 
 
-@given(frames=st.lists(_any_frame, max_size=6))
+@given(log=st.lists(_any_frame, max_size=6).map(detection_log))
 @settings(max_examples=200, deadline=None)
-def test_serialize_matches_json_dumps_byte_for_byte(frames):
-    assert serialize_detections(frames) == serialize_detections_by_dumps(frames)
+def test_serialize_matches_json_dumps_byte_for_byte(log):
+    assert serialize_detections(log) == serialize_detections_by_dumps(log)
 
 
 def test_serialize_emits_one_json_object_per_line():
-    frames = [FrameDetections("f1", [det()], timestamp="2026-01-01T00:00:00")]
-    lines = serialize_detections(frames).splitlines()
+    log = detection_log([FrameDetections("f1", [det()], timestamp="2026-01-01T00:00:00")])
+    lines = serialize_detections(log).splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["frame"] == "f1" and record["ts"] == "2026-01-01T00:00:00"

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     seed_sequence_stream,
     write_ground_truth_occupancy_by_dumps,
 )
+from parkscan import simulator
 from parkscan.detections import serialize_detections, write_detections
 from parkscan.errors import ConfigError, ValidationError
 from parkscan.geometry import Homography, box_iou, boxes_array
@@ -184,10 +186,11 @@ def _peak_bytes(write, *args):
 
 
 def test_writers_stream_instead_of_building_the_file():
-    frames, truth = generate_scenario(small_config(rows=2, occupancy_prob=0.6, passing_rate=1.0,
-                                                   frame_count=2000))
+    cfg = small_config(rows=2, occupancy_prob=0.6, passing_rate=1.0, frame_count=2000)
+    log, truth = generate_scenario(cfg)
+    head_log, _ = generate_scenario(replace(cfg, frame_count=200))
     head = GroundTruth(truth.frame_ids[:200], truth.slots, truth.occupancy[:200], truth.vehicles[:200])
-    assert _peak_bytes(write_detections, frames) < 2 * _peak_bytes(write_detections, frames[:200])
+    assert _peak_bytes(write_detections, log) < 2 * _peak_bytes(write_detections, head_log)
     assert (_peak_bytes(write_ground_truth_occupancy, truth)
             < 2 * _peak_bytes(write_ground_truth_occupancy, head))
 
@@ -202,6 +205,26 @@ def test_slot_streams_stable_when_grid_grows():
         assert bits2 == bits3[:2]
     for v2, v3 in zip(truth_2.vehicles, truth_3.vehicles):
         assert v2.tolist() == v3.tolist()[: len(v2)]
+
+
+def test_frames_stable_when_frame_count_grows(monkeypatch):
+    # Draws are keyed by frame index: a k-frame scenario is the first k frames of a longer
+    # one, whether k ends a substream block or falls inside one.  Three slots and the passing
+    # stream are 4 substreams a frame, so a block holds 3 frames.
+    monkeypatch.setattr(simulator, "_BLOCK_STREAMS", 3 * 4)
+    cfg = small_config(occupancy_prob=0.6, center_noise_sigma=1.0, miss_prob=0.2, passing_rate=0.8,
+                       frame_count=12)
+
+    def lines(scenario):
+        log, truth = generate_scenario(scenario)
+        occupancy = io.StringIO()
+        write_ground_truth_occupancy(occupancy, truth)
+        return serialize_detections(log).splitlines(), occupancy.getvalue().splitlines()
+
+    full_dets, full_truth = lines(cfg)
+    for k in (1, 2, 3, 4, 5, 11):
+        dets, truth = lines(replace(cfg, frame_count=k))
+        assert (dets, truth) == (full_dets[:k], full_truth[:k])
 
 
 def test_passing_vehicles_sit_on_the_lane():

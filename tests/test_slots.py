@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import quantile_oracle_kept
+from helpers import detection_log, quantile_oracle_kept
 from parkscan.detections import FrameDetections
 from parkscan.geometry import Homography, Point2, invert_homography
 from parkscan.metrics import default_match_tolerance, match_slots
@@ -164,21 +166,21 @@ def test_detect_slots_n_bottom_one_returns_min_spread():
 
 
 def test_detect_slots_empty_input_raises():
-    frames = [FrameDetections("f1"), FrameDetections("f2")]
+    log = detection_log([FrameDetections("f1", []), FrameDetections("f2", [])])
     with pytest.raises(EmptyInputError):
-        run_slot_detection(frames, SlotDetectionConfig(n_bottom=3))
+        run_slot_detection(log, SlotDetectionConfig(n_bottom=3))
 
 
 def test_detect_slots_all_noise_gives_empty_result():
     # One detection per frame, all far apart: nothing reaches min_points.
-    frames = [
+    log = detection_log(
         FrameDetections(
             f"f{i}",
             [(i * 100.0, 0.0, 10.0, 10.0, 0.9, "car")],
         )
         for i in range(10)
-    ]
-    outcome = run_slot_detection(frames, SlotDetectionConfig(n_bottom=5, min_points=5))
+    )
+    outcome = run_slot_detection(log, SlotDetectionConfig(n_bottom=5, min_points=5))
     assert outcome.slots == ()
     assert outcome.cluster_count == 0
     assert outcome.noise_points == 10
@@ -202,10 +204,12 @@ def test_returned_slots_have_enough_members():
 
 def test_frame_order_invariance_is_exact():
     cfg = _noiseless_scenario(center_noise_sigma=1.5, seed=13)
-    frames, _ = generate_scenario(cfg)
+    log, _ = generate_scenario(cfg)
     config = SlotDetectionConfig(n_bottom=12)
-    base = run_slot_detection(frames, config).slots
-    shuffled = [frames[i] for i in np.random.default_rng(0).permutation(len(frames))]
+    base = run_slot_detection(log, config).slots
+    # Labels depend only on the multiset of detections: the same rows in another order.
+    order = np.random.default_rng(0).permutation(len(log.detections))
+    shuffled = replace(log, detections=log.detections[order])
     assert run_slot_detection(shuffled, config).slots == base
 
 
@@ -214,15 +218,13 @@ def test_scale_invariance_with_matching_homography():
     # inverse scaling gives bit-identical bird's-eye points (powers of two
     # are exact), so memberships match and centers scale by exactly 2.
     cfg = _noiseless_scenario(center_noise_sigma=1.5, seed=21)
-    frames, _ = generate_scenario(cfg)
-    base = run_slot_detection(frames, SlotDetectionConfig(n_bottom=12)).slots
+    log, _ = generate_scenario(cfg)
+    base = run_slot_detection(log, SlotDetectionConfig(n_bottom=12)).slots
 
-    doubled = []
-    for f in frames:
-        dets = f.detections.copy()
-        for name in ("cx", "cy", "w", "h"):
-            dets[name] *= 2
-        doubled.append(FrameDetections(f.frame_id, dets, f.timestamp))
+    dets = log.detections.copy()
+    for name in ("cx", "cy", "w", "h"):
+        dets[name] *= 2
+    doubled = replace(log, detections=dets)
     h_scaled = Homography(np.diag([0.5, 0.5, 1.0]))
     scaled = run_slot_detection(doubled, SlotDetectionConfig(n_bottom=12, homography=h_scaled)).slots
 
@@ -257,13 +259,13 @@ def test_recall_does_not_fall_as_frames_grow():
         violation_sites=(ViolationSite(186.0, 180.0, 10.0, emit_prob=0.7),),
         camera="mild-tilt", seed=42,
     )
-    frames, truth = generate_scenario(cfg)
-    truth_centers = [Point2(b.cx, b.cy) for b in truth.slots]
-    tolerance = default_match_tolerance(truth_centers)
     config = SlotDetectionConfig(n_bottom=40, homography=invert_homography(camera_homography("mild-tilt")))
     found = []
     for count in (200, 500, 1000):
-        slots = run_slot_detection(frames[:count], config).slots
-        found.append(match_slots([s.center for s in slots], truth_centers, tolerance).tp)
+        log, truth = generate_scenario(replace(cfg, frame_count=count))
+        truth_centers = [Point2(b.cx, b.cy) for b in truth.slots]
+        slots = run_slot_detection(log, config).slots
+        match = match_slots([s.center for s in slots], truth_centers, default_match_tolerance(truth_centers))
+        found.append(match.tp)
     assert found == sorted(found), found
     assert found[-1] == 40, found
