@@ -97,12 +97,14 @@ def test_detection_invariants():
             parse_detections(io.StringIO(_log_text([_entry()], [_entry(), bad])))
         assert exc.value.field == name
         assert str(exc.value).startswith("line 2: ")
-    # A line's box faults are named by field, not by entry, and before any fault of a later line.
-    text = _log_text([], [_entry(conf=1.5), _entry(cx=float("nan"))], [_entry(cx="x")])
-    with pytest.raises(ValidationError) as exc:
-        parse_detections(io.StringIO(text))
-    assert exc.value.field == "x"
-    assert str(exc.value) == "line 2: x coordinate must be finite, got nan"
+    # A line's box faults are named by field, not by entry, and before any fault of a later line:
+    # a type fault, or an integer too large for a float.
+    for later in (_entry(cx="x"), _entry(cy=10**400)):
+        text = _log_text([], [_entry(conf=1.5), _entry(cx=float("nan"))], [_entry(), later])
+        with pytest.raises(ValidationError) as exc:
+            parse_detections(io.StringIO(text))
+        assert exc.value.field == "x"
+        assert str(exc.value) == "line 2: x coordinate must be finite, got nan"
 
 
 def test_parse_rejects_nan_center_with_line_number():

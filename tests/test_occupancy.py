@@ -368,6 +368,15 @@ def test_read_records_rejects_a_repeated_key():
     assert str(exc.value) == "line 3: frame 'f1', slot 0 repeats line 1"
 
 
+def test_read_records_name_a_repeated_key_before_a_later_bad_line():
+    lines = [{"frame": "f0", "slot": 0, "score": 0.5, "status": "VACANT"},
+             {"frame": "f0", "slot": 0, "score": 0.5, "status": "VACANT"},
+             {"frame": "f0", "slot": 1, "score": 7.5, "status": "OCCUPIED"}]
+    with pytest.raises(ValidationError) as exc:
+        read_records(io.StringIO("".join(json.dumps(line) + "\n" for line in lines)))
+    assert str(exc.value) == "line 2: frame 'f0', slot 0 repeats line 1"
+
+
 _frame_report = st.builds(
     lambda occupied, vacant, errors: FrameReport(occupied, len(vacant), tuple(vacant), tuple(errors)),
     st.integers(0, 10**6), *[st.lists(st.integers(-(2**40), 2**40), max_size=4)] * 2,

@@ -434,3 +434,22 @@ def test_truth_vehicle_faults_name_the_line_and_field(vehicle, message):
     with pytest.raises(ValidationError) as exc:
         read_ground_truth_occupancy(io.StringIO(text))
     assert str(exc.value) == f"line 2: bad record ({message})"
+
+
+@pytest.mark.parametrize(
+    "line_2, line_3, message",
+    [
+        ({"cy": float("inf")}, {"frame": "f2", "vehicles": [{**_PARKED, "cx": True}]},
+         "line 3: bad record (cx must be a number, got True)"),
+        ({"w": 0}, {}, "line 3: frame 'f1' repeats line 2"),
+    ],
+)
+def test_truth_line_faults_are_named_before_box_value_faults(line_2, line_3, message):
+    # Boxes are checked once the whole file is read, so a later line's type fault or
+    # repeated frame id is named before an earlier line's bad box.
+    line = {"frame": "f1", "occupancy": {"0": True}, "vehicles": [{**_PARKED, **line_2}]}
+    text = "".join(json.dumps(record) + "\n" for record in
+                   [{**line, "frame": "f0", "vehicles": [_PARKED]}, line, {**line, **line_3}])
+    with pytest.raises(ValidationError) as exc:
+        read_ground_truth_occupancy(io.StringIO(text))
+    assert str(exc.value) == message
