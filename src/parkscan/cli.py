@@ -106,7 +106,7 @@ def _classifier(mode, source, truth, cfg):
     if mode == "oracle":
         if not truth.frame_ids:
             raise MissingGroundTruthError(f"no ground-truth frames in {source}")
-        oracle = GeometricOracleClassifier(truth.vehicles_by_frame(), iou_threshold=cfg.iou_threshold)
+        oracle = GeometricOracleClassifier.from_truth(truth, iou_threshold=cfg.iou_threshold)
         return oracle, oracle.decision_threshold, list(truth.frame_ids)
     with open(source, encoding="utf-8") as fh:
         table = FileScoreClassifier.from_stream(fh)
@@ -196,7 +196,7 @@ def evaluate_stage(pred, truth, table, gt, cfg, out, emit_plot_data: bool) -> No
     counts = None
     if table is not None:
         pred_to_truth = {pred[i].slot_id: truth[j].slot_id for i, j, _ in match.pairs}
-        preds, labels, scores = table.join_truth(pred_to_truth, gt.occupancy_by_frame())
+        preds, labels, scores = table.join_truth(pred_to_truth, gt)
         if labels:
             counts = classification_counts(preds, labels)
             acc = accuracy(counts)

@@ -7,11 +7,12 @@ Log format is line-delimited JSON, one frame per line:
 
 ``ts`` is optional.  All coordinates are original-image pixels.  A log is one
 :class:`DetectionLog`: frame ids, timestamps, and every box in one read-only
-:data:`DETECTION_DTYPE` array with its frame's index, checked as each line is read.
+:data:`DETECTION_DTYPE` array with its frame's index, read as columns and checked once.
 """
 
 import io
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import pairwise
 from json.encoder import encode_basestring_ascii
@@ -20,20 +21,15 @@ from typing import IO, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .errors import JSON_NUMBER_TYPES, ValidationError, json_frame_id, json_lines, note_first_line
+from .errors import (
+    JSON_NUMBER_TYPES, ValidationError, extend_columns, json_frame_id, json_lines, note_first_line,
+)
 
 DETECTION_DTYPE = np.dtype(
     [("cx", float), ("cy", float), ("w", float), ("h", float), ("conf", float), ("cls", object)]
 )
 _NUMBER_FIELDS = ("cx", "cy", "w", "h", "conf")
 _ROW = itemgetter(*DETECTION_DTYPE.names)  # an entry's values in row order, ``cls`` last
-_COLUMN_TYPES = (JSON_NUMBER_TYPES,) * len(_NUMBER_FIELDS) + (frozenset((str,)),)
-
-
-def _check(values: np.ndarray, ok: np.ndarray, name: str, message: str, line: int) -> None:
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ValidationError(name, f"line {line}: {message}, got {float(values[bad[0]])!r}")
 
 
 class FrameDetections(NamedTuple):
@@ -100,70 +96,75 @@ def _number(record: dict, key: str, line: int) -> float:
         raise _log_error(line, f'detection field "{key}" is too large for a float') from None
 
 
-def _frame_array(entries: list, line: int) -> np.ndarray:
-    """A line's detection entries as one checked structured array. Their types are tested a
-    column at a time; only on a fault are the entries tested one by one, so that an entry's
-    first fault is named in this order: not an object, ``cls``, then ``cx`` to ``conf``; an
-    integer too large for a float is named after every type fault of the line. Value faults
-    are named last, by column: x, y, width, height, confidence."""
-    try:
-        rows = list(map(_ROW, entries))
-    except (KeyError, TypeError):  # a field is missing, or an entry is not an object
-        rows = None
-    if rows is None or not all(kinds.issuperset(map(type, column))
-                               for kinds, column in zip(_COLUMN_TYPES, zip(*rows))):
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise _log_error(line, "detection entries must be objects")
-            if not isinstance(entry.get("cls"), str):
-                raise _log_error(line, '"cls" must be a string')
-            if not JSON_NUMBER_TYPES.issuperset(map(type, map(entry.get, _NUMBER_FIELDS))):
-                for name in _NUMBER_FIELDS:
-                    _number(entry, name, line)
-    try:
-        dets = np.array(rows, DETECTION_DTYPE)
-    except OverflowError:
-        for entry in entries:  # names the first integer too large for a float
+def _entry_fault(entries: list, line: int) -> None:
+    """Name a line's first entry fault, entry by entry, in this order: not an object, ``cls``,
+    then ``cx`` to ``conf``; after every type fault, the first integer too large for a float."""
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise _log_error(line, "detection entries must be objects")
+        if not isinstance(entry.get("cls"), str):
+            raise _log_error(line, '"cls" must be a string')
+        if not JSON_NUMBER_TYPES.issuperset(map(type, map(entry.get, _NUMBER_FIELDS))):
             for name in _NUMBER_FIELDS:
                 _number(entry, name, line)
-        raise
+    for entry in entries:
+        for name in _NUMBER_FIELDS:
+            _number(entry, name, line)
+
+
+def _checked_log(first_line: dict, timestamps: list, counts: list, columns: list) -> DetectionLog:
+    """The log of the first ``len(counts)`` lines, from their columns; a number column may hold
+    more. A bad box is named as checking its line alone would: by line, then by column."""
+    dets = np.zeros(sum(counts), DETECTION_DTYPE)  # np.empty fills object fields slowly
+    for name, column in zip(DETECTION_DTYPE.names, columns):
+        dets[name] = column if name == "cls" else np.frombuffer(column, float, len(dets))
+    frame_index = np.repeat(np.arange(len(counts)), counts)
     cx, cy, w, h, conf = (dets[name] for name in _NUMBER_FIELDS)
-    if not (np.isfinite([cx, cy, w, h]).all() and (w > 0).all() and (h > 0).all()
-            and ((conf >= 0.0) & (conf <= 1.0)).all()):  # one test; below, name the first fault
-        _check(cx, np.isfinite(cx), "x", "x coordinate must be finite", line)
-        _check(cy, np.isfinite(cy), "y", "y coordinate must be finite", line)
-        _check(w, np.isfinite(w) & (w > 0), "width", "width must be > 0", line)
-        _check(h, np.isfinite(h) & (h > 0), "height", "height must be > 0", line)
-        _check(conf, (conf >= 0.0) & (conf <= 1.0), "confidence", "confidence must be in [0, 1]", line)
-    return dets
+    checks = [(cx, np.isfinite(cx), "x", "x coordinate must be finite"),
+              (cy, np.isfinite(cy), "y", "y coordinate must be finite"),
+              (w, np.isfinite(w) & (w > 0), "width", "width must be > 0"),
+              (h, np.isfinite(h) & (h > 0), "height", "height must be > 0"),
+              (conf, (conf >= 0.0) & (conf <= 1.0), "confidence", "confidence must be in [0, 1]")]
+    ok = np.logical_and.reduce([ok for _, ok, _, _ in checks])
+    if not ok.all():
+        frame = frame_index[np.argmin(ok)]  # the first line with a bad box
+        rows = frame_index == frame
+        values, ok, name, message = next(check for check in checks if not check[1][rows].all())
+        got = float(values[rows][np.argmin(ok[rows])])
+        raise ValidationError(name, f"line {list(first_line.values())[frame]}: {message}, got {got!r}")
+    return DetectionLog(tuple(first_line)[:len(counts)], tuple(timestamps), frame_index, dets)
 
 
 def parse_detections(stream: IO[str]) -> DetectionLog:
     """Parse a detection log text stream, preserving record and detection order.
 
     Malformed records and repeated frame ids raise :class:`ValidationError`
-    on ``detections``; invariant violations raise it naming the field.  Every
-    message starts ``line N:``.  Blank lines are ignored.
+    on ``detections``; invariant violations raise it naming the field.  Every message
+    starts ``line N:``, and names the first line at fault.  Blank lines are ignored.
     """
     first_line = {}  # frame id -> line number, in log order
-    timestamps, arrays = [], []
-    for line_no, record in json_lines(stream, "detections"):
-        try:
-            frame_id = json_frame_id(record.get("frame"))
-        except TypeError as exc:
-            raise _log_error(line_no, str(exc)) from None
-        note_first_line(first_line, frame_id, line_no, "detections")
-        ts = record.get("ts")
-        if ts is not None and not isinstance(ts, str):
-            raise _log_error(line_no, '"ts" must be a string when present')
-        dets_raw = record.get("dets", [])
-        if not isinstance(dets_raw, list):
-            raise _log_error(line_no, '"dets" must be a list')
-        timestamps.append(ts)
-        arrays.append(_frame_array(dets_raw, line_no))
-    frame_index = np.repeat(np.arange(len(arrays)), [len(dets) for dets in arrays])
-    detections = np.concatenate([np.empty(0, DETECTION_DTYPE), *arrays])
-    return DetectionLog(tuple(first_line), tuple(timestamps), frame_index, detections)
+    timestamps, counts = [], []
+    columns = [array("d") for _ in _NUMBER_FIELDS] + [[]]  # cls last: it grows only with whole lines
+    try:
+        for line_no, record in json_lines(stream, "detections"):
+            try:
+                frame_id = json_frame_id(record.get("frame"))
+            except TypeError as exc:
+                raise _log_error(line_no, str(exc)) from None
+            note_first_line(first_line, frame_id, line_no, "detections")
+            ts = record.get("ts")
+            if ts is not None and not isinstance(ts, str):
+                raise _log_error(line_no, '"ts" must be a string when present')
+            dets_raw = record.get("dets", [])
+            if not isinstance(dets_raw, list):
+                raise _log_error(line_no, '"dets" must be a list')
+            if not extend_columns(columns, dets_raw, _ROW):
+                _entry_fault(dets_raw, line_no)
+            counts.append(len(dets_raw))
+            timestamps.append(ts)
+    finally:  # also after a bad line, so that an earlier line's bad box is named first
+        log = _checked_log(first_line, timestamps, counts, columns)
+    return log
 
 
 def write_detections(stream: IO[str], log: DetectionLog) -> None:

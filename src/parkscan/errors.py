@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the checks every input reader shares."""
 
 import json
+from itertools import chain
 from typing import IO, Iterator, Mapping
 
 JSON_NUMBER_TYPES = frozenset((int, float))  # the exact types of json.loads numbers; bool is not one
@@ -42,6 +43,22 @@ def json_number(value, what: str, kind=(int, float)):
         raise ValueError(f"{what} is too large for a float") from None
 
 
+def extend_columns(columns: list, entries, row) -> bool:
+    """Append the values ``row`` takes from each of ``entries`` to ``columns``, one per column, if
+    they are JSON numbers but for a string last; else, or if an entry lacks a key, is not an object
+    or holds a number too large for its column, return False (a column may then hold some values)."""
+    try:
+        values = list(zip(*map(row, entries)))
+        if values and not (JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(values[:-1])))
+                           and {str}.issuperset(map(type, values[-1]))):
+            return False
+        for column, column_values in zip(columns, values):
+            column.extend(column_values)
+        return True
+    except (KeyError, TypeError, OverflowError):
+        return False
+
+
 def json_frame_id(value) -> str:
     """``value`` if it is a non-empty JSON string; else TypeError."""
     if not isinstance(value, str) or not value:
@@ -77,12 +94,8 @@ def json_lines(stream: IO[str], field: str) -> Iterator[tuple[int, dict]]:
         yield line_no, record
 
 
-def note_first_line(first_line: dict, key, line_no: int, field: str) -> None:
-    """Record that ``key`` is on ``line_no``; a key already seen raises, naming both lines.
-
-    ``key`` is a frame id or a ``(frame id, slot id)`` pair.
-    """
-    first = first_line.setdefault(key, line_no)
+def note_first_line(first_line: dict, frame_id: str, line_no: int, field: str) -> None:
+    """Record that ``frame_id`` is on ``line_no``; one already seen raises, naming both lines."""
+    first = first_line.setdefault(frame_id, line_no)
     if first != line_no:
-        name = f"frame {key!r}" if isinstance(key, str) else f"frame {key[0]!r}, slot {key[1]}"
-        raise ValidationError(field, f"line {line_no}: {name} repeats line {first}")
+        raise ValidationError(field, f"line {line_no}: frame {frame_id!r} repeats line {first}")

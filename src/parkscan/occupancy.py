@@ -5,13 +5,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError, json_frame_id, json_lines, json_number, note_first_line
+from .errors import ValidationError, json_frame_id, json_lines, json_number
 from .geometry import box_iou, boxes_array
 from .slots import ParkingSlot
 
@@ -106,6 +105,20 @@ def _factorize(values: Sequence) -> tuple[list, np.ndarray]:
     return list(index), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
+def _sorted_keys(field: str, lines: Sequence[int], frame_ids, frame, slot_ids, slot) -> tuple[np.ndarray, ...]:
+    """Each row's key (frame index x slot ids + slot index) and a stable sort order of the keys;
+    a key given twice raises on ``field``, naming the lines of its first repeat."""
+    key = frame * len(slot_ids) + slot
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if repeats.size:
+        row = repeats.min()
+        first = order[np.searchsorted(key[order], key[row])]
+        raise ValidationError(field, f"line {lines[row]}: frame {frame_ids[frame[row]]!r}, slot "
+                              f"{slot_ids[slot[row]]} repeats line {lines[first]}")
+    return key, order
+
+
 @dataclass(frozen=True, eq=False)
 class OccupancyTable:
     """Occupancy records as columns, in record order; iterating yields :class:`OccupancyRecord`s.
@@ -175,28 +188,26 @@ class OccupancyTable:
                                       tuple(ids[start + vacant:end]))
         return report
 
-    def join_truth(
-        self, pred_to_truth: Mapping[int, int], occupancy: Mapping[str, Sequence[bool]]
-    ) -> tuple[list[bool], list[bool], list]:
-        """(predicted occupied, true bit, score) lists in record order, over the non-ERROR
-        records of slots in ``pred_to_truth`` (predicted id -> truth id) in frames of
-        ``occupancy`` (frame id -> bits by truth id). A truth id outside a frame's bits raises."""
-        bits = [occupancy.get(fid, ()) for fid in self.frame_ids]
-        sizes = np.array([len(b) for b in bits], np.intp)
-        flat = np.fromiter(chain.from_iterable(bits), bool, int(sizes.sum()))
-        known = np.array([fid in occupancy for fid in self.frame_ids], bool)
-        truth = [pred_to_truth.get(sid) for sid in self.slot_ids]
-        matched = np.array([t is not None for t in truth], bool)
+    def join_truth(self, pred_to_truth: Mapping[int, int], truth) -> tuple[list[bool], list[bool], list]:
+        """(predicted occupied, true bit, score) lists in record order, over the non-ERROR records
+        of slots in ``pred_to_truth`` (predicted id -> truth id) in frames of the ground truth
+        ``truth``, read from its bit columns. A truth id outside a frame's bits raises."""
+        truth_row = {fid: i for i, fid in enumerate(truth.frame_ids)}
+        row = np.array([truth_row.get(fid, -1) for fid in self.frame_ids], np.intp)
+        sizes = np.append(truth.bit_counts, 0)[row]  # a frame outside truth has no bits
+        starts = np.append(np.cumsum(truth.bit_counts) - truth.bit_counts, 0)[row]
+        truth_ids = [pred_to_truth.get(sid) for sid in self.slot_ids]
+        matched = np.array([t is not None for t in truth_ids], bool)
         top = int(sizes.max(initial=0))  # an id outside every frame's bits becomes -1
-        index = np.array([t if t is not None and 0 <= t < top else -1 for t in truth], np.intp)
-        rows = np.flatnonzero((self.status != _ERROR) & known[self.frame] & matched[self.slot])
+        index = np.array([t if t is not None and 0 <= t < top else -1 for t in truth_ids], np.intp)
+        rows = np.flatnonzero((self.status != _ERROR) & (row >= 0)[self.frame] & matched[self.slot])
         f, t = self.frame[rows], index[self.slot[rows]]
         bad = np.flatnonzero((t < 0) | (t >= sizes[f]))
         if len(bad):
-            row = rows[bad[0]]
-            raise ValidationError("truth_occupancy", f"frame {self.frame_ids[self.frame[row]]!r} has no "
-                                  f"occupancy bit for truth slot {truth[self.slot[row]]}")
-        labels = flat[np.cumsum(sizes)[f] - sizes[f] + t]
+            r = rows[bad[0]]
+            raise ValidationError("truth_occupancy", f"frame {self.frame_ids[self.frame[r]]!r} has no "
+                                  f"occupancy bit for truth slot {truth_ids[self.slot[r]]}")
+        labels = truth.bits[starts[f] + t]
         scores = [self.score[r] for r in rows.tolist()]
         return (self.status[rows] == _OCCUPIED).tolist(), labels.tolist(), scores
 
@@ -249,7 +260,8 @@ class GeometricOracleClassifier(ClassifierAdapter):
     """Scores each slot by its best IoU against the frame's true vehicle boxes.
 
     Stand-in for an image classifier on simulated data: the score is the raw
-    max IoU, and the recommended decision threshold binarizes it.
+    max IoU, and the recommended decision threshold binarizes it. It holds each
+    frame's row, every frame's boxes end to end in row order, and each frame's count.
     """
 
     def __init__(
@@ -259,8 +271,19 @@ class GeometricOracleClassifier(ClassifierAdapter):
     ):
         if not (0.0 < iou_threshold < 1.0):
             raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold!r}")
-        self._vehicles = {k: np.asarray(v, float).reshape(-1, 4) for k, v in vehicles_by_frame.items()}
+        boxes = [np.asarray(v, float).reshape(-1, 4) for v in vehicles_by_frame.values()]
+        self._row = {fid: i for i, fid in enumerate(vehicles_by_frame)}
+        self._boxes = np.concatenate([np.empty((0, 4)), *boxes])
+        self._counts = np.array([len(b) for b in boxes], np.intp)
         self.decision_threshold = iou_threshold
+
+    @classmethod
+    def from_truth(cls, truth, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> "GeometricOracleClassifier":
+        """The oracle over a :class:`~parkscan.simulator.GroundTruth`'s vehicle columns as they are."""
+        oracle = cls({}, iou_threshold)
+        oracle._row, oracle._boxes = {fid: i for i, fid in enumerate(truth.frame_ids)}, truth.boxes()
+        oracle._counts = np.bincount(truth.frame_index, minlength=len(truth.frame_ids))
+        return oracle
 
     def classify(self, frame_id: str, slots: Sequence[ParkingSlot]) -> np.ndarray:
         scores, failed = self.score_frames([frame_id], slots)
@@ -274,11 +297,14 @@ class GeometricOracleClassifier(ClassifierAdapter):
         maximum; a frame with no vehicles scores 0.0, and one with no ground truth fails."""
         areas = boxes_array([s.area for s in slots])[:, None]
         scores = np.zeros((len(frame_ids), len(slots)))
-        failed = {i: f"no ground truth for frame {fid!r}"
-                  for i, fid in enumerate(frame_ids) if fid not in self._vehicles}
-        boxes = [self._vehicles[fid] for fid in frame_ids if fid in self._vehicles]
-        vehicles = np.concatenate([np.empty((0, 4)), *boxes])[None]
-        owner = np.repeat([i for i in range(len(frame_ids)) if i not in failed], [len(b) for b in boxes])
+        rows = np.array([self._row.get(fid, -1) for fid in frame_ids], np.intp)
+        failed = {i: f"no ground truth for frame {frame_ids[i]!r}" for i in np.flatnonzero(rows < 0).tolist()}
+        known = np.flatnonzero(rows >= 0)
+        counts = self._counts[rows[known]]
+        owner = np.repeat(known, counts)  # each frame's vehicles, in the order the frames are asked
+        offsets = np.cumsum(self._counts) - self._counts
+        first = np.repeat(offsets[rows[known]] - (np.cumsum(counts) - counts), counts)
+        vehicles = self._boxes[first + np.arange(len(owner))][None]
         step = max(1, _IOU_BLOCK_PAIRS // len(slots))
         for lo in range(0, len(owner), step):
             block = owner[lo:lo + step]
@@ -303,16 +329,9 @@ class FileScoreClassifier(ClassifierAdapter):
         (self._frame_ids, frame), (slot_ids, slot) = _factorize(frames), _factorize(slots)
         self._frame_row = {fid: i for i, fid in enumerate(self._frame_ids)}
         self._slot_col = {sid: j for j, sid in enumerate(slot_ids)}
-        key = frame * len(slot_ids) + slot
-        order = np.argsort(key, kind="stable")
+        key, order = _sorted_keys("score_table", lines, self._frame_ids, frame, slot_ids, slot)
         self._key = np.append(key[order], np.iinfo(np.intp).max)  # above every key: a search ends on a row
         self._score = np.append(np.array(scores, float)[order], math.nan)
-        repeats = order[1:][self._key[1:-1] == self._key[:-2]]
-        if repeats.size:
-            row = repeats.min()
-            first = order[np.searchsorted(self._key, key[row])]
-            raise ValidationError("score_table", f"line {lines[row]}: frame {frames[row]!r}, slot "
-                                  f"{slots[row]} repeats line {lines[first]}")
 
     @classmethod
     def from_stream(cls, stream: IO[str]) -> "FileScoreClassifier":
@@ -381,36 +400,44 @@ def read_records(stream: IO[str]) -> OccupancyTable:
     """The occupancy records of a JSON-lines stream as a table, in file order. Each record must
     be one the writer writes: OCCUPIED and VACANT with a score in [0, 1] and no ``"error"``,
     ERROR with a null score and a string ``"error"``. A (frame, slot) key given twice is
-    rejected, naming both lines."""
-    frames, slots, first_line = {}, {}, {}
-    frame, slot, score, status, errors = [], [], [], [], {}
-    for line_no, raw in json_lines(stream, "records"):
-        try:
-            slot_id = json_number(raw["slot"], "slot", int)
-            key = (json_frame_id(raw["frame"]), slot_id)
-            code = _CODE.get(raw["status"]) if isinstance(raw["status"], str) else None
-            if code is None:
-                OccupancyStatus(raw["status"])  # not a status value: raises, naming it
-            value, error = raw["score"], raw.get("error")
-            if code == _ERROR:
-                if value is not None:
-                    raise ValueError(f"an ERROR record's score must be null, got {value!r}")
-                if not isinstance(error, str):
-                    raise TypeError(f"error must be a string, got {error!r}")
-            else:
-                if "error" in raw:
-                    raise ValueError(f"only an ERROR record has an error, got {error!r}")
-                value = json_number(value, "score")
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"score must be in [0, 1], got {raw['score']!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError("records", f"line {line_no}: bad record ({exc})") from exc
-        note_first_line(first_line, key, line_no, "records")
-        if error is not None:
-            errors[len(score)] = error
-        frame.append(frames.setdefault(key[0], len(frames)))
-        slot.append(slots.setdefault(slot_id, len(slots)))
-        score.append(value)
-        status.append(code)
-    return OccupancyTable(list(frames), np.array(frame, np.intp), list(slots), np.array(slot, np.intp),
-                          score, np.array(status, np.intp), errors)
+    rejected, naming both lines, before any later line's fault."""
+    frames, slots = {}, {}
+    frame, slot, score, status, lines, errors = [], [], [], [], [], {}
+    try:
+        for line_no, raw in json_lines(stream, "records"):
+            try:
+                slot_id = raw["slot"]
+                if type(slot_id) is not int:
+                    json_number(slot_id, "slot", int)  # raises, naming it
+                frame_id = raw["frame"]
+                if type(frame_id) is not str or not frame_id:
+                    json_frame_id(frame_id)  # raises, naming it
+                code = _CODE.get(raw["status"]) if type(raw["status"]) is str else None
+                if code is None:
+                    OccupancyStatus(raw["status"])  # not a status value: raises, naming it
+                value, error = raw["score"], raw.get("error")
+                if code == _ERROR:
+                    if value is not None:
+                        raise ValueError(f"an ERROR record's score must be null, got {value!r}")
+                    if type(error) is not str:
+                        raise TypeError(f"error must be a string, got {error!r}")
+                else:
+                    if "error" in raw:
+                        raise ValueError(f"only an ERROR record has an error, got {error!r}")
+                    value = value if type(value) is float else json_number(value, "score")
+                    if not 0.0 <= value <= 1.0:
+                        raise ValueError(f"score must be in [0, 1], got {raw['score']!r}")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError("records", f"line {line_no}: bad record ({exc})") from exc
+            if error is not None:
+                errors[len(score)] = error
+            frame.append(frames.setdefault(frame_id, len(frames)))
+            slot.append(slots.setdefault(slot_id, len(slots)))
+            score.append(value)
+            status.append(code)
+            lines.append(line_no)
+    finally:  # also after a bad line, so that a key repeated before it is named first
+        table = OccupancyTable(list(frames), np.array(frame, np.intp), list(slots), np.array(slot, np.intp),
+                               score, np.array(status, np.intp), errors)
+        _sorted_keys("records", lines, table.frame_ids, table.frame, table.slot_ids, table.slot)
+    return table

@@ -33,14 +33,16 @@ which is why ``rows``, ``cols`` and ``frame_count`` stay below 2**32.
 
 Frames are generated per substream block too: after a block's draws, its
 boxes are projected in one call into one vehicle and one detection array;
-each frame's truth views rows of the first, and the log joins the second.
-The block size changes no output byte.
+the truth joins the first and the log the second.  The block size changes no
+output byte.
 """
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
+from itertools import accumulate, pairwise
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import IO, Iterator, Mapping, Sequence, Union
@@ -49,8 +51,8 @@ import numpy as np
 
 from .detections import DETECTION_DTYPE, DetectionLog
 from .errors import (
-    JSON_NUMBER_TYPES, ConfigError, ValidationError, check_keys, json_frame_id, json_lines, json_number,
-    note_first_line,
+    JSON_NUMBER_TYPES, ConfigError, ValidationError, check_keys, extend_columns, json_frame_id, json_lines,
+    json_number, note_first_line,
 )
 from .geometry import Box, Homography, apply_homography_array
 from .slots import ParkingSlot, slot_registry_document
@@ -154,24 +156,49 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Slot layout in image coordinates plus per-frame occupancy and vehicles."""
+    """Slot layout in image coordinates, and per frame its occupancy bits and true vehicles as
+    columns: frame ``i`` has the next ``bit_counts[i]`` of ``bits`` (by slot id), and row ``j`` of
+    ``vehicle_rows`` (one read-only :data:`VEHICLE_DTYPE` array in frame order) is in frame
+    ``frame_index[j]``. ``occupancy`` and ``vehicles`` give them per frame, derived on demand."""
 
     frame_ids: tuple[str, ...]
     slots: tuple[Box, ...]
-    occupancy: tuple[tuple[bool, ...], ...]
-    vehicles: tuple[np.ndarray, ...]  # one read-only VEHICLE_DTYPE array per frame
+    bits: np.ndarray
+    bit_counts: np.ndarray
+    frame_index: np.ndarray
+    vehicle_rows: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.bits, self.bit_counts, self.frame_index, self.vehicle_rows):
+            column.setflags(write=False)
+
+    def frames(self) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
+        """Each frame's id, occupancy bits and rows of ``vehicle_rows``, found as it is reached."""
+        bit_bounds = pairwise(accumulate(self.bit_counts, initial=0))
+        vehicle_bounds = pairwise(map(self.frame_index.searchsorted, range(len(self.frame_ids) + 1)))
+        for fid, (b0, b1), (v0, v1) in zip(self.frame_ids, bit_bounds, vehicle_bounds):
+            yield fid, self.bits[b0:b1], self.vehicle_rows[v0:v1]
+
+    @property
+    def occupancy(self) -> tuple[tuple[bool, ...], ...]:
+        return tuple(tuple(bits.tolist()) for _, bits, _ in self.frames())
+
+    @property
+    def vehicles(self) -> tuple[np.ndarray, ...]:
+        return tuple(vehicles for _, _, vehicles in self.frames())
+
+    def boxes(self) -> np.ndarray:
+        """Every vehicle box as an ``(n, 4)`` array of (cx, cy, w, h) rows, in row order."""
+        return np.column_stack([self.vehicle_rows[k] for k in _BOX_FIELDS])
 
     def vehicles_by_frame(self) -> dict[str, np.ndarray]:
         """Each frame's vehicle boxes as an ``(n, 4)`` array of (cx, cy, w, h) rows."""
-        return {fid: np.column_stack([v[k] for k in _BOX_FIELDS])
-                for fid, v in zip(self.frame_ids, self.vehicles)}
+        return {fid: np.column_stack([v[k] for k in _BOX_FIELDS]) for fid, _, v in self.frames()}
 
     def __eq__(self, other):
         if not isinstance(other, GroundTruth):
             return NotImplemented
-        return (self.frame_ids, self.slots, self.occupancy, len(self.vehicles)) == (
-            other.frame_ids, other.slots, other.occupancy, len(other.vehicles)
-        ) and all(map(np.array_equal, self.vehicles, other.vehicles))
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     def occupancy_by_frame(self) -> dict[str, tuple[bool, ...]]:
         return dict(zip(self.frame_ids, self.occupancy))
@@ -322,7 +349,7 @@ def _project_boxes(cam: Homography, ground: np.ndarray) -> np.ndarray:
 
 def _block_arrays(cam: Homography, ground: list, kinds: list, emitted: list,
                   frame_ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """A block's vehicles as one read-only :data:`VEHICLE_DTYPE` array and its detections
+    """A block's vehicles as one :data:`VEHICLE_DTYPE` array and its detections
     (``emitted``: vehicle index, confidence) as one :data:`DETECTION_DTYPE` array, from one
     projection.  A bad box is named as frame-by-frame projection names it, using each
     frame's vehicle end offset in ``frame_ends``: first faulty frame, ground before image."""
@@ -342,7 +369,6 @@ def _block_arrays(cam: Homography, ground: list, kinds: list, emitted: list,
     vehicles["kind"] = np.array(kinds, dtype=object)
     dets["conf"] = confs
     dets["cls"] = "car"
-    vehicles.setflags(write=False)
     return vehicles, dets
 
 
@@ -362,16 +388,15 @@ def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth
     bitgen = np.random.PCG64(0)  # re-seeded for every substream; one Generator draws from it
     rng = np.random.Generator(bitgen)
 
-    occupancy = []
-    vehicles_all = []
-    dets_all, det_counts = [], []  # each block's detections, and its frames' detection counts
+    bits = []  # every frame's occupancy bits, end to end
+    vehicles_all, dets_all = [], []  # each block's vehicles and detections
+    counts = []  # each block's frames' vehicle and detection counts
     for block in _frame_substreams(config):
         ground: list[tuple[float, float, float, float]] = []  # each vehicle's ground box, in draw order
         kinds: list[str] = []
         emitted: list[tuple[int, float]] = []  # (vehicle index, confidence) of each detection
         ends: list[tuple[int, int]] = []  # each frame's vehicle and detection end offsets
         for slot_words, (passing_words,), site_words in block:
-            bits = []
             for (cx, cy), words in zip(slot_centers, slot_words):
                 _seed_pcg64(bitgen, words)
                 occupied = rng.random() < config.occupancy_prob
@@ -402,27 +427,28 @@ def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth
                 kinds.append("violation")
                 emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
 
-            occupancy.append(tuple(bits))
             ends.append((len(ground), len(emitted)))
 
-        vehicle_ends, detection_ends = zip(*ends)
-        vehicles, dets = _block_arrays(cam, ground, kinds, emitted, vehicle_ends)
-        vehicles_all.extend(np.split(vehicles, vehicle_ends[:-1]))
+        vehicles, dets = _block_arrays(cam, ground, kinds, emitted, [v for v, _ in ends])
+        vehicles_all.append(vehicles)
         dets_all.append(dets)
-        det_counts.append(np.diff(detection_ends, prepend=0))
+        counts.append(np.diff(ends, axis=0, prepend=0))
 
     frames = range(config.frame_count)
+    vehicle_counts, det_counts = np.concatenate(counts).T
     log = DetectionLog(
         frame_ids=tuple(f"f{f:06d}" for f in frames),
         timestamps=tuple((_BASE_TIMESTAMP + f * _SAMPLE_INTERVAL).isoformat() for f in frames),
-        frame_index=np.repeat(frames, np.concatenate(det_counts)),
+        frame_index=np.repeat(frames, det_counts),
         detections=np.concatenate(dets_all),
     )
     truth = GroundTruth(
         frame_ids=log.frame_ids,
         slots=tuple(slot_boxes_image),
-        occupancy=tuple(occupancy),
-        vehicles=tuple(vehicles_all),
+        bits=np.array(bits, bool),
+        bit_counts=np.full(config.frame_count, config.slot_count),
+        frame_index=np.repeat(frames, vehicle_counts),
+        vehicle_rows=np.concatenate(vehicles_all),
     )
     return log, truth
 
@@ -431,10 +457,11 @@ def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth
 
 def write_ground_truth_slots(stream: IO[str], truth: GroundTruth) -> None:
     """Slot layout in the slot-registry schema (spread 0, members = frames occupied)."""
-    slots = [
-        ParkingSlot(slot_id=i, area=box, spread=0.0, members=sum(bits[i] for bits in truth.occupancy))
-        for i, box in enumerate(truth.slots)
-    ]
+    starts = np.cumsum(truth.bit_counts) - truth.bit_counts
+    slot_of_bit = np.arange(len(truth.bits)) - np.repeat(starts, truth.bit_counts)
+    members = np.bincount(slot_of_bit[truth.bits], minlength=len(truth.slots)).tolist()
+    slots = [ParkingSlot(slot_id=i, area=box, spread=0.0, members=members[i])
+             for i, box in enumerate(truth.slots)]
     json.dump(slot_registry_document(slots, {"source": "simulator-ground-truth"}),
               stream, sort_keys=True, indent=2)
     stream.write("\n")
@@ -444,10 +471,10 @@ def write_ground_truth_occupancy(stream: IO[str], truth: GroundTruth) -> None:
     """Per-frame record: occupancy bits keyed by slot id plus true vehicle boxes, with the
     bytes ``json.dumps(record, sort_keys=True)`` gives (built as ``write_detections`` does)."""
     bit_formats = {}  # bit count -> '"0": {0}, "1": {1}, "10": {10}, ...', keys in string order
-    for fid, bits, vehicles in zip(truth.frame_ids, truth.occupancy, truth.vehicles):
+    for fid, bits, vehicles in truth.frames():
         if len(bits) not in bit_formats:
             bit_formats[len(bits)] = ", ".join(f'"{i}": {{{i}}}' for i in sorted(range(len(bits)), key=str))
-        occupancy = bit_formats[len(bits)].format(*["true" if bit else "false" for bit in bits])
+        occupancy = bit_formats[len(bits)].format(*["true" if bit else "false" for bit in bits.tolist()])
         boxes = ", ".join([f'{{"cx": {cx!r}, "cy": {cy!r}, "h": {h!r}, '
                            f'"kind": {encode_basestring_ascii(kind)}, "w": {w!r}}}'
                            for cx, cy, w, h, kind in vehicles.tolist()])
@@ -455,73 +482,64 @@ def write_ground_truth_occupancy(stream: IO[str], truth: GroundTruth) -> None:
                      f'"vehicles": [{boxes}]}}\n')
 
 
-def _vehicle_array(entries: list) -> np.ndarray:
-    """A truth line's vehicles as a :data:`VEHICLE_DTYPE` array, after a type test per value;
-    an integer too large for a float raises a ValueError naming its field."""
-    rows = []
+def _vehicle_fault(entries) -> None:
+    """Name a truth line's first bad vehicle's first bad field, or after every type fault, the
+    first integer too large for a float."""
     for row in map(_VEHICLE_ROW, entries):
         if not (JSON_NUMBER_TYPES.issuperset(map(type, row[:4])) and type(row[4]) is str):
             for value, name in zip(row, _BOX_FIELDS):
                 json_number(value, name)
             raise TypeError(f"kind must be a string, got {row[4]!r}")
-        rows.append(row)
-    try:
-        return np.array(rows, VEHICLE_DTYPE)
-    except OverflowError:
-        for row in rows:  # names the first integer too large for a float
-            for value, name in zip(row, _BOX_FIELDS):
-                json_number(value, name)
-        raise
-
-
-def _check_vehicles(vehicles: np.ndarray) -> None:
-    """:func:`_check_boxes` over a :data:`VEHICLE_DTYPE` array's boxes."""
-    _check_boxes(np.column_stack([vehicles[k] for k in _BOX_FIELDS]))
+    for row in map(_VEHICLE_ROW, entries):
+        for value, name in zip(row, _BOX_FIELDS):
+            json_number(value, name)
 
 
 def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
     """Ground truth from the per-frame occupancy file alone (empty slot layout).
 
-    Each line's values are type-tested as it is read; then all vehicles go into one
-    read-only array, checked for finite, positive-size boxes at once, and each frame
-    holds a view of its rows. A bad box is named with its line, and a frame id given
-    twice is rejected, naming both lines.
+    Each line's values are type-tested as it is read and appended to columns; then the
+    vehicles go into one read-only array, whose boxes are checked for finite, positive
+    sizes at once. A bad box is named with its line, and a frame id given twice is
+    rejected, naming both lines.
     """
     first_line = {}  # frame id -> line number, in file order
-    occupancy = []
-    frames = []  # each frame's vehicle array, until they are joined
+    bits, bit_counts, counts = [], [], []
+    columns = [array("d") for _ in _BOX_FIELDS] + [[]]
     bit_keys = {}  # bit count -> the keys "0", "1", ... of the occupancy object
     for line_no, record in json_lines(occupancy_stream, "occupancy"):
         try:
             frame_id = json_frame_id(record["frame"])
-            bits = record["occupancy"]
-            keys = bit_keys.get(len(bits)) or bit_keys.setdefault(len(bits), list(map(str, range(len(bits)))))
-            frame_bits = tuple(map(bits.__getitem__, keys))
+            by_slot = record["occupancy"]
+            n = len(by_slot)
+            keys = bit_keys.get(n) or bit_keys.setdefault(n, list(map(str, range(n))))
+            frame_bits = tuple(map(by_slot.__getitem__, keys))
             if not {bool}.issuperset(map(type, frame_bits)):
                 raise TypeError("occupancy bits must be true or false")
-            frames.append(_vehicle_array(record["vehicles"]))
+            if not extend_columns(columns, record["vehicles"], _VEHICLE_ROW):
+                _vehicle_fault(record["vehicles"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
         note_first_line(first_line, frame_id, line_no, "occupancy")
-        occupancy.append(frame_bits)
-    vehicles = np.concatenate([np.empty(0, VEHICLE_DTYPE), *frames])
+        bits.extend(frame_bits)
+        bit_counts.append(len(frame_bits))
+        counts.append(len(record["vehicles"]))
+    vehicles = np.zeros(sum(counts), VEHICLE_DTYPE)  # np.empty fills object fields slowly
+    for name, column in zip(VEHICLE_DTYPE.names, columns):
+        vehicles[name] = column
+    truth = GroundTruth(tuple(first_line), (), np.array(bits, bool), np.array(bit_counts, np.intp),
+                        np.repeat(np.arange(len(counts)), counts), vehicles)
+    boxes = truth.boxes()
     try:
-        _check_vehicles(vehicles)
+        _check_boxes(boxes)
     except ValidationError:
-        for line_no, frame in zip(first_line.values(), frames):  # name the first bad line
-            try:
-                _check_vehicles(frame)
+        for line_no, hi, n in zip(first_line.values(), np.cumsum(counts).tolist(), counts):
+            try:  # name the first bad line
+                _check_boxes(boxes[hi - n:hi])
             except ValidationError as exc:
                 raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
         raise
-    vehicles.setflags(write=False)
-    ends = np.cumsum([len(frame) for frame in frames]).tolist()
-    return GroundTruth(
-        frame_ids=tuple(first_line),
-        slots=(),
-        occupancy=tuple(occupancy),
-        vehicles=tuple(vehicles[lo:hi] for lo, hi in zip([0, *ends], ends)),
-    )
+    return truth
 
 
 # --- scenario config file ---------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 from parkscan.detections import DETECTION_DTYPE, DetectionLog
 from parkscan.errors import ValidationError
 from parkscan.occupancy import FrameReport, OccupancyRecord, OccupancyStatus
-from parkscan.simulator import VEHICLE_DTYPE
+from parkscan.simulator import VEHICLE_DTYPE, GroundTruth
 
 # --- edge cases for the JSON writer tests ---
 
@@ -317,6 +317,22 @@ def detection_log(frames):
         timestamps=tuple(frame.timestamp for frame in frames),
         frame_index=np.repeat(np.arange(len(frames)), [len(dets) for dets in arrays]),
         detections=np.concatenate([np.empty(0, DETECTION_DTYPE), *arrays]),
+    )
+
+
+def ground_truth(frame_ids, slots, occupancy, vehicles):
+    """A :class:`GroundTruth` of ``frame_ids``, ``slots``, and per frame its occupancy bits and
+    its vehicles, a :data:`VEHICLE_DTYPE` array or ``(cx, cy, w, h, kind)`` rows; like the
+    simulator's truth, its boxes are not checked."""
+    occupancy = [list(map(bool, bits)) for bits in occupancy]
+    arrays = [np.array(frame, VEHICLE_DTYPE) for frame in vehicles]
+    return GroundTruth(
+        frame_ids=tuple(frame_ids),
+        slots=tuple(slots),
+        bits=np.array([bit for bits in occupancy for bit in bits], bool),
+        bit_counts=np.array([len(bits) for bits in occupancy], np.intp),
+        frame_index=np.repeat(np.arange(len(arrays)), [len(frame) for frame in arrays]),
+        vehicle_rows=np.concatenate([np.empty(0, VEHICLE_DTYPE), *arrays]),
     )
 
 

@@ -105,6 +105,11 @@ def test_detection_invariants():
             parse_detections(io.StringIO(text))
         assert exc.value.field == "x"
         assert str(exc.value) == "line 2: x coordinate must be finite, got nan"
+    # An integer too large for a float is named before the line's bad boxes, which are read
+    # into the columns ahead of it.
+    with pytest.raises(ValidationError) as exc:
+        parse_detections(io.StringIO(_log_text([_entry()], [_entry(cx=float("nan")), _entry(conf=10**400)])))
+    assert str(exc.value) == 'line 2: detection field "conf" is too large for a float'
 
 
 def test_parse_rejects_nan_center_with_line_number():

@@ -13,6 +13,7 @@ from helpers import (
     aggregate_report_by_rescan,
     box_iou_scalar,
     classify_frame_per_slot,
+    ground_truth,
     occupancy_join_by_loop,
     report_text_by_dumps,
     write_records_by_dumps,
@@ -456,6 +457,28 @@ def test_batch_oracle_equals_per_frame_iou_bit_for_bit(areas, frames, block_pair
     assert scores[:-1].tobytes() == expected.tobytes()
 
 
+_frame_ids = [f"f{i}" for i in range(6)]
+
+
+@given(frames=st.lists(st.lists(_box, max_size=5), min_size=1, max_size=6),
+       areas=st.lists(_box, min_size=1, max_size=5),
+       asked=st.one_of(st.just(_frame_ids), st.permutations(_frame_ids),
+                       st.lists(st.sampled_from([*_frame_ids, "missing"]), max_size=10)),
+       block_pairs=st.sampled_from([1, 7, 1 << 16]))
+@settings(max_examples=150, deadline=None)
+def test_oracle_from_truth_equals_the_mapping_oracle_bit_for_bit(frames, areas, asked, block_pairs):
+    # Frames asked in truth order, shuffled, as a subset, twice, or missing from truth (the
+    # strategies name six frame ids; truth holds the first ``len(frames)`` of them).
+    vehicles = [[(b.cx, b.cy, b.w, b.h, "parked") for b in boxes] for boxes in frames]
+    truth = ground_truth(_frame_ids[:len(frames)], (), [[True]] * len(frames), vehicles)
+    slots = [ParkingSlot(slot_id=i, area=a, spread=0.0, members=1) for i, a in enumerate(areas)]
+    with mock.patch.object(occupancy, "_IOU_BLOCK_PAIRS", block_pairs):
+        scores, failed = GeometricOracleClassifier.from_truth(truth).score_frames(asked, slots)
+        expected, expected_failed = GeometricOracleClassifier(truth.vehicles_by_frame()).score_frames(asked, slots)
+    assert failed == expected_failed
+    assert scores.tobytes() == expected.tobytes()
+
+
 def test_batch_oracle_splits_a_frame_across_blocks(monkeypatch):
     # One frame with 30 vehicles against 3 slots: at 7 pairs per block each block holds
     # two vehicles, so the frame's maximum is taken over 15 blocks.
@@ -522,14 +545,15 @@ def test_truth_join_matches_the_record_loop(records, pred_to_truth, occupancy, s
     # Shuffled record order, ERROR records, frames missing from truth, unmatched slots,
     # and truth ids outside a frame's bits (which must name the same record).
     records = [records[i] for i in np.random.default_rng(seed).permutation(len(records))]
+    truth = ground_truth(occupancy, (), occupancy.values(), [[]] * len(occupancy))
     try:
         expected = occupancy_join_by_loop(records, pred_to_truth, occupancy)
     except ValidationError as exc:
         with pytest.raises(ValidationError) as got:
-            OccupancyTable.from_records(records).join_truth(pred_to_truth, occupancy)
+            OccupancyTable.from_records(records).join_truth(pred_to_truth, truth)
         assert str(got.value) == str(exc)
         return
-    assert OccupancyTable.from_records(records).join_truth(pred_to_truth, occupancy) == expected
+    assert OccupancyTable.from_records(records).join_truth(pred_to_truth, truth) == expected
 
 
 def test_truth_join_rejects_a_truth_id_beyond_its_own_frames_bits():
@@ -537,5 +561,6 @@ def test_truth_join_rejects_a_truth_id_beyond_its_own_frames_bits():
     records = [rec("b", 1, OccupancyStatus.VACANT), rec("a", 1, OccupancyStatus.OCCUPIED)]
     table = OccupancyTable.from_records(records)
     with pytest.raises(ValidationError, match="frame 'a' has no occupancy bit for truth slot 3"):
-        table.join_truth({1: 3}, {"a": (True, False), "b": (True,) * 5})
-    assert table.join_truth({1: 3}, {"b": (False, False, False, True)}) == ([False], [True], [0.5])
+        table.join_truth({1: 3}, ground_truth("ab", (), [(True, False), (True,) * 5], [[], []]))
+    truth = ground_truth("b", (), [(False, False, False, True)], [[]])
+    assert table.join_truth({1: 3}, truth) == ([False], [True], [0.5])

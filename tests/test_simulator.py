@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     AWKWARD_CHARS,
     EDGE_FLOATS,
+    ground_truth,
     project_box_scalar,
     seed_sequence_stream,
     write_ground_truth_occupancy_by_dumps,
@@ -131,12 +132,8 @@ def test_ground_truth_files_round_trip():
     write_ground_truth_occupancy(occ_buf, truth)
     registry = read_slot_registry(io.StringIO(slots_buf.getvalue()))
     occupancy = read_ground_truth_occupancy(io.StringIO(occ_buf.getvalue()))
-    parsed = GroundTruth(
-        frame_ids=occupancy.frame_ids,
-        slots=tuple(slot.area for slot in registry),
-        occupancy=occupancy.occupancy,
-        vehicles=occupancy.vehicles,
-    )
+    parsed = ground_truth(occupancy.frame_ids, [slot.area for slot in registry], occupancy.occupancy,
+                          occupancy.vehicles)
     assert parsed == truth
     assert [slot.slot_id for slot in registry] == list(range(len(truth.slots)))
     assert [slot.members for slot in registry] == np.array(truth.occupancy).sum(axis=0).tolist()
@@ -158,12 +155,8 @@ _truth_frame = st.tuples(_text, _bits, st.lists(st.tuples(_coord, _coord, _size,
 @given(frames=st.lists(_truth_frame, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_write_ground_truth_occupancy_matches_json_dumps_byte_for_byte(frames):
-    truth = GroundTruth(
-        frame_ids=tuple(fid for fid, _, _ in frames),
-        slots=(),
-        occupancy=tuple(tuple(bits) for _, bits, _ in frames),
-        vehicles=tuple(np.array(rows, VEHICLE_DTYPE) for _, _, rows in frames),
-    )
+    frame_ids, occupancy, vehicles = zip(*frames) if frames else ((), (), ())
+    truth = ground_truth(frame_ids, (), occupancy, vehicles)
     buf, ref = io.StringIO(), io.StringIO()
     write_ground_truth_occupancy(buf, truth)
     write_ground_truth_occupancy_by_dumps(ref, truth)
@@ -189,7 +182,7 @@ def test_writers_stream_instead_of_building_the_file():
     cfg = small_config(rows=2, occupancy_prob=0.6, passing_rate=1.0, frame_count=2000)
     log, truth = generate_scenario(cfg)
     head_log, _ = generate_scenario(replace(cfg, frame_count=200))
-    head = GroundTruth(truth.frame_ids[:200], truth.slots, truth.occupancy[:200], truth.vehicles[:200])
+    head = ground_truth(truth.frame_ids[:200], truth.slots, truth.occupancy[:200], truth.vehicles[:200])
     assert _peak_bytes(write_detections, log) < 2 * _peak_bytes(write_detections, head_log)
     assert (_peak_bytes(write_ground_truth_occupancy, truth)
             < 2 * _peak_bytes(write_ground_truth_occupancy, head))
@@ -404,13 +397,17 @@ def test_ground_truth_lookup_helpers():
 
 def test_ground_truth_equality_compares_vehicle_values():
     _, truth = generate_scenario(small_config(occupancy_prob=0.5, frame_count=4, passing_rate=1.0))
-    copy = GroundTruth(truth.frame_ids, truth.slots, truth.occupancy, tuple(v.copy() for v in truth.vehicles))
+    copy = ground_truth(truth.frame_ids, truth.slots, truth.occupancy, [v.copy() for v in truth.vehicles])
     assert copy == truth
     moved = [v.copy() for v in truth.vehicles]
     frame = next(i for i, v in enumerate(moved) if len(v))
     moved[frame]["cx"][0] += 1.0
-    assert GroundTruth(truth.frame_ids, truth.slots, truth.occupancy, tuple(moved)) != truth
-    assert GroundTruth(truth.frame_ids, truth.slots, truth.occupancy, truth.vehicles[:-1]) != truth
+    assert ground_truth(truth.frame_ids, truth.slots, truth.occupancy, moved) != truth
+    # The same rows, with the frame's last vehicle moved into the next frame.
+    v = truth.vehicles
+    regrouped = [*v[:frame], v[frame][:-1], np.concatenate((v[frame][-1:], v[frame + 1])), *v[frame + 2:]]
+    assert ground_truth(truth.frame_ids, truth.slots, truth.occupancy, regrouped) != truth
+    assert ground_truth(truth.frame_ids[:-1], truth.slots, truth.occupancy[:-1], truth.vehicles[:-1]) != truth
     assert truth != "not ground truth"
 
 
