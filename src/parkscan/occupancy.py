@@ -261,7 +261,8 @@ class GeometricOracleClassifier(ClassifierAdapter):
 
     Stand-in for an image classifier on simulated data: the score is the raw
     max IoU, and the recommended decision threshold binarizes it. It holds each
-    frame's row, every frame's boxes end to end in row order, and each frame's count.
+    frame's row, every frame's boxes end to end in row order, and where each row's boxes start
+    and end in them.
     """
 
     def __init__(
@@ -274,7 +275,7 @@ class GeometricOracleClassifier(ClassifierAdapter):
         boxes = [np.asarray(v, float).reshape(-1, 4) for v in vehicles_by_frame.values()]
         self._row = {fid: i for i, fid in enumerate(vehicles_by_frame)}
         self._boxes = np.concatenate([np.empty((0, 4)), *boxes])
-        self._counts = np.array([len(b) for b in boxes], np.intp)
+        self._bounds = np.cumsum([0, *map(len, boxes)])
         self.decision_threshold = iou_threshold
 
     @classmethod
@@ -282,7 +283,7 @@ class GeometricOracleClassifier(ClassifierAdapter):
         """The oracle over a :class:`~parkscan.simulator.GroundTruth`'s vehicle columns as they are."""
         oracle = cls({}, iou_threshold)
         oracle._row, oracle._boxes = {fid: i for i, fid in enumerate(truth.frame_ids)}, truth.boxes()
-        oracle._counts = np.bincount(truth.frame_index, minlength=len(truth.frame_ids))
+        oracle._bounds = truth.frame_index.searchsorted(np.arange(len(truth.frame_ids) + 1))
         return oracle
 
     def classify(self, frame_id: str, slots: Sequence[ParkingSlot]) -> np.ndarray:
@@ -300,11 +301,11 @@ class GeometricOracleClassifier(ClassifierAdapter):
         rows = np.array([self._row.get(fid, -1) for fid in frame_ids], np.intp)
         failed = {i: f"no ground truth for frame {frame_ids[i]!r}" for i in np.flatnonzero(rows < 0).tolist()}
         known = np.flatnonzero(rows >= 0)
-        counts = self._counts[rows[known]]
+        first = self._bounds[rows[known]]
+        counts = self._bounds[rows[known] + 1] - first
         owner = np.repeat(known, counts)  # each frame's vehicles, in the order the frames are asked
-        offsets = np.cumsum(self._counts) - self._counts
-        first = np.repeat(offsets[rows[known]] - (np.cumsum(counts) - counts), counts)
-        vehicles = self._boxes[first + np.arange(len(owner))][None]
+        gather = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(len(owner))
+        vehicles = self._boxes[gather][None]
         step = max(1, _IOU_BLOCK_PAIRS // len(slots))
         for lo in range(0, len(owner), step):
             block = owner[lo:lo + step]
