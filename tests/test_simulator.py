@@ -407,6 +407,8 @@ def test_ground_truth_equality_compares_vehicle_values():
     v = truth.vehicles
     regrouped = [*v[:frame], v[frame][:-1], np.concatenate((v[frame][-1:], v[frame + 1])), *v[frame + 2:]]
     assert ground_truth(truth.frame_ids, truth.slots, truth.occupancy, regrouped) != truth
+    emptied = [*v[:frame], v[frame][:0], *v[frame + 1:]]  # the frame's vehicles dropped
+    assert ground_truth(truth.frame_ids, truth.slots, truth.occupancy, emptied) != truth
     assert ground_truth(truth.frame_ids[:-1], truth.slots, truth.occupancy[:-1], truth.vehicles[:-1]) != truth
     assert truth != "not ground truth"
 
