@@ -20,7 +20,6 @@ from .geometry import (
     estimate_homography_dlt,
     homography_from_config,
     invert_homography,
-    normalize_point_cloud,
 )
 from .metrics import (
     ClassificationCounts,

@@ -144,7 +144,7 @@ def _emit_cluster_plot_data(out_path, outcome) -> None:
     base = Path(out_path)
     with open(base.with_suffix(base.suffix + ".clusters.tsv"), "w", encoding="utf-8") as fh:
         fh.write("x\ty\tcluster\n")
-        for (x, y), label in zip(outcome.normalized_points, outcome.labels):
+        for (x, y), label in zip(outcome.birdseye_points, outcome.labels):
             fh.write(f"{x}\t{y}\t{int(label)}\n")
     with open(base.with_suffix(base.suffix + ".spreads.tsv"), "w", encoding="utf-8") as fh:
         fh.write("cluster_id\tspread\tmembers\tkept_by_iqr\tselected\n")

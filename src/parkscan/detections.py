@@ -43,22 +43,21 @@ class FrameDetections(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class DetectionLog:
     """Frame ids and timestamps in log order, and every box in one read-only
-    :data:`DETECTION_DTYPE` array, grouped by frame in log order: row ``i`` is in frame
-    ``frame_index[i]``, and a frame may have none.  Iterating yields each frame as a
-    :class:`FrameDetections` view, finding its rows only as it is reached."""
+    :data:`DETECTION_DTYPE` array, grouped by frame in log order: frame ``i`` has rows
+    ``offsets[i]`` to ``offsets[i + 1]``, and a frame may have none.  Iterating yields each
+    frame as a :class:`FrameDetections` view."""
 
     frame_ids: tuple[str, ...]
     timestamps: tuple[Union[str, None], ...]
-    frame_index: np.ndarray
+    offsets: np.ndarray  # one entry per frame, plus one
     detections: np.ndarray
 
     def __post_init__(self):
-        self.frame_index.setflags(write=False)
+        self.offsets.setflags(write=False)
         self.detections.setflags(write=False)
 
     def __iter__(self) -> Iterator[FrameDetections]:
-        bounds = pairwise(map(self.frame_index.searchsorted, range(len(self.frame_ids) + 1)))
-        for frame_id, ts, (lo, hi) in zip(self.frame_ids, self.timestamps, bounds):
+        for frame_id, ts, (lo, hi) in zip(self.frame_ids, self.timestamps, pairwise(self.offsets)):
             yield FrameDetections(frame_id, self.detections[lo:hi], ts)
 
 
@@ -112,13 +111,13 @@ def _entry_fault(entries: list, line: int) -> None:
             _number(entry, name, line)
 
 
-def _checked_log(first_line: dict, timestamps: list, counts: list, columns: list) -> DetectionLog:
-    """The log of the first ``len(counts)`` lines, from their columns; a number column may hold
-    more. A bad box is named as checking its line alone would: by line, then by column."""
-    dets = np.zeros(sum(counts), DETECTION_DTYPE)  # np.empty fills object fields slowly
+def _checked_log(first_line: dict, timestamps: list, offsets: list, columns: list) -> DetectionLog:
+    """The log of the first ``len(offsets) - 1`` lines, from their columns; a number column may
+    hold more. A bad box is named as checking its line alone would: by line, then by column."""
+    dets = np.zeros(offsets[-1], DETECTION_DTYPE)  # np.empty fills object fields slowly
     for name, column in zip(DETECTION_DTYPE.names, columns):
         dets[name] = column if name == "cls" else np.frombuffer(column, float, len(dets))
-    frame_index = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.array(offsets, np.intp)
     cx, cy, w, h, conf = (dets[name] for name in _NUMBER_FIELDS)
     checks = [(cx, np.isfinite(cx), "x", "x coordinate must be finite"),
               (cy, np.isfinite(cy), "y", "y coordinate must be finite"),
@@ -127,12 +126,12 @@ def _checked_log(first_line: dict, timestamps: list, counts: list, columns: list
               (conf, (conf >= 0.0) & (conf <= 1.0), "confidence", "confidence must be in [0, 1]")]
     ok = np.logical_and.reduce([ok for _, ok, _, _ in checks])
     if not ok.all():
-        frame = frame_index[np.argmin(ok)]  # the first line with a bad box
-        rows = frame_index == frame
+        frame = offsets.searchsorted(np.argmin(ok), "right") - 1  # the first line with a bad box
+        rows = slice(offsets[frame], offsets[frame + 1])
         values, ok, name, message = next(check for check in checks if not check[1][rows].all())
         got = float(values[rows][np.argmin(ok[rows])])
         raise ValidationError(name, f"line {list(first_line.values())[frame]}: {message}, got {got!r}")
-    return DetectionLog(tuple(first_line)[:len(counts)], tuple(timestamps), frame_index, dets)
+    return DetectionLog(tuple(first_line)[:len(timestamps)], tuple(timestamps), offsets, dets)
 
 
 def parse_detections(stream: IO[str]) -> DetectionLog:
@@ -143,7 +142,7 @@ def parse_detections(stream: IO[str]) -> DetectionLog:
     starts ``line N:``, and names the first line at fault.  Blank lines are ignored.
     """
     first_line = {}  # frame id -> line number, in log order
-    timestamps, counts = [], []
+    timestamps, offsets = [], [0]
     columns = [array("d") for _ in _NUMBER_FIELDS] + [[]]  # cls last: it grows only with whole lines
     try:
         for line_no, record in json_lines(stream, "detections"):
@@ -160,10 +159,10 @@ def parse_detections(stream: IO[str]) -> DetectionLog:
                 raise _log_error(line_no, '"dets" must be a list')
             if not extend_columns(columns, dets_raw, _ROW):
                 _entry_fault(dets_raw, line_no)
-            counts.append(len(dets_raw))
+            offsets.append(len(columns[-1]))
             timestamps.append(ts)
     finally:  # also after a bad line, so that an earlier line's bad box is named first
-        log = _checked_log(first_line, timestamps, counts, columns)
+        log = _checked_log(first_line, timestamps, offsets, columns)
     return log
 
 
@@ -197,4 +196,5 @@ def filter_detections(log: DetectionLog, det_filter: DetectionFilter) -> Detecti
     for cls in det_filter.allowed_classes:
         allowed |= dets["cls"] == cls
     keep = allowed & (dets["conf"] >= det_filter.min_confidence)
-    return DetectionLog(log.frame_ids, log.timestamps, log.frame_index[keep], dets[keep])
+    offsets = np.append(0, np.cumsum(keep))[log.offsets]  # rows kept before each frame's first
+    return DetectionLog(log.frame_ids, log.timestamps, offsets, dets[keep])

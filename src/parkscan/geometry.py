@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError, json_number
 
-# Longest bounding-box side of a normalized point cloud, in normalized units.
-NORMALIZED_EXTENT = 1000.0
-
 _SINGULARITY_RTOL = 1e-12
 _PROJECTION_EPS = 1e-12
 
@@ -232,29 +229,6 @@ def estimate_homography_dlt(
         raise DegenerateCorrespondencesError(
             f"correspondences yield a singular map: {exc}"
         ) from exc
-
-
-def normalize_point_cloud(points: np.ndarray) -> tuple[np.ndarray, float, Point2]:
-    """Translate a cloud to non-negative coordinates and scale it isotropically.
-
-    The bounding box's longest side becomes exactly ``NORMALIZED_EXTENT``
-    units; aspect ratio is preserved.  Returns ``(scaled, scale, offset)``
-    with ``scaled = (points - offset) * scale``, so originals are recovered
-    as ``scaled / scale + offset``.  A cloud of identical points, or one so
-    tight that ``NORMALIZED_EXTENT / extent`` overflows a float, maps to the
-    origin with scale 1.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-        raise ValueError(f"expected a non-empty (n, 2) array, got shape {pts.shape}")
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    offset = Point2(float(lo[0]), float(lo[1]))
-    extent = float((hi - lo).max())
-    scale = NORMALIZED_EXTENT / extent if extent > 0.0 else math.inf
-    if math.isinf(scale):
-        return np.zeros_like(pts), 1.0, offset
-    return (pts - lo) * scale, scale, offset
 
 
 def _config_point(entry: Mapping, end: str) -> Point2:

@@ -194,8 +194,8 @@ class OccupancyTable:
         ``truth``, read from its bit columns. A truth id outside a frame's bits raises."""
         truth_row = {fid: i for i, fid in enumerate(truth.frame_ids)}
         row = np.array([truth_row.get(fid, -1) for fid in self.frame_ids], np.intp)
-        sizes = np.append(truth.bit_counts, 0)[row]  # a frame outside truth has no bits
-        starts = np.append(np.cumsum(truth.bit_counts) - truth.bit_counts, 0)[row]
+        sizes = np.append(np.diff(truth.bit_offsets), 0)[row]  # a frame outside truth has no bits
+        starts = np.append(truth.bit_offsets[:-1], 0)[row]
         truth_ids = [pred_to_truth.get(sid) for sid in self.slot_ids]
         matched = np.array([t is not None for t in truth_ids], bool)
         top = int(sizes.max(initial=0))  # an id outside every frame's bits becomes -1
@@ -283,7 +283,7 @@ class GeometricOracleClassifier(ClassifierAdapter):
         """The oracle over a :class:`~parkscan.simulator.GroundTruth`'s vehicle columns as they are."""
         oracle = cls({}, iou_threshold)
         oracle._row, oracle._boxes = {fid: i for i, fid in enumerate(truth.frame_ids)}, truth.boxes()
-        oracle._bounds = truth.frame_index.searchsorted(np.arange(len(truth.frame_ids) + 1))
+        oracle._bounds = truth.vehicle_offsets
         return oracle
 
     def classify(self, frame_id: str, slots: Sequence[ParkingSlot]) -> np.ndarray:

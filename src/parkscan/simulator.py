@@ -42,7 +42,7 @@ import math
 from array import array
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
-from itertools import accumulate, pairwise
+from itertools import pairwise
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import IO, Iterator, Mapping, Sequence, Union
@@ -157,25 +157,25 @@ class ScenarioConfig:
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Slot layout in image coordinates, and per frame its occupancy bits and true vehicles as
-    columns: frame ``i`` has the next ``bit_counts[i]`` of ``bits`` (by slot id), and row ``j`` of
-    ``vehicle_rows`` (one read-only :data:`VEHICLE_DTYPE` array in frame order) is in frame
-    ``frame_index[j]``. ``occupancy`` and ``vehicles`` give them per frame, derived on demand."""
+    columns: frame ``i`` has ``bits[bit_offsets[i]:bit_offsets[i + 1]]`` (by slot id), and rows
+    ``vehicle_offsets[i]`` to ``vehicle_offsets[i + 1]`` of ``vehicle_rows`` (one read-only
+    :data:`VEHICLE_DTYPE` array in frame order). ``occupancy`` and ``vehicles`` give them per
+    frame, derived on demand."""
 
     frame_ids: tuple[str, ...]
     slots: tuple[Box, ...]
     bits: np.ndarray
-    bit_counts: np.ndarray
-    frame_index: np.ndarray
+    bit_offsets: np.ndarray  # one entry per frame, plus one; so is vehicle_offsets
+    vehicle_offsets: np.ndarray
     vehicle_rows: np.ndarray
 
     def __post_init__(self):
-        for column in (self.bits, self.bit_counts, self.frame_index, self.vehicle_rows):
+        for column in (self.bits, self.bit_offsets, self.vehicle_offsets, self.vehicle_rows):
             column.setflags(write=False)
 
     def frames(self) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-        """Each frame's id, occupancy bits and rows of ``vehicle_rows``, found as it is reached."""
-        bit_bounds = pairwise(accumulate(self.bit_counts, initial=0))
-        vehicle_bounds = pairwise(map(self.frame_index.searchsorted, range(len(self.frame_ids) + 1)))
+        """Each frame's id, occupancy bits and rows of ``vehicle_rows``."""
+        bit_bounds, vehicle_bounds = pairwise(self.bit_offsets), pairwise(self.vehicle_offsets)
         for fid, (b0, b1), (v0, v1) in zip(self.frame_ids, bit_bounds, vehicle_bounds):
             yield fid, self.bits[b0:b1], self.vehicle_rows[v0:v1]
 
@@ -390,7 +390,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth
 
     bits = []  # every frame's occupancy bits, end to end
     vehicles_all, dets_all = [], []  # each block's vehicles and detections
-    counts = []  # each block's frames' vehicle and detection counts
+    offsets = [np.zeros((1, 2), np.intp)]  # vehicle and detection offsets: 0, then each frame's ends
     for block in _frame_substreams(config):
         ground: list[tuple[float, float, float, float]] = []  # each vehicle's ground box, in draw order
         kinds: list[str] = []
@@ -432,22 +432,22 @@ def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth
         vehicles, dets = _block_arrays(cam, ground, kinds, emitted, [v for v, _ in ends])
         vehicles_all.append(vehicles)
         dets_all.append(dets)
-        counts.append(np.diff(ends, axis=0, prepend=0))
+        offsets.append(offsets[-1][-1] + np.array(ends))
 
     frames = range(config.frame_count)
-    vehicle_counts, det_counts = np.concatenate(counts).T
+    vehicle_offsets, det_offsets = np.concatenate(offsets).T
     log = DetectionLog(
         frame_ids=tuple(f"f{f:06d}" for f in frames),
         timestamps=tuple((_BASE_TIMESTAMP + f * _SAMPLE_INTERVAL).isoformat() for f in frames),
-        frame_index=np.repeat(frames, det_counts),
+        offsets=det_offsets,
         detections=np.concatenate(dets_all),
     )
     truth = GroundTruth(
         frame_ids=log.frame_ids,
         slots=tuple(slot_boxes_image),
         bits=np.array(bits, bool),
-        bit_counts=np.full(config.frame_count, config.slot_count),
-        frame_index=np.repeat(frames, vehicle_counts),
+        bit_offsets=np.arange(config.frame_count + 1) * config.slot_count,
+        vehicle_offsets=vehicle_offsets,
         vehicle_rows=np.concatenate(vehicles_all),
     )
     return log, truth
@@ -457,8 +457,8 @@ def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth
 
 def write_ground_truth_slots(stream: IO[str], truth: GroundTruth) -> None:
     """Slot layout in the slot-registry schema (spread 0, members = frames occupied)."""
-    starts = np.cumsum(truth.bit_counts) - truth.bit_counts
-    slot_of_bit = np.arange(len(truth.bits)) - np.repeat(starts, truth.bit_counts)
+    bit = np.arange(len(truth.bits))
+    slot_of_bit = bit - truth.bit_offsets[truth.bit_offsets.searchsorted(bit, "right") - 1]
     members = np.bincount(slot_of_bit[truth.bits], minlength=len(truth.slots)).tolist()
     slots = [ParkingSlot(slot_id=i, area=box, spread=0.0, members=members[i])
              for i, box in enumerate(truth.slots)]
@@ -504,7 +504,7 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
     rejected, naming both lines.
     """
     first_line = {}  # frame id -> line number, in file order
-    bits, bit_counts, counts = [], [], []
+    bits, bit_offsets, vehicle_offsets = [], [0], [0]
     columns = [array("d") for _ in _BOX_FIELDS] + [[]]
     bit_keys = {}  # bit count -> the keys "0", "1", ... of the occupancy object
     for line_no, record in json_lines(occupancy_stream, "occupancy"):
@@ -522,20 +522,20 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
             raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
         note_first_line(first_line, frame_id, line_no, "occupancy")
         bits.extend(frame_bits)
-        bit_counts.append(len(frame_bits))
-        counts.append(len(record["vehicles"]))
-    vehicles = np.zeros(sum(counts), VEHICLE_DTYPE)  # np.empty fills object fields slowly
+        bit_offsets.append(len(bits))
+        vehicle_offsets.append(len(columns[-1]))
+    vehicles = np.zeros(vehicle_offsets[-1], VEHICLE_DTYPE)  # np.empty fills object fields slowly
     for name, column in zip(VEHICLE_DTYPE.names, columns):
         vehicles[name] = column
-    truth = GroundTruth(tuple(first_line), (), np.array(bits, bool), np.array(bit_counts, np.intp),
-                        np.repeat(np.arange(len(counts)), counts), vehicles)
+    truth = GroundTruth(tuple(first_line), (), np.array(bits, bool), np.array(bit_offsets, np.intp),
+                        np.array(vehicle_offsets, np.intp), vehicles)
     boxes = truth.boxes()
     try:
         _check_boxes(boxes)
     except ValidationError:
-        for line_no, hi, n in zip(first_line.values(), np.cumsum(counts).tolist(), counts):
+        for line_no, lo, hi in zip(first_line.values(), vehicle_offsets, vehicle_offsets[1:]):
             try:  # name the first bad line
-                _check_boxes(boxes[hi - n:hi])
+                _check_boxes(boxes[lo:hi])
             except ValidationError as exc:
                 raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
         raise

@@ -1,11 +1,12 @@
 """Slot detection: bird's-eye transform, clustering, spread filtering, back-projection.
 
 Pipeline order: pool all detection centers, map them through the configured
-homography, normalize the cloud, run DBSCAN, compute per-cluster stats,
+homography, run DBSCAN on the bird's-eye points, compute per-cluster stats,
 drop spread outliers with the IQR rule, keep the ``n_bottom``
 smallest-spread candidates, and back-project each surviving cluster mean
-with the inverse homography.  Slot areas are the mean member bounding-box
-sizes in original-view pixels.
+with the inverse homography.  eps, cluster means and spreads are in
+bird's-eye units; slot areas are the mean member bounding-box sizes in
+original-view pixels.
 """
 
 import json
@@ -24,14 +25,13 @@ from .geometry import (
     Point2,
     apply_homography_array,
     invert_homography,
-    normalize_point_cloud,
 )
 
-# Defaults used when the config leaves DBSCAN parameters unset.  eps is in
-# normalized bird's-eye units (cloud longest side = 1000); min_points scales
-# with the frame count because a slot must be occupied in enough frames to
-# form a dense cluster.
-DEFAULT_EPS = 15.0
+# Defaults used when the config leaves DBSCAN parameters unset.  eps is this
+# fraction of the longest side of the bird's-eye cloud, so it follows the
+# camera's scale; min_points scales with the frame count because a slot must
+# be occupied in enough frames to form a dense cluster.
+DEFAULT_EPS_FRACTION = 0.015
 MIN_POINTS_FLOOR = 3
 MIN_POINTS_FRAME_FRACTION = 0.10
 
@@ -91,7 +91,7 @@ class SlotDetectionOutcome:
     shortfall: bool
     eps: float
     min_points: int
-    normalized_points: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
+    birdseye_points: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
     labels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     candidates: tuple[SlotCandidate, ...] = ()
     kept_by_iqr: frozenset = frozenset()  # indices into candidates
@@ -151,24 +151,24 @@ def run_slot_detection(log: DetectionLog, config: SlotDetectionConfig) -> SlotDe
     widths, heights = widths[order], heights[order]
 
     birdseye = apply_homography_array(config.homography, centers)
-    normalized, scale, offset = normalize_point_cloud(birdseye)
 
-    eps = DEFAULT_EPS if config.eps is None else float(config.eps)
+    if config.eps is None:  # coincident centers cluster the same way under any eps
+        eps = DEFAULT_EPS_FRACTION * float(np.ptp(birdseye, axis=0).max()) or 1.0
+    else:
+        eps = float(config.eps)
     min_points = (
         default_min_points(len(log.frame_ids)) if config.min_points is None else int(config.min_points)
     )
-    assignment = dbscan(normalized, DbscanParams(eps=eps, min_points=min_points))
+    assignment = dbscan(birdseye, DbscanParams(eps=eps, min_points=min_points))
     noise_points = int((assignment.labels == NOISE).sum())
 
     candidates = []
-    for st in cluster_stats(normalized, assignment):
+    for st in cluster_stats(birdseye, assignment):
         members = st.member_indices
         candidates.append(
             SlotCandidate(
                 cluster_id=st.cluster_id,
-                center_birdseye=Point2(
-                    st.mean.x / scale + offset.x, st.mean.y / scale + offset.y
-                ),
+                center_birdseye=st.mean,
                 spread=st.spread,
                 member_count=len(members),
                 mean_width=float(widths[members].mean()),
@@ -198,7 +198,7 @@ def run_slot_detection(log: DetectionLog, config: SlotDetectionConfig) -> SlotDe
         shortfall=shortfall,
         eps=eps,
         min_points=min_points,
-        normalized_points=normalized,
+        birdseye_points=birdseye,
         labels=assignment.labels,
         candidates=tuple(candidates),
         kept_by_iqr=frozenset(kept),

@@ -315,7 +315,7 @@ def detection_log(frames):
     return DetectionLog(
         frame_ids=tuple(frame.frame_id for frame in frames),
         timestamps=tuple(frame.timestamp for frame in frames),
-        frame_index=np.repeat(np.arange(len(frames)), [len(dets) for dets in arrays]),
+        offsets=np.cumsum([0, *map(len, arrays)]),
         detections=np.concatenate([np.empty(0, DETECTION_DTYPE), *arrays]),
     )
 
@@ -330,8 +330,8 @@ def ground_truth(frame_ids, slots, occupancy, vehicles):
         frame_ids=tuple(frame_ids),
         slots=tuple(slots),
         bits=np.array([bit for bits in occupancy for bit in bits], bool),
-        bit_counts=np.array([len(bits) for bits in occupancy], np.intp),
-        frame_index=np.repeat(np.arange(len(arrays)), [len(frame) for frame in arrays]),
+        bit_offsets=np.cumsum([0, *map(len, occupancy)]),
+        vehicle_offsets=np.cumsum([0, *map(len, arrays)]),
         vehicle_rows=np.concatenate([np.empty(0, VEHICLE_DTYPE), *arrays]),
     )
 

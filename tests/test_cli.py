@@ -475,7 +475,7 @@ THREE_DETECTIONS = {"frame": "f1", "dets": [{"cx": 0, "cy": 0, "w": 20, "h": 20,
 CLASSIFY = ["classify", "--slots", "{d}/slots.json", "--mode", "oracle", "--input", "{d}/truth.jsonl",
             "--out-records", "{d}/r.jsonl", "--out-report", "{d}/p.json"]
 DETECT = ["detect-slots", "--detections", "{d}/d.jsonl", "--config", "{d}/run.json", "--out", "{d}/s.json"]
-# Two boxes 9 px apart: the normalized cloud reaches out to 1000 units.
+# Two boxes 9 px apart: eps must not fall below 2**-47 of the largest coordinate, 9.
 TWO_DETECTIONS = {"frame": "f1", "dets": [{**THREE_DETECTIONS["dets"][0], "cx": x} for x in (0, 9)]}
 NAN_DETECTION = {"frame": "f1", "dets": [{"cx": float("nan"), "cy": 0, "w": 20, "h": 20, "cls": "car", "conf": 0.9}]}
 CLASSIFY_SCORES = CLASSIFY[:4] + ["scores", "--input", "{d}/scores.jsonl"] + CLASSIFY[7:]
@@ -622,7 +622,7 @@ SQUARE_HUGE_COORDINATE = [{"src": [10**400, 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]
         pytest.param({"truth.jsonl": {**ONE_BIT_TRUTH, "vehicles": [PARKED_AT_SLOT0, {**PARKED_AT_SLOT0,
                                                                                      "cx": float("nan")}]}},
                      CLASSIFY, "line 1: bad record (cx must be finite)", id="truth-vehicle-cx-nan"),
-        pytest.param({"d.jsonl": TWO_DETECTIONS, "run.json": {"n_bottom": 1, "eps": 1e-12}}, DETECT,
+        pytest.param({"d.jsonl": TWO_DETECTIONS, "run.json": {"n_bottom": 1, "eps": 1e-14}}, DETECT,
                      "is below 2**-47 of the largest |coordinate|", id="eps-below-coordinate-resolution"),
         pytest.param({"scenario.json": {**SCENARIO, "miss_probability": 0.9}}, SIMULATE,
                      "unknown keys ['miss_probability']", id="unknown-scenario-key"),
@@ -732,7 +732,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, files, argv, names):
 
 
 # Unit-spaced points scaled by 10 px. The core point at the origin has three border
-# points 0.99 units away (left, top, bottom); each is also within eps (1 unit) of a
+# points 0.99 units away (left, top, bottom); each is also within eps (1 unit, 10 px) of a
 # lex-earlier core of its own four-point cluster, so the origin's cluster keeps one
 # member, below min_points, and its spread of 0 would rank first.
 LONE_CORE_UNITS = [(0, 0), (-0.99, 0), (0, -0.99), (0, 0.99),
@@ -745,8 +745,8 @@ def test_cluster_below_min_points_is_never_a_slot(tmp_path, capsys):
     dets = [{"cx": 10 * x, "cy": 10 * y, "w": 20, "h": 20, "cls": "car", "conf": 0.9}
             for x, y in LONE_CORE_UNITS]
     (tmp_path / "d.jsonl").write_text(json.dumps({"frame": "f1", "dets": dets}) + "\n")
-    # The cloud's longest side, 4.4 units, normalizes to 1000: eps is one unit.
-    (tmp_path / "run.json").write_text(json.dumps({"n_bottom": 1, "min_points": 4, "eps": 1000 / 4.4}))
+    # The identity homography keeps the cloud in pixels: eps is one unit, 10 px.
+    (tmp_path / "run.json").write_text(json.dumps({"n_bottom": 1, "min_points": 4, "eps": 10}))
     argv = [a.format(d=tmp_path) for a in DETECT] + ["--emit-plot-data"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["iqr_discarded"] == 0

@@ -33,7 +33,7 @@ def test_parse_single_record_round_trip():
     (frame,) = log
     assert (frame.frame_id, frame.timestamp) == ("f1", None)
     assert frame.detections.tolist() == [det()]
-    assert log.frame_index.tolist() == [0]
+    assert log.offsets.tolist() == [0, 1]
     assert not log.detections.flags.writeable and not frame.detections.flags.writeable
 
 
@@ -145,8 +145,8 @@ def test_filter_retains_empty_frames():
     out = filter_detections(log, DetectionFilter())
     assert out.frame_ids == log.frame_ids and out.timestamps == log.timestamps
     assert [len(f.detections) for f in out] == [0, 0, 1]
-    assert out.frame_index.tolist() == [2]
-    assert not out.detections.flags.writeable and not out.frame_index.flags.writeable
+    assert out.offsets.tolist() == [0, 0, 0, 1]
+    assert not out.detections.flags.writeable and not out.offsets.flags.writeable
 
 
 def test_filter_requires_classes():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from helpers import box_iou_scalar, map_point_scalar, random_well_conditioned_homography
 from parkscan.errors import ConfigError
 from parkscan.geometry import (
-    NORMALIZED_EXTENT,
     Box,
     DegenerateCorrespondencesError,
     Homography,
@@ -21,7 +20,6 @@ from parkscan.geometry import (
     estimate_homography_dlt,
     homography_from_config,
     invert_homography,
-    normalize_point_cloud,
 )
 from parkscan.simulator import camera_homography
 
@@ -203,58 +201,6 @@ def test_dlt_rejects_collinear_sources():
         estimate_homography_dlt([(Point2(0, 0), Point2(0, 0))] * 4)
     with pytest.raises(DegenerateCorrespondencesError):
         estimate_homography_dlt([(Point2(0, 0), Point2(1, 1))] * 3)
-
-
-def test_normalize_point_cloud_examples():
-    scaled, scale, offset = normalize_point_cloud(np.array([[0.0, 0.0], [2000.0, 0.0]]))
-    assert np.array_equal(scaled, [[0.0, 0.0], [1000.0, 0.0]])
-    assert scale == 0.5
-    assert (offset.x, offset.y) == (0.0, 0.0)
-
-    scaled, scale, offset = normalize_point_cloud(np.array([[5.0, 5.0]]))
-    assert np.array_equal(scaled, [[0.0, 0.0]])
-    assert scale == 1.0
-    assert (offset.x, offset.y) == (5.0, 5.0)
-
-
-cloud_st = st.lists(
-    st.tuples(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-@given(cloud=cloud_st)
-@example(cloud=[(0.0, 0.0), (0.0, 2.2250738585072014e-308)])
-@settings(max_examples=80)
-def test_normalize_point_cloud_properties(cloud):
-    pts = np.array(cloud)
-    scaled, scale, offset = normalize_point_cloud(pts)
-
-    assert scaled.min() >= 0.0
-    # A spread whose scale NORMALIZED_EXTENT / extent overflows counts as a point.
-    extent = float((pts.max(axis=0) - pts.min(axis=0)).max())
-    if extent > 0 and math.isinf(NORMALIZED_EXTENT / extent):
-        extent = 0.0
-    if extent > 0:
-        assert abs((scaled.max(axis=0) - scaled.min(axis=0)).max() - NORMALIZED_EXTENT) < 1e-9
-    else:
-        assert scale == 1.0 and np.all(scaled == 0.0)
-
-    # Isotropy: all pairwise distances change by the single factor `scale`.
-    # hypot, unlike norm-of-difference, does not underflow for tiny clouds.
-    if len(pts) >= 2 and extent > 0:
-        diff = pts[:, None] - pts[None, :]
-        d_orig = np.hypot(diff[..., 0], diff[..., 1])
-        sdiff = scaled[:, None] - scaled[None, :]
-        d_new = np.hypot(sdiff[..., 0], sdiff[..., 1])
-        assert np.allclose(d_new, d_orig * scale, rtol=1e-9, atol=1e-6)
-
-    back = scaled / scale + np.array([offset.x, offset.y])
-    assert np.allclose(back, pts, rtol=1e-12, atol=1e-6)
 
 
 def test_box_iou_cases():

@@ -44,30 +44,30 @@ CASES = {"oracle": ("oracle", RUN_CONFIG), "scores": ("scores", RUN_CONFIG),
 GOLDEN = {
     "oracle": {
         "metrics.json": "fc8c9597846bf6124b70ec6b67fda92f8354992e0f8bece79df0f1629f886820",
-        "metrics.json.roc.tsv": "4c1082e2685dd2a3c091c234f0f0e7c7abc3eba17e2e11bd7c9c19a1fec1746d",
-        "occupancy.jsonl": "1c6dbe73b44d518d88f35206410621a44c16f45281f05177af2547f0081170d4",
+        "metrics.json.roc.tsv": "15e578bef1aa32e68115bff55f6318a3eb36082069394fdc7c6c2790f6f0e86d",
+        "occupancy.jsonl": "7cee8ae77da497f4d285392dc69ebef0bb0e6804a5f46e50eaec64bc6183e30b",
         "report.json": "1803ed8f6247c2ca657aa30e35dd21b77ed47a9934944f494dd2f18c7047058d",
-        "slots.json": "cdb5482ee07a847ada4c2be0b01ac4af8edfdfdfc989f44a40ce28ae03fef4e7",
-        "slots.json.clusters.tsv": "3dd86c56f6c80fa7bddb44acbe344e5255b4731a3d74dc584e0afe86f03dcda8",
-        "slots.json.spreads.tsv": "ae4748085ddc37f99137f0e5f8f3d5d51a97a4c59c6099a6519db857daad693c",
+        "slots.json": "2c2f4895dcfeafc249856b1b7d4dbc6c46a8a7347743a70efb3996fc08b98bc5",
+        "slots.json.clusters.tsv": "525e002ab41a6936ce48073ffd8855d4bebbb5b7cd0015c2a7d5099d2e199215",
+        "slots.json.spreads.tsv": "39544dec3ee7f63e44899d5ee64de79ab276dfd975f0dec83fae392735a05fb3",
     },
     "scores": {
         "metrics.json": "582ed5783b1c976170480eb97cad2b0abf6c0eb242d4e2b056f865848497907d",
         "metrics.json.roc.tsv": "aba92f9c05ce2bf69c1f528216649e2cea40b6184b7cf156f4a031dea2a622a2",
         "occupancy.jsonl": "df191bcb592fcb72529fbb3011334f1ae4a79d57d96cc4a4d917edac674111ac",
         "report.json": "c2c231c28c78a7713a82a7fbf430f76e1a9ead606f5c5d51e32676e56f5b7235",
-        "slots.json": "cdb5482ee07a847ada4c2be0b01ac4af8edfdfdfc989f44a40ce28ae03fef4e7",
-        "slots.json.clusters.tsv": "3dd86c56f6c80fa7bddb44acbe344e5255b4731a3d74dc584e0afe86f03dcda8",
-        "slots.json.spreads.tsv": "ae4748085ddc37f99137f0e5f8f3d5d51a97a4c59c6099a6519db857daad693c",
+        "slots.json": "2c2f4895dcfeafc249856b1b7d4dbc6c46a8a7347743a70efb3996fc08b98bc5",
+        "slots.json.clusters.tsv": "525e002ab41a6936ce48073ffd8855d4bebbb5b7cd0015c2a7d5099d2e199215",
+        "slots.json.spreads.tsv": "39544dec3ee7f63e44899d5ee64de79ab276dfd975f0dec83fae392735a05fb3",
     },
     "tilted-oracle": {
         "metrics.json": "fc8c9597846bf6124b70ec6b67fda92f8354992e0f8bece79df0f1629f886820",
-        "metrics.json.roc.tsv": "5b6c3bbb0229e64ac58eea1eafd73dc076493947e7255197369929f716db4ee2",
-        "occupancy.jsonl": "bc67c7ad804aac0ea385877aa8fc48c3bcc4b78fb301f7997ee9c45f7afa7234",
+        "metrics.json.roc.tsv": "4ebcf6abbc8e03f46caa33c295f39f7a620b23c8648e86e559386d7bd2b12e99",
+        "occupancy.jsonl": "8e5912a4cff0baba27ec88244d9f9d18872cc56805d82c0d2f1a4458ebab0405",
         "report.json": "f97d2b1bb16368c9fb6e7bb8b7e50d9ef3f0df87075a74ed74a2b63fade058c1",
-        "slots.json": "c5d6844b7c1d744b3ecb53ff1ec791b4f1657bdb3a1e61bc23562eac73fc89e2",
-        "slots.json.clusters.tsv": "2871bd92785f72e5b465b685886e790bbcd21ee5ef281a759d22d68e4ab27a0a",
-        "slots.json.spreads.tsv": "f8133817e6f4ee0279089854ef8c607b9f6a5062eabb851dd430de8e6398144a",
+        "slots.json": "4453dbbc0867ce167750de09466f5804566b4c124fc027bcbabe123fe64da072",
+        "slots.json.clusters.tsv": "dd3d12efd2885bf6a40701f26154da89d5e7aee2f78a603f53d5d9380ca0184e",
+        "slots.json.spreads.tsv": "abea5772f727af2eb05c82c4da997bfe66a6bc3a1a96304432d9639ed3d0d9e8",
     },
 }
 

@@ -269,3 +269,40 @@ def test_recall_does_not_fall_as_frames_grow():
         found.append(match.tp)
     assert found == sorted(found), found
     assert found[-1] == 40, found
+
+
+def test_default_eps_follows_the_camera_scale():
+    # The demo lot (scripts/run_demo.py, seed 42), clustered through its bird's-eye homography
+    # H and through S H, where S scales the bird's-eye plane by s and moves it by (tx, ty).
+    cfg = ScenarioConfig(
+        rows=4, cols=10, slot_pitch=40.0, slot_size=(22.0, 30.0), frame_count=200,
+        occupancy_prob=0.6, center_noise_sigma=2.0, size_noise_sigma=1.0, miss_prob=0.05,
+        passing_rate=0.5, violation_sites=(ViolationSite(186.0, 180.0, 10.0, emit_prob=0.7),),
+        camera="mild-tilt", seed=42,
+    )
+    log, _ = generate_scenario(cfg)
+    h = invert_homography(camera_homography("mild-tilt")).m
+    coincident = detection_log(FrameDetections(f"f{i}", [(50.0, 60.0, 20.0, 20.0, 0.9, "car")])
+                               for i in range(5))
+
+    def members(outcome):
+        return {frozenset(np.flatnonzero(outcome.labels == c).tolist()) for c in outcome.selected}
+
+    base = run_slot_detection(log, SlotDetectionConfig(n_bottom=40, homography=Homography(h)))
+    # At s = 1e-3 the shift stays small: a lot 0.4 units wide moved 1e5 away loses 1e-4 px in the
+    # homography's own round trip, before any clustering.
+    for s, tx, ty in [(1e-3, 100.0, -100.0), (1.0, -1e5, 3e4), (1e3, 2e4, 1e5), (7.3, -123.4, -5e4)]:
+        homography = Homography(np.array([[s, 0.0, tx], [0.0, s, ty], [0.0, 0.0, 1.0]]) @ h)
+        outcome = run_slot_detection(log, SlotDetectionConfig(n_bottom=40, homography=homography))
+        assert members(outcome) == members(base)
+        assert [slot.members for slot in outcome.slots] == [slot.members for slot in base.slots]
+        centers = [(slot.center.x, slot.center.y) for slot in outcome.slots]
+        assert np.allclose(centers, [(slot.center.x, slot.center.y) for slot in base.slots],
+                           rtol=1e-9, atol=1e-7)
+        assert np.allclose([slot.spread / s for slot in outcome.slots],
+                           [slot.spread for slot in base.slots], rtol=1e-6, atol=0)
+        assert outcome.eps == 0.015 * np.ptp(outcome.birdseye_points, axis=0).max()
+
+        # Coincident centers give a cloud with no extent: eps 1.0 clusters them into one slot.
+        one = run_slot_detection(coincident, SlotDetectionConfig(n_bottom=3, homography=homography))
+        assert one.eps == 1.0 and [slot.members for slot in one.slots] == [5]
