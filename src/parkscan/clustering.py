@@ -14,15 +14,24 @@ order-dependent are pinned down so results are reproducible bit for bit:
 Both rules depend only on the multiset of coordinates, so shuffling the
 input permutes labels without changing the clustering.
 
-The search is exact on a grid of square cells just under eps/sqrt(2) wide;
-the rounding margin grows with max |coordinate| / eps, so two points in one
-cell always pass the ``d2 <= eps*eps`` test and a cell holding ``min_points``
-points is all core.  Points in other cells are counted against the 5x5
-block of cells around theirs, corners included: a pair exactly eps apart
-(the ball is closed) can sit in cells two apart on both axes.  Core cells
-are joined by union-find when any core pair between them is within eps.
-Distances are computed in row chunks of bounded size, so memory grows with
-the cell occupancy, never with its square.
+The search is exact on one grid of square cells just under eps/(2*sqrt(2))
+wide.  Two points in cells at most one apart on both axes (a cell's 3x3
+block) are within eps, and two points in cells four or more apart on an axis
+are farther apart than eps, so a point's neighbour count lies between the
+point counts of its cell's 3x3 and 7x7 blocks.  A cell whose 3x3 count
+reaches ``min_points`` is all core, and one whose 7x7 count falls short holds
+no core point.  Distances are computed only where these bounds leave the
+answer open: for the points of cells between the two bounds, for core cells
+in each other's 7x7 but not 3x3 block that the 3x3 links leave in different
+components, and for border points.  There each neighbouring cell is bounded
+once more from the point itself, and only cells that straddle its eps circle
+are scanned.  Core cells in each other's 3x3 block are joined with no
+distance check.  Coordinates are first scaled by the power of two that puts
+eps in [0.5, 1); that is exact and keeps every square finite.  The cell side
+leaves room for the rounding of ``p / side``, which grows with max
+|coordinate| / eps, so every bound holds for the ``d2 <= eps*eps`` test as
+computed.  Distances are computed in runs of bounded length, so memory grows
+with the cell occupancy, never with its square.
 """
 
 import math
@@ -35,11 +44,16 @@ from .geometry import Point2
 
 NOISE = -1
 
-# The 5x5 block of cell offsets, nearest ring first, as complex cell keys.
-_OFFSETS = sorted(((dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)), key=lambda o: max(map(abs, o)))
-_BLOCK = np.array([complex(*o) for o in _OFFSETS])
-_FORWARD = [t for t, o in enumerate(_OFFSETS) if o > (0, 0)]  # each pair of distinct cells once
-_CHUNK = 1 << 16  # distance-matrix entries per chunk
+# The 7x7 block of cell offsets, the 3x3 block first.
+_OFFSETS = np.array(sorted(((dx, dy) for dx in range(-3, 4) for dy in range(-3, 4)),
+                           key=lambda o: max(map(abs, o))))
+_CENTRES = _OFFSETS + 0.5  # each offset cell's centre, from the low corner of the cell it is offset from
+_NEAR = 9  # offsets in the 3x3 block
+_FORWARD = np.array([t for t, o in enumerate(_OFFSETS.tolist()) if o > [0, 0]])  # each pair of cells once
+_CHUNK = 1 << 13  # distance entries, or point-cell bounds, per run
+# A point-cell bound decides without distances only when it clears eps by this relative margin,
+# far more than the rounding of the bound and of the distance test.
+_MARGIN = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -84,13 +98,32 @@ class ClusterStats:
     member_indices: np.ndarray  # ascending point indices
 
 
-def _within(pts: np.ndarray, rows: np.ndarray, cols: np.ndarray, eps: float):
-    """``(chunk, d2 <= eps*eps)`` for bounded chunks of ``rows``, each against all of ``cols``."""
-    step, c = max(1, _CHUNK // max(1, len(cols))), pts[cols]
-    for s in range(0, len(rows), step):
-        chunk = rows[s : s + step]
-        dx, dy = pts[chunk, 0, None] - c[:, 0], pts[chunk, 1, None] - c[:, 1]
-        yield chunk, dx * dx + dy * dy <= eps * eps
+def _runs(first: np.ndarray, cells: np.ndarray):
+    """``(i, j)`` with ``j`` running from ``first[cells[i]]`` up to ``first[cells[i] + 1]`` for
+    each ``i``, in runs of about ``_CHUNK`` entries (one cell's entries are never split)."""
+    lens = first[cells + 1] - first[cells]
+    ends = np.cumsum(lens)
+    shift = first[cells] - (ends - lens)
+    s = 0
+    while s < len(cells):
+        base = ends[s] - lens[s]
+        e = max(s + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
+        i = np.repeat(np.arange(s, e), lens[s:e])
+        yield i, np.arange(base, ends[e - 1]) + shift[i]
+        s = e
+
+
+def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each node's smallest connected node, for the undirected edges ``a[i]``-``b[i]``."""
+    root = np.arange(size)
+    while a.size:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))  # hook roots onto smaller ones
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return root
 
 
 def dbscan(points: np.ndarray, params: DbscanParams) -> ClusterAssignment:
@@ -101,56 +134,136 @@ def dbscan(points: np.ndarray, params: DbscanParams) -> ClusterAssignment:
     far = float(np.abs(pts).max(initial=0.0))
     if not far < eps * 2.0**47:
         raise ValidationError("eps", f"eps {eps!r} is below 2**-47 of the largest |coordinate|, {far!r}")
+    if n == 0:
+        return ClusterAssignment(labels=np.empty(0, dtype=np.int64), k=0)
 
     # In lex order a point's index is its rank under both tie rules.
     lex = np.lexsort((np.arange(n), pts[:, 1], pts[:, 0]))
+    # Scaling by a power of two is exact (a coordinate far below eps may lose bits that never
+    # reach a distance test), and with eps in [0.5, 1) no square can overflow.
+    scale = -math.frexp(eps)[1]
+    eps, far = math.ldexp(eps, scale), math.ldexp(far, scale)
     pts = pts[lex]
-    side = eps * (1.0 - 4 * np.finfo(float).eps * (far / eps + 2)) / math.sqrt(2.0)
-    cells = np.floor(pts / side).view(complex)[:, 0]  # complex keys sort cells in (x, y) order
-    keys, cell_of, counts = np.unique(cells, return_inverse=True, return_counts=True)
-    # Cell len(keys) is an empty stand-in for the cells that hold no points.
-    members = np.split(np.argsort(cell_of, kind="stable"), np.cumsum(counts))
-    counts = np.r_[counts, 0]
-    q = keys[:, None] + _BLOCK
-    j = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-    block = np.where(keys[j] == q, j, len(keys))  # each cell's 5x5 block of cells
+    np.ldexp(pts, scale, out=pts)
 
-    # A cell holding min_points points is all core; points of sparser cells are counted.
-    core = counts[cell_of] >= min_points
-    for c in np.flatnonzero((counts[:-1] < min_points) & (counts[block].sum(axis=1) >= min_points)):
-        for chunk, w in _within(pts, members[c], np.concatenate([members[d] for d in block[c]]), eps):
-            core[chunk] = w.sum(axis=1) >= min_points
+    # p / side is off by at most half an ulp of 3 * far / eps > far / side, so a point lies at
+    # most `slack` cells outside the cell it is put in; slack <= 2**-5 under the guard above.
+    # Two points of a 3x3 block are then at most (2 + 2 * slack) * side apart on each axis, so
+    # within eps with a margin (the 2**-46 term) for the rounding of the distance test. Two
+    # points of cells four apart on an axis are at least (3 - 2 * slack) * side > 1.007 * eps
+    # apart.
+    slack = float(np.spacing(3.0 * far / eps)) / 2
+    side = eps / (2 * math.sqrt(2.0) * (1 + slack + 2.0**-46))
+    cell = np.floor(pts / side).view(complex)[:, 0]  # complex keys sort cells in (x, y) order
+    keys, cell, counts = np.unique(cell, return_inverse=True, return_counts=True)
+    # From here on points are in cell order and, within a cell, in lex order.
+    rank = np.argsort(cell, kind="stable")
+    pts, cell = pts[rank], cell[rank]
+    k = len(keys)
+    # Cell k is an empty stand-in for the cells that hold no points.
+    start = np.r_[0, np.cumsum(counts), n]
+    sizes = np.r_[counts, 0]
+    block = np.empty((len(_OFFSETS), k), dtype=np.intp)  # each cell's 7x7 block of cells
+    for t, (dx, dy) in enumerate(_OFFSETS.tolist()):
+        q = keys + complex(dx, dy)
+        j = np.minimum(np.searchsorted(keys, q), k - 1)
+        block[t] = np.where(keys[j] == q, j, k)
 
-    cores = [m[core[m]] for m in members]
-    core_counts = np.bincount(cell_of[core], minlength=len(counts))
-    parent = list(range(len(keys)))
+    eps2 = eps * eps
+    radius2 = (eps / side) ** 2  # eps in cells, squared
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    def within(p, q):
+        d = pts.take(p, axis=0)
+        d -= pts.take(q, axis=0)
+        d *= d
+        return d[:, 0] + d[:, 1] <= eps2
 
-    # Adjacent cells go first, so most pairs two cells apart are joined already.
-    for t in _FORWARD:
-        for c, d in block[(core_counts[:-1] > 0) & (core_counts[block[:, t]] > 0)][:, [0, t]].tolist():
-            a, b = find(c), find(d)
-            if a != b and any(w.any() for _, w in _within(pts, cores[c], cores[d], eps)):
-                parent[a] = b
+    def bounds(p, t):
+        """For each point p[i], the cell at offset _OFFSETS[t[i]] from its own (k if empty), and
+        whether all of that cell's points are within eps of it and whether any may be."""
+        h = pts.take(p, axis=0) / side
+        h -= np.floor(h)
+        h -= _CENTRES.take(t, axis=0)
+        np.abs(h, out=h)  # from the cell's centre to the point on each axis, in cells
+        reach = h + (0.5 + 2 * slack)
+        reach *= reach
+        h -= 0.5 + 2 * slack
+        np.maximum(h, 0.0, out=h)  # the gap between the point and the cell
+        h *= h
+        inside = reach[:, 0] + reach[:, 1] <= radius2 * (1 - _MARGIN)
+        return block[t, cell[p]], inside, h[:, 0] + h[:, 1] <= radius2 * (1 + _MARGIN)
 
-    # Number components by their lex-first core point; border points take the label
-    # of their lex-first core point within eps.
-    roots = np.array([find(c) for c in range(len(keys))])[cell_of[core]]
-    _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
+    def against_block(p):
+        """Each point of p paired with each cell of its 7x7 block, in runs of bounded length."""
+        step = max(1, _CHUNK // len(_OFFSETS))
+        for s in range(0, len(p), step):
+            chunk = p[s : s + step]
+            yield chunk, np.repeat(chunk, len(_OFFSETS)), np.tile(np.arange(len(_OFFSETS)), len(chunk))
+
+    # A cell whose 3x3 block holds min_points points is all core; the points of cells between
+    # that and their 7x7 bound are counted one by one.
+    inner = sizes[block[:_NEAR]].sum(axis=0)
+    core = np.repeat(inner >= min_points, counts)
+    between = (inner < min_points) & (sizes[block].sum(axis=0) >= min_points)
+    for chunk, p, t in against_block(np.flatnonzero(between[cell])):
+        d, inside, may = bounds(p, t)
+        count = (sizes[d] * inside).reshape(len(chunk), -1).sum(axis=1)
+        # Only a point that its cells' bounds leave undecided gets distances.
+        most = (sizes[d] * may).reshape(len(chunk), -1).sum(axis=1)
+        undecided = (count < min_points) & (most >= min_points)
+        open_ = np.flatnonzero(may & ~inside & np.repeat(undecided, len(_OFFSETS)))
+        for i, j in _runs(start, d[open_]):
+            hit = open_[i[within(p[open_[i]], j)]]
+            count += np.bincount(hit // len(_OFFSETS), minlength=len(chunk))
+        core[chunk] = count >= min_points
+
+    # Core points per cell, and each cell's first core point's lex rank (n if it holds none).
+    core_at = np.flatnonzero(core)
+    core_start = np.searchsorted(core_at, start)
+    has_core = core_start[1:] > core_start[:-1]
+    lead = np.where(has_core, np.r_[rank[core_at], n][core_start[:-1]], n)
+
+    def first_core(p, t):
+        """Lex rank of the first core point within eps of p[i] in the cell at offset t[i], or n."""
+        d, inside, may = bounds(p, t)
+        first = np.where(inside, lead[d], n)
+        open_ = np.flatnonzero(may & ~inside & (lead[d] < first))
+        for i, j in _runs(core_start, d[open_]):
+            q = core_at[j]
+            hit = within(p[open_[i]], q)
+            np.minimum.at(first, open_[i[hit]], rank[q[hit]])
+        return first
+
+    # Core cells in each other's 3x3 block are linked outright; farther pairs in the 7x7 block
+    # that those links leave apart are linked when a core point of one has a core point of the
+    # other within eps.
+    t, c = np.nonzero(has_core[block[_FORWARD]] & has_core[:k])
+    t = _FORWARD[t]
+    e = block[t, c]
+    linked = t < _NEAR
+    comp = _components(k, c[linked], e[linked])
+    apart = np.flatnonzero(~linked & (comp[c] != comp[e]))
+    for i, j in _runs(core_start, c[apart]):
+        linked[apart[i[first_core(core_at[j], t[apart[i]]) < n]]] = True
+    comp = _components(k, c[linked], e[linked])
+
+    # Number components by their lex-first core point; border points take the label of their
+    # lex-first core point within eps.
+    earliest = np.full(k, n)
+    np.minimum.at(earliest, comp[has_core[:k]], lead[:k][has_core[:k]])
+    roots = np.flatnonzero(earliest < n)
+    ids = np.empty(k, dtype=np.int64)
+    ids[roots[np.argsort(earliest[roots])]] = np.arange(len(roots))
     labels = np.full(n, NOISE, dtype=np.int64)
-    labels[core] = np.argsort(np.argsort(first))[inverse]
-    for c in np.flatnonzero((core_counts < counts)[:-1] & (core_counts[block].sum(axis=1) > 0)):
-        mine, cand = members[c][~core[members[c]]], np.concatenate([cores[d] for d in block[c]])
-        for chunk, w in _within(pts, mine, cand, eps):
-            lex_first = np.where(w, cand, n).min(axis=1)
-            hit = lex_first < n
-            labels[chunk[hit]] = labels[lex_first[hit]]
-    return ClusterAssignment(labels=labels[np.argsort(lex)], k=len(first))
+    labels[rank[core]] = ids[comp[cell[core]]]
+    reached = has_core[block].any(axis=0)
+    for chunk, p, t in against_block(np.flatnonzero(~core & reached[cell])):
+        best = first_core(p, t).reshape(len(chunk), len(_OFFSETS)).min(axis=1)
+        hit = best < n
+        labels[rank[chunk[hit]]] = labels[best[hit]]
+    out = np.empty(n, dtype=np.int64)
+    out[lex] = labels
+    return ClusterAssignment(labels=out, k=len(roots))
 
 
 def cluster_stats(points: np.ndarray, assignment: ClusterAssignment) -> list[ClusterStats]:
@@ -162,9 +275,12 @@ def cluster_stats(points: np.ndarray, assignment: ClusterAssignment) -> list[Clu
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] != assignment.labels.shape[0]:
         raise ValidationError("assignment", "assignment does not match the point count")
+    # One stable sort groups each cluster's members in ascending index order; noise sorts first.
+    order = np.argsort(assignment.labels, kind="stable")
+    bounds = np.searchsorted(assignment.labels[order], np.arange(assignment.k + 1))
     stats = []
     for cid in range(assignment.k):
-        members = np.flatnonzero(assignment.labels == cid)
+        members = order[bounds[cid] : bounds[cid + 1]].copy()  # a view would keep all of order alive
         cluster = pts[members]
         # Shift by a member point before reducing: coincident points then give
         # exactly zero spread instead of summation-rounding residue.

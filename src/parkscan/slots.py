@@ -98,6 +98,21 @@ class SlotDetectionOutcome:
     selected: frozenset = frozenset()  # cluster ids of the slots' candidates
 
 
+def default_eps(points: np.ndarray) -> float:
+    """``DEFAULT_EPS_FRACTION`` of the cloud's longest side, but above 2**-47 of its largest
+    |coordinate|, the finest eps that DBSCAN resolves. Coincident points cluster the same way
+    under any eps; they get 1.0 where that is fine enough."""
+    with np.errstate(over="ignore"):
+        extent = float(np.ptp(points, axis=0).max())
+    if not math.isfinite(extent):
+        raise ValidationError(
+            "detections", "the detection centers span more than the float range in the bird's-eye "
+            "view, so eps has no default; set eps in the run config"
+        )
+    floor = math.nextafter(math.ldexp(float(np.abs(points).max()), -47), math.inf)
+    return max(DEFAULT_EPS_FRACTION * extent or 1.0, floor)
+
+
 def default_min_points(frame_count: int) -> int:
     return max(MIN_POINTS_FLOOR, math.ceil(MIN_POINTS_FRAME_FRACTION * frame_count))
 
@@ -152,10 +167,7 @@ def run_slot_detection(log: DetectionLog, config: SlotDetectionConfig) -> SlotDe
 
     birdseye = apply_homography_array(config.homography, centers)
 
-    if config.eps is None:  # coincident centers cluster the same way under any eps
-        eps = DEFAULT_EPS_FRACTION * float(np.ptp(birdseye, axis=0).max()) or 1.0
-    else:
-        eps = float(config.eps)
+    eps = default_eps(birdseye) if config.eps is None else float(config.eps)
     min_points = (
         default_min_points(len(log.frame_ids)) if config.min_points is None else int(config.min_points)
     )

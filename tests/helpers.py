@@ -1,8 +1,8 @@
 """Independent oracles shared by module and acceptance tests.
 
 Everything here recomputes results from first principles (O(n^2) scans,
-union-find, pair counting) so the implementations under test are checked
-against a second, unrelated route.
+breadth-first search, pair counting) so the implementations under test are
+checked against a second, unrelated route.
 """
 
 import json
@@ -26,42 +26,52 @@ AWKWARD_CHARS = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "漢", "\u
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2, 1.0, 3.0, 2.0**53 + 2, 1e300, 123456789.0]
 
 
-def brute_force_core_partition(points, eps, min_points):
+def _within_rows(pts, rows, eps):
+    """Whether each point of ``rows`` lies within eps of each point, by a full scan."""
+    return ((pts[rows, None, :] - pts[None, :, :]) ** 2).sum(axis=2) <= eps * eps
+
+
+def _row_blocks(rows, chunk):
+    return (rows[s : s + chunk] for s in range(0, len(rows), chunk))
+
+
+def neighbour_counts(points, eps, chunk=256):
+    """Each point's closed eps-neighbourhood size, by a full scan of ``chunk`` rows at a time,
+    so that no n x n matrix is built."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    counts = [_within_rows(pts, rows, eps).sum(axis=1) for rows in _row_blocks(np.arange(len(pts)), chunk)]
+    return np.concatenate([np.zeros(0, dtype=np.int64), *counts])
+
+
+def brute_force_core_partition(points, eps, min_points, chunk=256):
     """Core flags and the partition of core points into eps-components.
 
-    Connected components are computed with union-find over all core pairs
-    within eps; returns (core_mask, frozenset of frozensets of core indices).
+    Components are grown breadth-first from each core point, each step a full
+    scan of the frontier's rows; returns (core_mask, frozenset of frozensets of
+    core indices).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = pts.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool), frozenset()
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    within = d2 <= eps * eps
-    core = within.sum(axis=1) >= min_points
-
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    core_idx = np.flatnonzero(core)
-    for i in core_idx:
-        for j in core_idx:
-            if j > i and within[i, j]:
-                parent[find(int(i))] = find(int(j))
-
+    core = neighbour_counts(pts, eps, chunk) >= min_points
+    component = np.full(len(pts), -1)
+    for seed in np.flatnonzero(core):
+        if component[seed] >= 0:
+            continue
+        component[seed] = seed
+        frontier = np.array([seed])
+        while frontier.size:
+            reached = np.zeros(len(pts), dtype=bool)
+            for rows in _row_blocks(frontier, chunk):
+                reached |= _within_rows(pts, rows, eps).any(axis=0)
+            frontier = np.flatnonzero(reached & core & (component < 0))
+            component[frontier] = seed
     groups = {}
-    for i in core_idx:
-        groups.setdefault(find(int(i)), set()).add(int(i))
+    for i in np.flatnonzero(core):
+        groups.setdefault(int(component[i]), set()).add(int(i))
     return core, frozenset(frozenset(g) for g in groups.values())
 
 
-def dbscan_by_scan(points, eps, min_points):
-    """Labels and cluster count from the full distance matrix, with no grid.
+def dbscan_by_scan(points, eps, min_points, chunk=256):
+    """Labels and cluster count from full scans, with no grid.
 
     Applies the clustering module's two rules directly: clusters are numbered
     in the lexicographic (x, y, index) order of their first core point, and a
@@ -69,17 +79,17 @@ def dbscan_by_scan(points, eps, min_points):
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = pts.shape[0]
-    core, partition = brute_force_core_partition(pts, eps, min_points)
+    core, partition = brute_force_core_partition(pts, eps, min_points, chunk)
+    lex = np.lexsort((np.arange(n), pts[:, 1], pts[:, 0]))
     lex_rank = np.empty(n, dtype=np.int64)
-    lex_rank[np.lexsort((np.arange(n), pts[:, 1], pts[:, 0]))] = np.arange(n)
+    lex_rank[lex] = np.arange(n)
     labels = np.full(n, -1, dtype=np.int64)
     for cid, group in enumerate(sorted(partition, key=lambda g: min(lex_rank[i] for i in g))):
         labels[list(group)] = cid
-    within = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2) <= eps * eps
-    for i in np.flatnonzero(~core):
-        reaching = np.flatnonzero(within[i] & core)
-        if reaching.size:
-            labels[i] = labels[reaching[np.argmin(lex_rank[reaching])]]
+    for rows in _row_blocks(np.flatnonzero(~core), chunk):
+        first = np.where(_within_rows(pts, rows, eps) & core, lex_rank, n).min(axis=1)
+        reached = first < n
+        labels[rows[reached]] = labels[lex[first[reached]]]
     return labels, len(partition)
 
 

@@ -1,6 +1,7 @@
 import builtins
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -624,6 +625,10 @@ SQUARE_HUGE_COORDINATE = [{"src": [10**400, 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]
                      CLASSIFY, "line 1: bad record (cx must be finite)", id="truth-vehicle-cx-nan"),
         pytest.param({"d.jsonl": TWO_DETECTIONS, "run.json": {"n_bottom": 1, "eps": 1e-14}}, DETECT,
                      "is below 2**-47 of the largest |coordinate|", id="eps-below-coordinate-resolution"),
+        pytest.param({"d.jsonl": {"frame": "f1", "dets": [{**THREE_DETECTIONS["dets"][0], "cx": x}
+                                                      for x in (-1e308, 0, 1e308)]},
+                      "run.json": {"n_bottom": 1}}, DETECT,
+                     "the detection centers span more than the float range", id="default-eps-extent-overflows"),
         pytest.param({"scenario.json": {**SCENARIO, "miss_probability": 0.9}}, SIMULATE,
                      "unknown keys ['miss_probability']", id="unknown-scenario-key"),
         pytest.param({"scenario.json": {**SCENARIO, "violation_sites": [{**SITE, "emit_probability": 0.5}]}},
@@ -755,6 +760,20 @@ def test_cluster_below_min_points_is_never_a_slot(tmp_path, capsys):
         ("5", "1", "1"), ("5", "1", "0"), ("5", "1", "0"), ("1", "0", "0")]
     slots = json.loads((tmp_path / "s.json").read_text())["slots"]
     assert [s["members"] for s in slots] == [5]
+
+
+@pytest.mark.parametrize("xs", [(1e5, math.nextafter(1e5, math.inf), 1e5), (1e20, 1e20, 1e20)],
+                         ids=["one-ulp-extent", "coincident-far-out"])
+def test_default_eps_is_no_finer_than_the_coordinate_resolution(tmp_path, xs):
+    # 0.015 of the cloud's extent, or 1.0 for coincident centers, is below 2**-47 of
+    # the largest coordinate here, finer than DBSCAN resolves.
+    dets = [{**THREE_DETECTIONS["dets"][0], "cx": x} for x in xs]
+    (tmp_path / "d.jsonl").write_text(json.dumps({"frame": "f1", "dets": dets}) + "\n")
+    (tmp_path / "run.json").write_text(json.dumps({"n_bottom": 1}))
+    assert main([a.format(d=tmp_path) for a in DETECT]) == 0
+    doc = json.loads((tmp_path / "s.json").read_text())
+    assert [s["members"] for s in doc["slots"]] == [3]
+    assert max(xs) < doc["config_echo"]["eps"] * 2.0**47
 
 
 def test_cli_module_entry_point(workdir):

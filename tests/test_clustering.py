@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_core_partition, core_partition_from_labels, dbscan_by_scan
+from helpers import brute_force_core_partition, core_partition_from_labels, dbscan_by_scan, neighbour_counts
 from parkscan.clustering import (
     NOISE,
     ClusterAssignment,
@@ -94,9 +94,9 @@ instance_st = st.fixed_dictionaries(
 _ROUNDED_PAIR = [(0.0, 1.0), (0.0, -1.3391556943249676e-217)] + [(100.0 + 10 * i, 0.0) for i in range(68)]
 
 
-# Grid cells are just under eps/sqrt(2) wide. Points 1 and 3 lie exactly eps
-# apart (up to rounding, which the oracle accepts) in diagonal corner cells of
-# each other's 5x5 block, so a 21-cell block misses the pair.
+# Points 2 and 4 (counted from 0) lie exactly eps apart on a diagonal, and points
+# 1 and 4 up to rounding, which the oracle accepts; a grid that drops the corner
+# cells of the block it scans misses such pairs.
 _LATTICE = {
     "points": [
         (-11.954032353533776, 5.977016176766887),
@@ -165,10 +165,51 @@ _CELL_CORNERS = {
     "min_points": 2,
 }
 
+# Far from the origin, at |coordinate| / eps near 2**45.5, p / side is rounded to a
+# multiple of 2**-5 of a cell beyond -2**47 cells and of 2**-6 short of it. These
+# points are 1.0012 eps apart, yet without the rounding slack in the cell side they
+# would lie in diagonally adjacent cells, whose points the grid takes as within eps.
+_FAR_CORNERS = {
+    "points": [(-26631109222112.652, -26631109222112.652), (-26631109222112.273, -26631109222112.273)],
+    "eps": 0.5352102880770984,
+    "min_points": 2,
+}
+
+
+def _far_pair(p, q, eps):
+    """A pair at |coordinate| / eps near 2**45 whose cells the grid checks by distance."""
+    return {"points": [p, q], "eps": eps, "min_points": 2}
+
+
+# Sides 119 and 120 ulps, diagonal 169 ulps = eps: exactly eps apart in cells two
+# apart on both axes, then one ulp beyond.
+_FAR_DIAGONAL = _far_pair((44296984176469.85, 44296984176470.3), (44296984176470.78, 44296984176471.234), 1.3203125)
+_FAR_DIAGONAL_BEYOND = _far_pair((44296984176469.85, 44296984176470.3), (44296984176470.78, 44296984176471.24),
+                                 1.3203125)
+# 169 ulps on one axis: exactly eps apart in cells three apart, the 7x7 block's
+# outer ring, then one ulp beyond.
+_FAR_ROW = _far_pair((63545913295993.27, 63545913295992.43), (63545913295994.59, 63545913295992.43), 1.3203125)
+_FAR_ROW_BEYOND = _far_pair((63545913295993.27, 63545913295992.43), (63545913295994.6, 63545913295992.43), 1.3203125)
+# 1.0019 eps apart, but a point-cell bound that left out the rounding slack would
+# put the second point's cell wholly within eps of the first point.
+_FAR_REACH = _far_pair((-48525081908723.375, -48770024279192.664), (-48525081908722.43, -48770024279192.92),
+                       0.9779451357957956)
+# Within eps, but a point-cell bound that left out the rounding slack would put the
+# second point's cell wholly beyond eps of the first point.
+_FAR_GAP = _far_pair((-40117876453762.85, -40021646833971.23), (-40117876453762.05, -40021646833971.22),
+                     0.805835291251971)
+
 
 @given(instance=instance_st)
 @example(instance=_LATTICE)
 @example(instance=_CELL_CORNERS)
+@example(instance=_FAR_CORNERS)
+@example(instance=_FAR_DIAGONAL)
+@example(instance=_FAR_DIAGONAL_BEYOND)
+@example(instance=_FAR_ROW)
+@example(instance=_FAR_ROW_BEYOND)
+@example(instance=_FAR_REACH)
+@example(instance=_FAR_GAP)
 @example(instance={"points": _ROUNDED_PAIR, "eps": 1.0, "min_points": 1})
 @example(instance={"points": [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.1, 0.1), (0.05, 0.05)], "eps": 1.0,
                    "min_points": 5})  # one cell holding min_points points
@@ -183,10 +224,37 @@ def test_blob_labels_match_full_scan(instance):
     _assert_labels_match_full_scan(instance)
 
 
+@given(instance=instance_st, exponent=st.integers(min_value=0, max_value=1000))
+# dbscan([[0, 0], [1.2e290, 0]], eps 1e290): eps*eps overflows, and the pair, 1.2 eps apart, is noise.
+@example(instance={"points": [(0.0, 0.0), (1.2e290 * 2.0**-964, 0.0)], "eps": 1e290 * 2.0**-964, "min_points": 2},
+         exponent=964)
+@settings(max_examples=60, deadline=None)
+def test_labels_do_not_depend_on_a_power_of_two_scale(instance, exponent):
+    # Scaling by 2**exponent is exact here, up to eps and points whose squares overflow.
+    pts = np.array(instance["points"], dtype=float).reshape(-1, 2)
+    out = dbscan(pts * 2.0**exponent, DbscanParams(instance["eps"] * 2.0**exponent, instance["min_points"]))
+    labels, k = dbscan_by_scan(pts, instance["eps"], instance["min_points"])
+    assert out.k == k
+    assert np.array_equal(out.labels, labels)
+
+
+def test_dense_blob_between_cell_bounds_matches_full_scan():
+    # 3,000 points in one blob, with min_points the median neighbour count: cells
+    # around the blob's half-way ring have too few points in their 3x3 block to be
+    # all core and too many in their 7x7 block to hold none, so their points are
+    # counted by distance.
+    pts = np.random.default_rng(29).normal(0.0, 4.0, (3000, 2))
+    min_points = int(np.median(neighbour_counts(pts, 1.0)))
+    out = dbscan(pts, DbscanParams(1.0, min_points))
+    labels, k = dbscan_by_scan(pts, 1.0, min_points)
+    assert out.k == k
+    assert np.array_equal(out.labels, labels)
+
+
 def test_memory_stays_linear_in_cell_occupancy():
-    # 40,000 points in one Gaussian blob put about 2,700 points in each
-    # central cell. Chunked, the peak is about 6 MB; one unchunked distance
-    # matrix between two such cells took it above 200 MB.
+    # 40,000 points in one Gaussian blob put about 700 points in each central
+    # cell. In bounded runs the peak is about 5 MB; one unchunked distance
+    # matrix from a central cell to its 7x7 block would take about 190 MB.
     pts = np.random.default_rng(5).normal(0.0, 15.0, (40_000, 2))
     tracemalloc.start()
     try:
