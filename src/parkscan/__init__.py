@@ -1,6 +1,6 @@
 """Parking-slot discovery from repeated vehicle detections, plus occupancy classification."""
 
-from .clustering import NOISE, ClusterAssignment, ClusterStats, DbscanParams, cluster_stats, dbscan
+from .clustering import NOISE, ClusterAssignment, DbscanParams, cluster_stats, dbscan
 from .detections import (
     DETECTION_DTYPE,
     DetectionFilter,
@@ -43,7 +43,6 @@ from .occupancy import (
 from .simulator import GroundTruth, ScenarioConfig, ViolationSite, generate_scenario
 from .slots import (
     ParkingSlot,
-    SlotCandidate,
     SlotDetectionConfig,
     iqr_filter,
     run_slot_detection,

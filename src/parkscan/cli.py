@@ -126,14 +126,14 @@ def detect_stage(detections, cfg, out, emit_plot_data: bool):
     _write_text(out, _json_dumps(slot_registry_document(outcome.slots, echo)))
 
     diagnostics = {
-        "clusters": outcome.cluster_count,
+        "clusters": len(outcome.candidates),
         "noise_points": outcome.noise_points,
         "iqr_discarded": outcome.iqr_discarded,
         "shortfall": outcome.shortfall,
         "slots": len(outcome.slots),
     }
     print(json.dumps(diagnostics, sort_keys=True))
-    log.info("detected %d slots from %d clusters", len(outcome.slots), outcome.cluster_count)
+    log.info("detected %d slots from %d clusters", len(outcome.slots), len(outcome.candidates))
 
     if emit_plot_data:
         _emit_cluster_plot_data(out, outcome)
@@ -148,11 +148,8 @@ def _emit_cluster_plot_data(out_path, outcome) -> None:
             fh.write(f"{x}\t{y}\t{int(label)}\n")
     with open(base.with_suffix(base.suffix + ".spreads.tsv"), "w", encoding="utf-8") as fh:
         fh.write("cluster_id\tspread\tmembers\tkept_by_iqr\tselected\n")
-        for i, cand in enumerate(outcome.candidates):
-            fh.write(
-                f"{cand.cluster_id}\t{cand.spread}\t{cand.member_count}\t"
-                f"{int(i in outcome.kept_by_iqr)}\t{int(cand.cluster_id in outcome.selected)}\n"
-            )
+        for cid, (spread, members, kept, selected) in enumerate(outcome.candidates.tolist()):
+            fh.write(f"{cid}\t{spread}\t{members}\t{int(kept)}\t{int(selected)}\n")
 
 
 def classify_stage(slots, classifier, threshold, frame_ids, out_records, out_report):

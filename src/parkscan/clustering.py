@@ -1,4 +1,5 @@
-"""Deterministic DBSCAN over 2-D points plus per-cluster statistics.
+"""Deterministic DBSCAN over 2-D points, plus each cluster's members, mean and spread as
+arrays in cluster-id order (``cluster_stats``).
 
 Standard DBSCAN semantics with Euclidean distance: a point is core iff its
 closed eps-neighborhood (itself included) holds at least ``min_points``
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Point2
 
 NOISE = -1
 
@@ -88,14 +88,6 @@ class ClusterAssignment:
                 raise ValidationError("labels", "cluster ids must be contiguous 0..k-1")
         elif self.k != 0:
             raise ValidationError("k", "k must be 0 when all points are noise")
-
-
-@dataclass(frozen=True, eq=False)
-class ClusterStats:
-    cluster_id: int
-    mean: Point2
-    spread: float
-    member_indices: np.ndarray  # ascending point indices
 
 
 def _runs(first: np.ndarray, cells: np.ndarray):
@@ -266,33 +258,43 @@ def dbscan(points: np.ndarray, params: DbscanParams) -> ClusterAssignment:
     return ClusterAssignment(labels=out, k=len(roots))
 
 
-def cluster_stats(points: np.ndarray, assignment: ClusterAssignment) -> list[ClusterStats]:
-    """Mean and spread per cluster, ordered by cluster id; noise is excluded.
+def cluster_stats(points: np.ndarray, assignment: ClusterAssignment) -> tuple[list, np.ndarray, np.ndarray]:
+    """Members, means and spreads of the clusters, in cluster-id order; noise is excluded.
 
-    Spread is the sum of the population standard deviations of the x and y
-    coordinates, which is 0 for singletons and for coincident points.
+    ``members`` lists each cluster's point indices in ascending order, ``means`` is (k, 2) and
+    ``spreads`` is (k,).  Spread is the sum of the population standard deviations of the x and y
+    coordinates, which is 0 for singletons and for coincident points.  Each cluster is reduced at a
+    power-of-two scale at which no sum overflows, 2**0 unless one would at the points' own scale.
+    Such a scaling is exact unless it takes a value below 2**-1022, so the results are those of
+    the unscaled reduction.  A spread beyond the float range raises :class:`ValidationError`.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] != assignment.labels.shape[0]:
         raise ValidationError("assignment", "assignment does not match the point count")
+    if assignment.k == 0:
+        return [], np.empty((0, 2)), np.empty(0)
     # One stable sort groups each cluster's members in ascending index order; noise sorts first.
     order = np.argsort(assignment.labels, kind="stable")
     bounds = np.searchsorted(assignment.labels[order], np.arange(assignment.k + 1))
-    stats = []
-    for cid in range(assignment.k):
-        members = order[bounds[cid] : bounds[cid + 1]].copy()  # a view would keep all of order alive
-        cluster = pts[members]
+    order, bounds = order[bounds[0] :], bounds - bounds[0]
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    counts, grouped = np.diff(bounds), pts[order]
+    # Per cluster, the least k >= 0 at which its values times 2**-k can be shifted, summed, and have
+    # their squared deviations summed without overflow: with n < 2**b members and |values| < 2**e,
+    # every sum is below 2**(b + 2 * (e - k) + 4) <= 2**1023.
+    peaks = np.maximum.reduceat(np.abs(grouped), bounds[:-1]).max(axis=1)
+    exponents = np.maximum(0, (np.frexp(counts)[1] + 2 * np.frexp(peaks)[1] - 1018) // 2)
+    grouped = np.ldexp(grouped, -np.repeat(exponents, counts)[:, None])
+    means, spreads = [], []
+    for a, b in spans:
+        cluster = grouped[a:b]
         # Shift by a member point before reducing: coincident points then give
         # exactly zero spread instead of summation-rounding residue.
         centered = cluster - cluster[0]
-        mean = cluster[0] + centered.mean(axis=0)
-        spread = float(centered[:, 0].std() + centered[:, 1].std())
-        stats.append(
-            ClusterStats(
-                cluster_id=cid,
-                mean=Point2(float(mean[0]), float(mean[1])),
-                spread=spread,
-                member_indices=members,
-            )
-        )
-    return stats
+        means.append(cluster[0] + centered.mean(axis=0))
+        spreads.append(centered[:, 0].std() + centered[:, 1].std())
+    with np.errstate(over="ignore"):
+        spreads = np.ldexp(spreads, exponents)
+    if not np.isfinite(spreads).all():
+        raise ValidationError("detections", "a cluster of detection centers spreads beyond the float range")
+    return [order[a:b] for a, b in spans], np.ldexp(means, exponents[:, None]), spreads

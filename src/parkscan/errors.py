@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the checks every input reader shares."""
 
 import json
+import sys
 from itertools import chain
 from typing import IO, Iterator, Mapping
 
@@ -48,12 +49,13 @@ def extend_columns(columns: list, entries, row) -> bool:
     they are JSON numbers but for a string last; else, or if an entry lacks a key, is not an object
     or holds a number too large for its column, return False (a column may then hold some values)."""
     try:
-        values = list(zip(*map(row, entries)))
-        if values and not (JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(values[:-1])))
-                           and {str}.issuperset(map(type, values[-1]))):
+        values = list(zip(*map(row, entries))) or [()] * len(columns)
+        if not (JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(values[:-1])))
+                and {str}.issuperset(map(type, values[-1]))):
             return False
-        for column, column_values in zip(columns, values):
+        for column, column_values in zip(columns, values[:-1]):
             column.extend(column_values)
+        columns[-1].extend(map(sys.intern, values[-1]))  # one object per distinct string, not per entry
         return True
     except (KeyError, TypeError, OverflowError):
         return False

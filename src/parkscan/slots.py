@@ -1,12 +1,12 @@
 """Slot detection: bird's-eye transform, clustering, spread filtering, back-projection.
 
 Pipeline order: pool all detection centers, map them through the configured
-homography, run DBSCAN on the bird's-eye points, compute per-cluster stats,
-drop spread outliers with the IQR rule, keep the ``n_bottom``
-smallest-spread candidates, and back-project each surviving cluster mean
-with the inverse homography.  eps, cluster means and spreads are in
-bird's-eye units; slot areas are the mean member bounding-box sizes in
-original-view pixels.
+homography, run DBSCAN on the bird's-eye points, compute each cluster's
+members, mean and spread as arrays, drop spread outliers with the IQR rule,
+keep the ``n_bottom`` smallest-spread candidates, and back-project each
+surviving cluster mean with the inverse homography.  eps, cluster means and
+spreads are in bird's-eye units; slot areas are the mean member bounding-box
+sizes in original-view pixels.
 """
 
 import json
@@ -35,6 +35,10 @@ DEFAULT_EPS_FRACTION = 0.015
 MIN_POINTS_FLOOR = 3
 MIN_POINTS_FRAME_FRACTION = 0.10
 
+# The candidate table: one row per cluster, in id order, with its spread and member count,
+# whether the IQR fence kept it, and whether it was ranked among the n_bottom slots.
+CANDIDATE_DTYPE = np.dtype([("spread", float), ("members", np.int64), ("kept", bool), ("selected", bool)])
+
 
 class EmptyInputError(ValueError):
     """No detections at all across the input frames."""
@@ -57,16 +61,6 @@ class SlotDetectionConfig:
 
 
 @dataclass(frozen=True)
-class SlotCandidate:
-    cluster_id: int
-    center_birdseye: Point2
-    spread: float
-    member_count: int
-    mean_width: float
-    mean_height: float
-
-
-@dataclass(frozen=True)
 class ParkingSlot:
     """One slot: its id, its area in original-view pixels, and its cluster's stats."""
 
@@ -85,17 +79,14 @@ class SlotDetectionOutcome:
     """Slots plus the diagnostics and plot-ready intermediates the CLI reports."""
 
     slots: tuple[ParkingSlot, ...]
-    cluster_count: int
     noise_points: int
     iqr_discarded: int
     shortfall: bool
     eps: float
     min_points: int
-    birdseye_points: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-    labels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    candidates: tuple[SlotCandidate, ...] = ()
-    kept_by_iqr: frozenset = frozenset()  # indices into candidates
-    selected: frozenset = frozenset()  # cluster ids of the slots' candidates
+    birdseye_points: np.ndarray
+    labels: np.ndarray
+    candidates: np.ndarray  # CANDIDATE_DTYPE
 
 
 def default_eps(points: np.ndarray) -> float:
@@ -143,16 +134,13 @@ def iqr_filter(values: Sequence[float]) -> set[int]:
     return {i for i, v in enumerate(values) if v <= hi}
 
 
-def select_n_bottom(
-    candidates: Sequence[SlotCandidate], n_bottom: int
-) -> tuple[list[SlotCandidate], bool]:
-    """The ``n_bottom`` smallest-spread candidates, plus a shortfall flag.
+def select_n_bottom(spread: np.ndarray, members: np.ndarray, n_bottom: int) -> tuple[np.ndarray, bool]:
+    """Indices of the ``n_bottom`` smallest spreads, in rank order, plus a shortfall flag.
 
-    Ties on spread are broken by larger member count, then smaller cluster
-    id, so the ranking is a strict order.
+    Ties on spread are broken by larger member count, then smaller index, so the
+    ranking is a strict order.
     """
-    ranked = sorted(candidates, key=lambda c: (c.spread, -c.member_count, c.cluster_id))
-    return ranked[:n_bottom], len(candidates) < n_bottom
+    return np.lexsort((-members, spread))[:n_bottom], len(spread) < n_bottom
 
 
 def run_slot_detection(log: DetectionLog, config: SlotDetectionConfig) -> SlotDetectionOutcome:
@@ -163,7 +151,11 @@ def run_slot_detection(log: DetectionLog, config: SlotDetectionConfig) -> SlotDe
     # ids then depend only on the multiset of detections, not on their order.
     order = np.lexsort((heights, widths, cy, cx))
     centers = np.column_stack((cx[order], cy[order]))
-    widths, heights = widths[order], heights[order]
+    # Mean sizes are taken at 2**-e times their scale, for the least e >= 0 at which no sum of sizes
+    # overflows: 0 unless the largest size times the detection count would. The scaling is exact
+    # unless it takes a size below 2**-1022.
+    e = max(0, len(order).bit_length() + math.frexp(float(max(widths.max(), heights.max())))[1] - 1023)
+    widths, heights = np.ldexp(widths[order], -e), np.ldexp(heights[order], -e)
 
     birdseye = apply_homography_array(config.homography, centers)
 
@@ -174,47 +166,38 @@ def run_slot_detection(log: DetectionLog, config: SlotDetectionConfig) -> SlotDe
     assignment = dbscan(birdseye, DbscanParams(eps=eps, min_points=min_points))
     noise_points = int((assignment.labels == NOISE).sum())
 
-    candidates = []
-    for st in cluster_stats(birdseye, assignment):
-        members = st.member_indices
-        candidates.append(
-            SlotCandidate(
-                cluster_id=st.cluster_id,
-                center_birdseye=st.mean,
-                spread=st.spread,
-                member_count=len(members),
-                mean_width=float(widths[members].mean()),
-                mean_height=float(heights[members].mean()),
-            )
-        )
+    members, means, spreads = cluster_stats(birdseye, assignment)
+    candidates = np.zeros(assignment.k, dtype=CANDIDATE_DTYPE)
+    candidates["spread"] = spreads
+    candidates["members"] = [len(m) for m in members]
 
     # The lex-first border rule can leave a cluster below min_points (even one
     # point, spread 0); such a candidate takes no part in the IQR rule or selection.
-    eligible = [i for i, c in enumerate(candidates) if c.member_count >= min_points]
-    kept = {eligible[j] for j in iqr_filter([candidates[i].spread for i in eligible])} if eligible else set()
-    survivors = [c for i, c in enumerate(candidates) if i in kept]
-    selected, shortfall = select_n_bottom(survivors, config.n_bottom)
+    eligible = np.flatnonzero(candidates["members"] >= min_points)
+    if len(eligible):
+        candidates["kept"][eligible[list(iqr_filter(spreads[eligible].tolist()))]] = True
+    kept = np.flatnonzero(candidates["kept"])
+    ranked, shortfall = select_n_bottom(spreads[kept], candidates["members"][kept], config.n_bottom)
+    selected = kept[ranked]
+    candidates["selected"][selected] = True
 
-    means = np.array([(c.center_birdseye.x, c.center_birdseye.y) for c in selected]).reshape(-1, 2)
-    slot_centers = apply_homography_array(invert_homography(config.homography), means).tolist()
-    slots = tuple(
-        ParkingSlot(slot_id=slot_id, area=Box(x, y, cand.mean_width, cand.mean_height),
-                    spread=cand.spread, members=cand.member_count)
-        for slot_id, (cand, (x, y)) in enumerate(zip(selected, slot_centers))
-    )
+    slot_centers = apply_homography_array(invert_homography(config.homography), means[selected]).tolist()
+    slots = []
+    for c, (x, y) in zip(selected.tolist(), slot_centers):
+        m = members[c]
+        w, h = (math.ldexp(float(size[m].mean()), e) for size in (widths, heights))
+        slots.append(ParkingSlot(slot_id=len(slots), area=Box(x, y, w, h), spread=float(spreads[c]),
+                                 members=len(m)))
     return SlotDetectionOutcome(
-        slots=slots,
-        cluster_count=assignment.k,
+        slots=tuple(slots),
         noise_points=noise_points,
-        iqr_discarded=len(eligible) - len(survivors),
+        iqr_discarded=len(eligible) - len(kept),
         shortfall=shortfall,
         eps=eps,
         min_points=min_points,
         birdseye_points=birdseye,
         labels=assignment.labels,
-        candidates=tuple(candidates),
-        kept_by_iqr=frozenset(kept),
-        selected=frozenset(c.cluster_id for c in selected),
+        candidates=candidates,
     )
 
 

@@ -137,6 +137,12 @@ def quantile_oracle_kept(values):
     return {i for i, v in enumerate(arr) if v <= hi}
 
 
+def select_by_sort(spreads, members, ids, n_bottom):
+    """The first ``n_bottom`` of ``ids`` by smaller spread, then more members, then smaller id,
+    by sorting key tuples."""
+    return sorted(ids, key=lambda c: (spreads[c], -members[c], c))[:n_bottom]
+
+
 def random_well_conditioned_homography(rng):
     """Similarity plus a small projective perturbation; comfortably invertible."""
     angle = rng.uniform(0, 2 * np.pi)

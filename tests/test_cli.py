@@ -629,6 +629,11 @@ SQUARE_HUGE_COORDINATE = [{"src": [10**400, 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]
                                                       for x in (-1e308, 0, 1e308)]},
                       "run.json": {"n_bottom": 1}}, DETECT,
                      "the detection centers span more than the float range", id="default-eps-extent-overflows"),
+        pytest.param({"d.jsonl": {"frame": "f1", "dets": [{**THREE_DETECTIONS["dets"][0], "cx": x, "cy": x}
+                                                      for x in (-1.15e308, 0, 1.15e308)]},
+                      "run.json": {"n_bottom": 1, "eps": 1.7e308, "min_points": 2}}, DETECT,
+                     "a cluster of detection centers spreads beyond the float range",
+                     id="cluster-spread-overflows"),
         pytest.param({"scenario.json": {**SCENARIO, "miss_probability": 0.9}}, SIMULATE,
                      "unknown keys ['miss_probability']", id="unknown-scenario-key"),
         pytest.param({"scenario.json": {**SCENARIO, "violation_sites": [{**SITE, "emit_probability": 0.5}]}},
@@ -760,6 +765,36 @@ def test_cluster_below_min_points_is_never_a_slot(tmp_path, capsys):
         ("5", "1", "1"), ("5", "1", "0"), ("5", "1", "0"), ("1", "0", "0")]
     slots = json.loads((tmp_path / "s.json").read_text())["slots"]
     assert [s["members"] for s in slots] == [5]
+
+
+# Every detection is finite, but summing the cluster's widths (first case) or its centers
+# shifted by one of them (second case) at their own scale overflows.
+@pytest.mark.parametrize("dets, run_config, slot", [
+    ([{"cx": 10, "cy": 10, "w": 1.5e308, "h": 20}], {"n_bottom": 1},
+     {"cx": 10.0, "cy": 10.0, "w": 1.5e308, "h": 20.0, "spread": 0.0, "members": 5}),
+    ([{"cx": x, "cy": 10, "w": 20, "h": 20} for x in (-8e307, 8e307)],
+     {"n_bottom": 1, "eps": 1.7e308, "min_points": 2},
+     {"cx": 0.0, "cy": 10.0, "w": 20.0, "h": 20.0, "spread": 8e307, "members": 10}),
+], ids=["mean-width", "shifted-centers"])
+def test_cluster_sums_beyond_the_float_range(tmp_path, capsys, dets, run_config, slot):
+    (tmp_path / "d.jsonl").write_text("".join(
+        json.dumps({"frame": f"f{i}", "dets": [{**d, "cls": "car", "conf": 0.9} for d in dets]}) + "\n"
+        for i in range(5)))
+    (tmp_path / "run.json").write_text(json.dumps(run_config))
+    assert main([a.format(d=tmp_path) for a in DETECT]) == 0  # a numpy RuntimeWarning fails the test
+    [found] = json.loads((tmp_path / "s.json").read_text())["slots"]
+    assert found == {"id": 0, **slot}
+
+
+def test_all_noise_plot_data_has_no_spread_rows(tmp_path, capsys):
+    dets = [{**THREE_DETECTIONS["dets"][0], "cx": x} for x in (0, 500, 1000)]
+    (tmp_path / "d.jsonl").write_text(json.dumps({"frame": "f1", "dets": dets}) + "\n")
+    (tmp_path / "run.json").write_text(json.dumps({"n_bottom": 1}))
+    assert main([a.format(d=tmp_path) for a in DETECT] + ["--emit-plot-data"]) == 0
+    assert json.loads(capsys.readouterr().out)["clusters"] == 0
+    spreads = (tmp_path / "s.json.spreads.tsv").read_text()
+    assert spreads == "cluster_id\tspread\tmembers\tkept_by_iqr\tselected\n"
+    assert len((tmp_path / "s.json.clusters.tsv").read_text().splitlines()) == 4
 
 
 @pytest.mark.parametrize("xs", [(1e5, math.nextafter(1e5, math.inf), 1e5), (1e20, 1e20, 1e20)],

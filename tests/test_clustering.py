@@ -303,28 +303,29 @@ def test_grid_and_brute_force_paths_agree():
 
 def test_cluster_stats_hand_cases():
     pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-    stats = cluster_stats(pts, ClusterAssignment(labels=np.array([0, 0]), k=1))
-    assert (stats[0].mean.x, stats[0].mean.y) == (1.0, 0.0)
-    assert stats[0].spread == 1.0  # population std of {0, 2} is 1, y-std 0
-    assert stats[0].member_indices.tolist() == [0, 1]
+    members, means, spreads = cluster_stats(pts, ClusterAssignment(labels=np.array([0, 0]), k=1))
+    assert means[0].tolist() == [1.0, 0.0]
+    assert spreads[0] == 1.0  # population std of {0, 2} is 1, y-std 0
+    assert members[0].tolist() == [0, 1]
 
     same = np.array([[4.0, 4.0]] * 5)
-    stats = cluster_stats(same, ClusterAssignment(labels=np.zeros(5, dtype=int), k=1))
-    assert stats[0].spread == 0.0
+    _, _, spreads = cluster_stats(same, ClusterAssignment(labels=np.zeros(5, dtype=int), k=1))
+    assert spreads[0] == 0.0
 
     single = np.array([[3.0, 4.0]])
-    stats = cluster_stats(single, ClusterAssignment(labels=np.array([0]), k=1))
-    assert (stats[0].mean.x, stats[0].mean.y) == (3.0, 4.0)
-    assert stats[0].spread == 0.0
+    _, means, spreads = cluster_stats(single, ClusterAssignment(labels=np.array([0]), k=1))
+    assert means[0].tolist() == [3.0, 4.0]
+    assert spreads[0] == 0.0
 
 
 def test_cluster_stats_excludes_noise_and_orders_by_id():
     pts = np.array([[0.0, 0.0], [9.0, 9.0], [1.0, 0.0], [50.0, 50.0]])
     assignment = ClusterAssignment(labels=np.array([0, 1, 0, NOISE]), k=2)
-    stats = cluster_stats(pts, assignment)
-    assert [s.cluster_id for s in stats] == [0, 1]
-    assert stats[0].member_indices.tolist() == [0, 2]
-    assert stats[1].member_indices.tolist() == [1]
+    members, means, spreads = cluster_stats(pts, assignment)
+    assert len(members) == len(means) == len(spreads) == 2
+    assert members[0].tolist() == [0, 2]
+    assert members[1].tolist() == [1]
+    assert means[1].tolist() == [9.0, 9.0]
 
 
 @given(instance=instance_st)
@@ -333,11 +334,12 @@ def test_cluster_stats_match_direct_recomputation(instance):
     pts = np.array(instance["points"], dtype=float).reshape(-1, 2)
     params = DbscanParams(instance["eps"], instance["min_points"])
     assignment = dbscan(pts, params)
-    for s in cluster_stats(pts, assignment):
-        members = pts[s.member_indices]
-        assert abs(s.mean.x - members[:, 0].mean()) < 1e-12
-        assert abs(s.mean.y - members[:, 1].mean()) < 1e-12
-        assert abs(s.spread - (members[:, 0].std() + members[:, 1].std())) < 1e-12
+    for cid, (indices, mean, spread) in enumerate(zip(*cluster_stats(pts, assignment))):
+        assert indices.tolist() == np.flatnonzero(assignment.labels == cid).tolist()
+        members = pts[indices]
+        assert abs(mean[0] - members[:, 0].mean()) < 1e-12
+        assert abs(mean[1] - members[:, 1].mean()) < 1e-12
+        assert abs(spread - (members[:, 0].std() + members[:, 1].std())) < 1e-12
 
 
 def test_assignment_invariants_enforced():

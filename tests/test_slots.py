@@ -1,18 +1,20 @@
+import contextlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import detection_log, quantile_oracle_kept
+from helpers import detection_log, quantile_oracle_kept, select_by_sort
 from parkscan.detections import FrameDetections
 from parkscan.geometry import Homography, Point2, invert_homography
 from parkscan.metrics import default_match_tolerance, match_slots
 from parkscan.simulator import ScenarioConfig, ViolationSite, camera_homography, generate_scenario
+import parkscan.slots as slots_module
 from parkscan.slots import (
     EmptyInputError,
-    SlotCandidate,
     SlotDetectionConfig,
     iqr_filter,
     run_slot_detection,
@@ -78,34 +80,47 @@ def test_iqr_stable_on_outlier_free_samples(values):
 
 # --- select_n_bottom --------------------------------------------------------
 
-def cand(cid, spread, members=10, cx=0.0, cy=0.0):
-    return SlotCandidate(
-        cluster_id=cid,
-        center_birdseye=Point2(cx, cy),
-        spread=spread,
-        member_count=members,
-        mean_width=10.0,
-        mean_height=10.0,
-    )
+def cand(*rows):
+    """The spread and member columns of candidates given as (spread, members) rows, in id order."""
+    spread, members = np.array(rows, dtype=float).reshape(-1, 2).T
+    return spread, members.astype(np.int64)
 
 
 def test_select_smallest_spreads():
-    cands = [cand(i, spread) for i, spread in enumerate([5.0, 1.0, 3.0, 2.0, 4.0])]
-    selected, shortfall = select_n_bottom(cands, 3)
-    assert [c.cluster_id for c in selected] == [1, 3, 2]
+    columns = cand(*((spread, 10) for spread in [5.0, 1.0, 3.0, 2.0, 4.0]))
+    selected, shortfall = select_n_bottom(*columns, 3)
+    assert selected.tolist() == [1, 3, 2]
     assert not shortfall
 
 
 def test_select_shortfall():
-    selected, shortfall = select_n_bottom([cand(0, 1.0), cand(1, 2.0)], 44)
+    selected, shortfall = select_n_bottom(*cand((1.0, 10), (2.0, 10)), 44)
     assert len(selected) == 2
     assert shortfall
 
 
 def test_select_ties_prefer_more_members_then_smaller_id():
-    cands = [cand(0, 1.0, members=5), cand(1, 1.0, members=9), cand(2, 1.0, members=9)]
-    selected, _ = select_n_bottom(cands, 3)
-    assert [c.cluster_id for c in selected] == [1, 2, 0]
+    selected, _ = select_n_bottom(*cand((1.0, 5), (1.0, 9), (1.0, 9)), 3)
+    assert selected.tolist() == [1, 2, 0]
+
+
+MIN_POINTS = 4
+
+
+@given(
+    rows=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                            st.integers(min_value=1, max_value=2 * MIN_POINTS)), max_size=30),
+    n_bottom=st.integers(min_value=1, max_value=35),
+)
+@settings(max_examples=150)
+def test_select_matches_sorting_the_kept_candidates(rows, n_bottom):
+    # As in run_slot_detection: only candidates with at least min_points members are ranked,
+    # taken in ascending id, so ids skip and ties on spread and members occur.
+    spread, members = cand(*rows)
+    kept = np.flatnonzero(members >= MIN_POINTS)
+    ranked, shortfall = select_n_bottom(spread[kept], members[kept], n_bottom)
+    assert kept[ranked].tolist() == select_by_sort(spread.tolist(), members.tolist(), kept.tolist(), n_bottom)
+    assert shortfall == (len(kept) < n_bottom)
 
 
 # --- run_slot_detection -----------------------------------------------------
@@ -161,8 +176,35 @@ def test_detect_slots_n_bottom_one_returns_min_spread():
     frames, _ = generate_scenario(cfg)
     outcome = run_slot_detection(frames, SlotDetectionConfig(n_bottom=1))
     assert len(outcome.slots) == 1
-    spreads = [c.spread for c in outcome.candidates]
+    spreads = outcome.candidates["spread"].tolist()
     assert outcome.slots[0].spread == min(spreads)
+
+
+# The benchmark's stage trace (perfbench/child.py) times these steps by patching these names in
+# parkscan.slots; a renamed function, or one called other than through the module, only drops
+# its span there.
+TRACED_SLOT_STEPS = ("apply_homography_array", "dbscan", "cluster_stats", "iqr_filter", "select_n_bottom")
+
+
+def test_slot_detection_calls_each_traced_step_through_the_module():
+    log, _ = generate_scenario(_noiseless_scenario(center_noise_sigma=0.5))
+    config = SlotDetectionConfig(n_bottom=12)
+    base = run_slot_detection(log, config)
+    calls = dict.fromkeys(TRACED_SLOT_STEPS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for name in TRACED_SLOT_STEPS:
+            traced = counted(name, getattr(slots_module, name))
+            stack.enter_context(mock.patch.object(slots_module, name, traced))
+        outcome = run_slot_detection(log, config)
+    assert all(calls.values()), calls
+    assert outcome.slots == base.slots
 
 
 def test_detect_slots_empty_input_raises():
@@ -182,7 +224,7 @@ def test_detect_slots_all_noise_gives_empty_result():
     )
     outcome = run_slot_detection(log, SlotDetectionConfig(n_bottom=5, min_points=5))
     assert outcome.slots == ()
-    assert outcome.cluster_count == 0
+    assert len(outcome.candidates) == 0
     assert outcome.noise_points == 10
     assert outcome.shortfall
 
@@ -286,7 +328,8 @@ def test_default_eps_follows_the_camera_scale():
                                for i in range(5))
 
     def members(outcome):
-        return {frozenset(np.flatnonzero(outcome.labels == c).tolist()) for c in outcome.selected}
+        selected = np.flatnonzero(outcome.candidates["selected"])
+        return {frozenset(np.flatnonzero(outcome.labels == c).tolist()) for c in selected}
 
     base = run_slot_detection(log, SlotDetectionConfig(n_bottom=40, homography=Homography(h)))
     # At s = 1e-3 the shift stays small: a lot 0.4 units wide moved 1e5 away loses 1e-4 px in the
