@@ -3,20 +3,27 @@
 
 Runs the detector on the chronologically first 30/50/80/100% of a simulated
 capture with fixed DBSCAN parameters and prints TP/FP/FN, precision, and
-recall per sample size.  Each sample is simulated as a capture of its own
-length: the simulator keys its draws by frame index, so that capture is the
-full one's first frames.  With sparse occupancy the small subsets miss slots
-that have not accumulated min_points detections yet; recall climbs toward
-100% as frames accumulate while false positives stay flat.
+recall per sample size.  The full capture is simulated once and each sample
+is its first frames: the simulator keys its draws by frame index, so a
+shorter capture would be exactly that prefix.  With sparse occupancy the
+small subsets miss slots that have not accumulated min_points detections
+yet; recall climbs toward 100% as frames accumulate while false positives
+stay flat.
 """
 
 import argparse
-from dataclasses import replace
 
+from parkscan.detections import DetectionLog
 from parkscan.geometry import Point2, invert_homography
 from parkscan.metrics import default_match_tolerance, format_percent, match_slots, precision_recall
 from parkscan.simulator import ScenarioConfig, ViolationSite, camera_homography, generate_scenario
 from parkscan.slots import SlotDetectionConfig, run_slot_detection
+
+
+def first_frames(log: DetectionLog, count: int) -> DetectionLog:
+    """The log's first ``count`` frames, as views of its columns."""
+    return DetectionLog(log.frame_ids[:count], log.timestamps[:count], log.offsets[:count + 1],
+                        log.detections[:log.offsets[count]])
 
 
 def main() -> int:
@@ -44,16 +51,16 @@ def main() -> int:
         seed=args.seed,
     )
     homography = invert_homography(camera_homography("mild-tilt"))
+    full_log, truth = generate_scenario(scenario)
+    truth_centers = [Point2(b.cx, b.cy) for b in truth.slots]
 
     print(f"{scenario.slot_count} slots, {args.frames} frames, "
           f"occupancy_prob={args.occupancy_prob}, min_points={args.min_points}\n")
     print(f"{'sample':>7} {'frames':>7} {'TP':>4} {'FP':>4} {'FN':>4} {'precision':>10} {'recall':>8}")
     for fraction in (0.30, 0.50, 0.80, 1.00):
         count = max(1, int(args.frames * fraction))
-        log, truth = generate_scenario(replace(scenario, frame_count=count))
-        truth_centers = [Point2(b.cx, b.cy) for b in truth.slots]
         outcome = run_slot_detection(
-            log,
+            first_frames(full_log, count),
             SlotDetectionConfig(
                 n_bottom=scenario.slot_count,
                 homography=homography,

@@ -25,11 +25,16 @@ never perturbs the draws of existing slots, so regression fixtures stay
 stable.  Identical seed and config give byte-identical logs.
 
 ``SeedSequence`` still defines every substream, but none is built: the
-PCG64 state it would seed is computed with integer array arithmetic for a
-block of frames at a time, and one re-seeded ``Generator`` draws from each
-state in turn.  Tests hold the derived states equal to numpy's.  The
-derivation takes each entropy element after the seed as one 32-bit word,
-which is why ``rows``, ``cols`` and ``frame_count`` stay below 2**32.
+PCG64 state it would seed, and that state's first ``random()`` draw, are
+computed with integer array arithmetic for a block of frames at a time.  That
+draw is every slot's occupancy uniform and every site's emission uniform, so
+a vacant slot or a silent site never reaches a ``Generator``.  One re-seeded
+``Generator`` draws the rest, in turn, only for the substreams that draw
+more: occupied slots and emitting sites (picked up after their first draw)
+and the passing stream (from its seeded state).  Tests hold the derived
+states and draws equal to numpy's.  The derivation takes each entropy
+element after the seed as one 32-bit word, which is why ``rows``, ``cols``
+and ``frame_count`` stay below 2**32.
 
 Frames are generated per substream block too: after a block's draws, its
 boxes are projected in one call into one vehicle and one detection array;
@@ -217,17 +222,21 @@ def camera_homography(camera: Union[str, Sequence[float]]) -> Homography:
 
 
 # SeedSequence's entropy hash and generate_state(4, np.uint64), then PCG64's
-# seeding step, as fixed-width integer arithmetic (numpy.random's
-# bit_generator and pcg64 modules; O'Neill, "PCG", 2014).  hashmix's running
-# constant depends only on how many calls came before, never on the data.
+# seeding step and first output, as fixed-width integer arithmetic
+# (numpy.random's bit_generator and pcg64 modules; O'Neill, "PCG", 2014).
+# hashmix's running constant depends only on how many calls came before, never
+# on the data.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _HASHMIX_INIT, _HASHMIX_MULT = 0x43B0D7E5, 0x931E8875
 _MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _STATE_INIT, _STATE_MULT = 0x8B51F9DD, 0x58F38DED
-_PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
 _POOL_SIZE = 4
 _BLOCK_STREAMS = 1 << 14  # substreams derived per block of frames; bounds the block's memory
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(n) for n in (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
+_MULT_HI, _MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)  # PCG64's
+_MULT_LO_HALVES = _MULT_LO & _LOW32, _MULT_LO >> _U32
+_KINDS = np.array(["parked", "passing", "violation"], dtype=object)  # by draw order within a frame
 
 
 def _seed_words(value: int) -> list[int]:
@@ -294,20 +303,75 @@ def _substream_words(seed: int, frames: range, stream: int, keys: np.ndarray) ->
     return _mix_entropy(entropy.reshape(n_frames * k, s + 2 + m)).reshape(n_frames, k, 4)
 
 
-def _seed_pcg64(bitgen: np.random.PCG64, words: Sequence[int]) -> None:
-    """Put ``bitgen`` in the state ``PCG64(seed_seq)`` starts from, given the four
-    generate_state words of ``seed_seq``: ``pcg64_set_seed``, mod 2**128."""
-    state_hi, state_lo, inc_hi, inc_lo = words
-    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-    state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
-    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
+# A 128-bit PCG64 value is a (hi, lo) pair of uint64 arrays.  numpy array arithmetic on
+# uint64 wraps mod 2**64 without a warning; only 0-d scalars warn, so none is made here.
+
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """``state * MULT + inc`` mod 2**128: one PCG64 step.  The high word of ``lo * MULT``'s
+    low half comes from four 32-bit partial products."""
+    a0, a1 = lo & _LOW32, lo >> _U32
+    b0, b1 = _MULT_LO_HALVES
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = carry + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
 
 
-def _frame_substreams(config: ScenarioConfig) -> Iterator[Iterator[tuple[list, list, list]]]:
+def _pcg64_streams(words: np.ndarray):
+    """PCG64 seeded from generate_state ``words`` (last axis: state hi, state lo, inc hi,
+    inc lo) as ``pcg64_set_seed`` does, then drawn from once.  Returns each stream's
+    increment, seeded state and state after the draw as (hi, lo) pairs, and the draw,
+    ``random()``: the XSL-RR output's top 53 bits times 2**-53."""
+    state_hi, state_lo, inc_hi, inc_lo = np.moveaxis(words, -1, 0)
+    inc = (inc_hi << _U1 | inc_lo >> _U63, inc_lo << _U1 | _U1)
+    lo = inc[1] + state_lo
+    seeded = _pcg64_step(inc[0] + state_hi + (lo < state_lo), lo, *inc)
+    stepped = _pcg64_step(*seeded, *inc)
+    hi, lo = stepped
+    x, rot = hi ^ lo, hi >> _U58
+    output = x >> rot | x << ((_U64 - rot) & _U63)
+    return inc, seeded, stepped, (output >> _U11) * 2.0**-53
+
+
+def _pcg64_ints(value: tuple[np.ndarray, np.ndarray], chosen: np.ndarray) -> list[int]:
+    """The ``chosen`` entries of a (hi, lo) pair as Python ints, in row-major order."""
+    hi, lo = value
+    return [h << 64 | l for h, l in zip(hi[chosen].tolist(), lo[chosen].tolist())]
+
+
+def _reseeder(bitgen: np.random.PCG64):
+    """A function that puts ``bitgen`` at a given PCG64 (state, inc), with nothing buffered."""
+    seeding = {"state": 0, "inc": 0}
+    whole = {"bit_generator": "PCG64", "state": seeding, "has_uint32": 0, "uinteger": 0}
+
+    def reseed(state: int, inc: int) -> None:
+        seeding["state"], seeding["inc"] = state, inc
+        bitgen.state = whole
+
+    return reseed
+
+
+def _redraw(rng: np.random.Generator, reseed, inc, stepped, chosen: np.ndarray,
+            n_normals: int, n_uniforms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each ``chosen`` stream of :func:`_pcg64_streams` (``inc``, ``stepped``) picked up after
+    its first draw: ``n_normals`` standard normals, then ``n_uniforms`` uniforms, one row per
+    stream."""
+    n = np.count_nonzero(chosen)
+    normals, uniforms = np.empty((n, n_normals)), np.empty((n, n_uniforms))
+    for state, increment, z, u in zip(_pcg64_ints(stepped, chosen), _pcg64_ints(inc, chosen),
+                                      normals, uniforms):
+        reseed(state, increment)
+        rng.standard_normal(out=z)
+        rng.random(out=u)
+    return normals, uniforms
+
+
+def _frame_substreams(config: ScenarioConfig) -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray]]:
     """Each block of frames (about :data:`_BLOCK_STREAMS` substreams, which bounds memory by
-    the block) as an iterator over its frames' generate_state words, as Python ints: slot
-    substreams (grid order), the one passing substream and violation substreams (site order)."""
+    the block) with its generate_state words as ``(frames, k, 4)`` arrays: slot substreams
+    (grid order), the one passing substream and violation substreams (site order)."""
     slot_keys = np.array([(row, col) for row in range(config.rows) for col in range(config.cols)],
                          dtype=np.uint32)
     keys = ((STREAM_SLOT, slot_keys), (STREAM_PASSING, np.empty((1, 0), np.uint32)),
@@ -315,14 +379,14 @@ def _frame_substreams(config: ScenarioConfig) -> Iterator[Iterator[tuple[list, l
     step = max(1, _BLOCK_STREAMS // sum(len(k) for _, k in keys))
     for start in range(0, config.frame_count, step):
         frames = range(start, min(start + step, config.frame_count))
-        yield zip(*(_substream_words(config.seed, frames, stream, k).tolist() for stream, k in keys))
+        yield frames, *(_substream_words(config.seed, frames, stream, k) for stream, k in keys)
 
 
 def _check_boxes(boxes: np.ndarray) -> None:
-    """Finite and positive-size checks as masks over an ``(n, 4)`` box array; the first
+    """Finite and positive-size checks over an ``(n, 4)`` box array; on failure the first
     bad row is re-raised through :class:`Box`, which names its first bad field."""
-    ok = np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > 0).all(axis=1)
-    if not ok.all():
+    if not (np.isfinite(boxes).all() and (boxes[:, 2:] > 0).all()):
+        ok = np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > 0).all(axis=1)
         Box(*boxes[np.argmin(ok)].tolist())  # raises
 
 
@@ -347,27 +411,25 @@ def _project_boxes(cam: Homography, ground: np.ndarray) -> np.ndarray:
     return image
 
 
-def _block_arrays(cam: Homography, ground: list, kinds: list, emitted: list,
-                  frame_ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """A block's vehicles as one :data:`VEHICLE_DTYPE` array and its detections
-    (``emitted``: vehicle index, confidence) as one :data:`DETECTION_DTYPE` array, from one
+def _block_arrays(cam: Homography, ground: np.ndarray, kinds: np.ndarray, seen: np.ndarray,
+                  confs: np.ndarray, frame_ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """A block's vehicles as one :data:`VEHICLE_DTYPE` array and its detections (the ``seen``
+    vehicles, with their ``confs``) as one :data:`DETECTION_DTYPE` array, from one
     projection.  A bad box is named as frame-by-frame projection names it, using each
     frame's vehicle end offset in ``frame_ends``: first faulty frame, ground before image."""
-    ground = np.array(ground, dtype=float).reshape(-1, 4)
     try:
         image = _project_boxes(cam, ground)
     except ValueError:
         for frame_ground in np.split(ground, frame_ends[:-1]):
             _project_boxes(cam, frame_ground)
         raise
-    seen, confs = np.array(emitted, dtype=float).reshape(-1, 2).T
     vehicles = np.zeros(len(image), VEHICLE_DTYPE)  # np.empty fills object fields slowly
-    dets = np.zeros(len(emitted), DETECTION_DTYPE)
-    for name, column, det_column in zip(_BOX_FIELDS, image.T, image[seen.astype(np.intp)].T):
+    dets = np.zeros(np.count_nonzero(seen), DETECTION_DTYPE)
+    for name, column in zip(_BOX_FIELDS, image.T):
         vehicles[name] = column
-        dets[name] = det_column
-    vehicles["kind"] = np.array(kinds, dtype=object)
-    dets["conf"] = confs
+        dets[name] = column[seen]
+    vehicles["kind"] = kinds
+    dets["conf"] = confs[seen]
     dets["cls"] = "car"
     return vehicles, dets
 
@@ -375,64 +437,70 @@ def _block_arrays(cam: Homography, ground: list, kinds: list, emitted: list,
 def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth]:
     cam = camera_homography(config.camera)
     slot_w, slot_h = config.slot_size
-    w_floor, h_floor = 0.2 * slot_w, 0.2 * slot_h  # noisy sizes stay positive; binds only for huge sigmas
+    slot_size = np.array(config.slot_size)
+    size_floor = 0.2 * slot_size  # noisy sizes stay positive; binds only for huge sigmas
 
-    slot_centers = [config.slot_center_ground(row, col)
-                    for row in range(config.rows) for col in range(config.cols)]
-    slot_ground = np.array([(cx, cy, slot_w, slot_h) for cx, cy in slot_centers])
+    slot_ground = np.array([(*config.slot_center_ground(row, col), slot_w, slot_h)
+                            for row in range(config.rows) for col in range(config.cols)])
     slot_boxes_image = [Box(*box) for box in _project_boxes(cam, slot_ground).tolist()]
+    sites = config.violation_sites
+    site_xy = np.array([(site.x, site.y) for site in sites]).reshape(-1, 2)
+    site_sigma = np.array([site.center_spread_sigma for site in sites])[:, None]
+    site_emit = np.array([site.emit_prob for site in sites])
 
     lane_y = (config.rows + 1.5) * config.slot_pitch  # one pitch below the last slot row
     lane_x_max = config.cols * config.slot_pitch
 
-    bitgen = np.random.PCG64(0)  # re-seeded for every substream; one Generator draws from it
-    rng = np.random.Generator(bitgen)
+    rng = np.random.Generator(np.random.PCG64(0))  # re-seeded for every substream that draws more
+    reseed = _reseeder(rng.bit_generator)
 
-    bits = []  # every frame's occupancy bits, end to end
+    bits = []  # each block's occupancy bits, frame by frame
     vehicles_all, dets_all = [], []  # each block's vehicles and detections
     offsets = [np.zeros((1, 2), np.intp)]  # vehicle and detection offsets: 0, then each frame's ends
-    for block in _frame_substreams(config):
-        ground: list[tuple[float, float, float, float]] = []  # each vehicle's ground box, in draw order
-        kinds: list[str] = []
-        emitted: list[tuple[int, float]] = []  # (vehicle index, confidence) of each detection
-        ends: list[tuple[int, int]] = []  # each frame's vehicle and detection end offsets
-        for slot_words, (passing_words,), site_words in block:
-            for (cx, cy), words in zip(slot_centers, slot_words):
-                _seed_pcg64(bitgen, words)
-                occupied = rng.random() < config.occupancy_prob
-                bits.append(occupied)
-                if not occupied:
-                    continue
-                dx, dy = rng.normal(0.0, config.center_noise_sigma, 2).tolist()
-                dw, dh = rng.normal(0.0, config.size_noise_sigma, 2).tolist()
-                ground.append((cx + dx, cy + dy, max(slot_w + dw, w_floor), max(slot_h + dh, h_floor)))
-                kinds.append("parked")
-                if rng.random() < config.miss_prob:
-                    continue
-                emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
+    for frames, slot_words, passing_words, site_words in _frame_substreams(config):
+        inc, _, stepped, first = _pcg64_streams(slot_words)
+        occupied = first < config.occupancy_prob
+        bits.append(occupied.ravel())
+        z, u = _redraw(rng, reseed, inc, stepped, occupied, 4, 2)
+        parked_frame, parked_slot = np.nonzero(occupied)
 
-            _seed_pcg64(bitgen, passing_words)
+        passing_frame, passing_x, passing_u = [], [], []
+        inc, seeded, _, _ = _pcg64_streams(passing_words)
+        every = np.ones(passing_words.shape[:2], bool)
+        for f, state_inc in enumerate(zip(_pcg64_ints(seeded, every), _pcg64_ints(inc, every))):
+            reseed(*state_inc)
             for _ in range(rng.poisson(config.passing_rate)):
-                x = rng.uniform(0.0, lane_x_max)
-                ground.append((x, lane_y, slot_w, slot_h))
-                kinds.append("passing")
-                emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
+                passing_frame.append(f)
+                passing_x.append(rng.uniform(0.0, lane_x_max))
+                passing_u.append(rng.random())
+        n_passing = len(passing_frame)
 
-            for site, words in zip(config.violation_sites, site_words):
-                _seed_pcg64(bitgen, words)
-                if rng.random() >= site.emit_prob:
-                    continue
-                dx, dy = rng.normal(0.0, site.center_spread_sigma, 2).tolist()
-                ground.append((site.x + dx, site.y + dy, slot_w, slot_h))
-                kinds.append("violation")
-                emitted.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
+        inc, _, stepped, first = _pcg64_streams(site_words)
+        emitting = first < site_emit
+        z_site, u_site = _redraw(rng, reseed, inc, stepped, emitting, 2, 1)
+        site_frame, site = np.nonzero(emitting)
 
-            ends.append((len(ground), len(emitted)))
-
-        vehicles, dets = _block_arrays(cam, ground, kinds, emitted, [v for v, _ in ends])
+        # Within a frame, vehicles run parked (slot order), passing, then violation (site order).
+        frame = np.concatenate((parked_frame, np.array(passing_frame, np.intp), site_frame))
+        kind = np.repeat(np.arange(len(_KINDS)), (len(parked_frame), n_passing, len(site_frame)))
+        order = np.lexsort((kind, frame))
+        with np.errstate(over="ignore"):  # a box that overflows to inf is named by _check_boxes
+            ground = np.concatenate((
+                np.column_stack((slot_ground[parked_slot, :2] + (0.0 + config.center_noise_sigma * z[:, :2]),
+                                 np.maximum(slot_size + (0.0 + config.size_noise_sigma * z[:, 2:]), size_floor))),
+                np.column_stack((passing_x, np.full((n_passing, 3), (lane_y, slot_w, slot_h)))),
+                np.column_stack((site_xy[site] + (0.0 + site_sigma[site] * z_site),
+                                 np.broadcast_to(slot_size, (len(site), 2)))),
+            ))
+        seen = np.concatenate((u[:, 0] >= config.miss_prob, np.ones(n_passing + len(site), bool)))
+        confs = 0.5 + 0.5 * np.concatenate((u[:, 1], passing_u, u_site[:, 0]))
+        ends = np.column_stack([np.bincount(frame[rows], minlength=len(frames)).cumsum()
+                                for rows in (slice(None), seen)])
+        vehicles, dets = _block_arrays(cam, ground[order], _KINDS[kind[order]], seen[order], confs[order],
+                                       ends[:, 0])
         vehicles_all.append(vehicles)
         dets_all.append(dets)
-        offsets.append(offsets[-1][-1] + np.array(ends))
+        offsets.append(offsets[-1][-1] + ends)
 
     frames = range(config.frame_count)
     vehicle_offsets, det_offsets = np.concatenate(offsets).T
@@ -445,7 +513,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth
     truth = GroundTruth(
         frame_ids=log.frame_ids,
         slots=tuple(slot_boxes_image),
-        bits=np.array(bits, bool),
+        bits=np.concatenate(bits),
         bit_offsets=np.arange(config.frame_count + 1) * config.slot_count,
         vehicle_offsets=vehicle_offsets,
         vehicle_rows=np.concatenate(vehicles_all),

@@ -7,13 +7,17 @@ checked against a second, unrelated route.
 
 import json
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 
-from parkscan.detections import DETECTION_DTYPE, DetectionLog
+from parkscan.detections import DETECTION_DTYPE, DetectionLog, FrameDetections
 from parkscan.errors import ValidationError
+from parkscan.geometry import Box
 from parkscan.occupancy import FrameReport, OccupancyRecord, OccupancyStatus
-from parkscan.simulator import VEHICLE_DTYPE, GroundTruth
+from parkscan.simulator import (
+    STREAM_PASSING, STREAM_SLOT, STREAM_VIOLATION, VEHICLE_DTYPE, GroundTruth, camera_homography,
+)
 
 # --- edge cases for the JSON writer tests ---
 
@@ -318,6 +322,52 @@ def seed_sequence_stream(seed, frame_index, stream, *key):
     ``default_rng(SeedSequence((seed mod 2**64, frame_index, stream, *key)))``."""
     entropy = (seed & 0xFFFFFFFFFFFFFFFF, frame_index, stream, *key)
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def scenario_by_substreams(config):
+    """The simulator's (log, truth) for ``config`` as its randomness contract states it: one
+    :func:`seed_sequence_stream` Generator per substream, drawn from in the stated order, and
+    each frame's boxes projected one at a time with :func:`project_box_scalar`."""
+    m = camera_homography(config.camera).m
+    slot_w, slot_h = config.slot_size
+    slots = [(row, col, *config.slot_center_ground(row, col))
+             for row in range(config.rows) for col in range(config.cols)]
+    lane_y = (config.rows + 1.5) * config.slot_pitch
+    lane_x_max = config.cols * config.slot_pitch
+    frames, occupancy, vehicles = [], [], []
+    for f in range(config.frame_count):
+        bits, ground, seen = [], [], []  # seen: (vehicle index, confidence) per detection
+        for row, col, cx, cy in slots:
+            rng = seed_sequence_stream(config.seed, f, STREAM_SLOT, row, col)
+            bits.append(rng.random() < config.occupancy_prob)
+            if not bits[-1]:
+                continue
+            dx, dy = rng.normal(0.0, config.center_noise_sigma, 2).tolist()
+            dw, dh = rng.normal(0.0, config.size_noise_sigma, 2).tolist()
+            ground.append((cx + dx, cy + dy, max(slot_w + dw, 0.2 * slot_w), max(slot_h + dh, 0.2 * slot_h),
+                           "parked"))
+            if rng.random() < config.miss_prob:
+                continue
+            seen.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
+        rng = seed_sequence_stream(config.seed, f, STREAM_PASSING)
+        for _ in range(rng.poisson(config.passing_rate)):
+            ground.append((rng.uniform(0.0, lane_x_max), lane_y, slot_w, slot_h, "passing"))
+            seen.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
+        for i, site in enumerate(config.violation_sites):
+            rng = seed_sequence_stream(config.seed, f, STREAM_VIOLATION, i)
+            if rng.random() >= site.emit_prob:
+                continue
+            dx, dy = rng.normal(0.0, site.center_spread_sigma, 2).tolist()
+            ground.append((site.x + dx, site.y + dy, slot_w, slot_h, "violation"))
+            seen.append((len(ground) - 1, 0.5 + 0.5 * rng.random()))
+        image = [project_box_scalar(m, box[:4]) for box in ground]
+        timestamp = (datetime(2026, 1, 1, 8) + timedelta(minutes=5 * f)).isoformat()
+        frames.append(FrameDetections(f"f{f:06d}", [(*image[v], conf, "car") for v, conf in seen], timestamp))
+        occupancy.append(bits)
+        vehicles.append([(*box, kind) for box, (*_, kind) in zip(image, ground)])
+    slot_boxes = [Box(*project_box_scalar(m, (cx, cy, slot_w, slot_h))) for _, _, cx, cy in slots]
+    log = detection_log(frames)
+    return log, ground_truth(log.frame_ids, slot_boxes, occupancy, vehicles)
 
 
 # --- detection logs -------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     EDGE_FLOATS,
     ground_truth,
     project_box_scalar,
+    scenario_by_substreams,
     seed_sequence_stream,
     write_ground_truth_occupancy_by_dumps,
 )
@@ -31,8 +33,10 @@ from parkscan.simulator import (
     ScenarioConfig,
     ViolationSite,
     _block_arrays,
+    _pcg64_ints,
+    _pcg64_streams,
     _project_boxes,
-    _seed_pcg64,
+    _reseeder,
     _substream_words,
     camera_homography,
     generate_scenario,
@@ -292,7 +296,8 @@ def test_block_names_the_first_frame_fault_as_frame_by_frame_projection_did():
     # width is negative on the ground.  Frame 0 holds the first fault.
     ground = [(0.0, 0.0, 5e-324, 1.0), (0.0, 0.0, -1.0, 1.0)]
     with pytest.raises(ValidationError, match=r"width must be > 0, got 0\.0"):
-        _block_arrays(camera_homography("identity"), ground, ["parked"] * 2, [], [1, 2])
+        _block_arrays(camera_homography("identity"), np.array(ground), np.array(["parked"] * 2, object),
+                      np.zeros(2, bool), np.zeros(2), [1, 2])
 
 
 _WORD = st.integers(0, 2**32 - 1)
@@ -304,6 +309,22 @@ _SEEDS = st.one_of(
 )
 
 
+def _stream_values(streams, chosen):
+    """Each chosen stream's increment, seeded state, post-draw state and first draw."""
+    inc, seeded, stepped, first = streams
+    return list(zip(_pcg64_ints(inc, chosen), _pcg64_ints(seeded, chosen), _pcg64_ints(stepped, chosen),
+                    first[chosen].tolist()))
+
+
+def _numpy_values(rng):
+    """A fresh PCG64 Generator's increment, seeded state, state after one ``random()`` and that draw."""
+    seeded = rng.bit_generator.state
+    first = rng.random()
+    stepped = rng.bit_generator.state
+    assert seeded["state"]["inc"] == stepped["state"]["inc"] and stepped["has_uint32"] == 0
+    return seeded["state"]["inc"], seeded["state"]["state"], stepped["state"]["state"], first
+
+
 @given(seed=_SEEDS, first_frame=st.integers(0, 2**32 - 3), n_frames=st.integers(1, 3),
        stream=st.sampled_from([STREAM_SLOT, STREAM_PASSING, STREAM_VIOLATION]),
        keys=st.integers(0, 3).flatmap(
@@ -313,29 +334,114 @@ def test_derived_substream_states_equal_seed_sequence(seed, first_frame, n_frame
     frames = range(first_frame, first_frame + n_frames)
     words = _substream_words(seed, frames, stream, np.array(keys, dtype=np.uint32))
     assert words.shape == (n_frames, len(keys), 4)
-    bitgen = np.random.PCG64(0)
-    for f, frame_words in zip(frames, words):
-        for key, stream_words in zip(keys, frame_words.tolist()):
-            _seed_pcg64(bitgen, stream_words)
-            assert bitgen.state == seed_sequence_stream(seed, f, stream, *key).bit_generator.state
+    derived = _stream_values(_pcg64_streams(words), np.ones(words.shape[:2], bool))
+    expected = [_numpy_values(seed_sequence_stream(seed, f, stream, *key)) for f in frames for key in keys]
+    assert derived == expected
+
+
+class _FixedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose generate_state words are given, so PCG64 seeds from any words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (4, np.uint64)
+        return self.words
+
+
+_WORD64 = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@given(words=st.lists(st.lists(_WORD64, min_size=4, max_size=4), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_array_step_equals_pcg64_on_any_words(words):
+    # Words 0 and 2**64 - 1 carry through every 64-bit add and multiply of the 128-bit step.
+    array = np.array(words, np.uint64)[:, None, :]
+    derived = _stream_values(_pcg64_streams(array), np.ones(array.shape[:2], bool))
+    assert derived == [_numpy_values(np.random.Generator(np.random.PCG64(_FixedWords(w)))) for w in words]
+
+
+def test_array_step_keeps_a_single_stream_in_arrays():
+    # One substream is a (1, 1) block; no 0-d scalar may form, as its overflow would warn.
+    words = np.full((1, 1, 4), 2**64 - 1, np.uint64)
+    with np.errstate(all="raise"):
+        inc, seeded, stepped, first = _pcg64_streams(words)
+    assert all(part.shape == (1, 1) for part in (*inc, *seeded, *stepped, first))
 
 
 def test_reseeded_generator_draws_like_a_fresh_one():
     keys = [(0, 0), (1, 2), (3, 1)]
     words = _substream_words(-7, range(4), STREAM_SLOT, np.array(keys, dtype=np.uint32))
+    inc, seeded, stepped, first = _pcg64_streams(words)
+    every = np.ones(words.shape[:2], bool)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
+    reseed = _reseeder(bitgen)
     draws = (lambda g: g.random(), lambda g: g.normal(0.0, 2.0, 2), lambda g: g.poisson(0.7),
-             lambda g: g.poisson(30.0), lambda g: g.uniform(0.0, 5.0))
-    for f, frame_words in enumerate(words.tolist()):
-        for key, stream_words in zip(keys, frame_words):
+             lambda g: g.poisson(30.0), lambda g: g.uniform(0.0, 5.0), lambda g: g.standard_normal(4))
+    streams = zip(_pcg64_ints(inc, every), _pcg64_ints(seeded, every), _pcg64_ints(stepped, every))
+    for (f, key), (increment, seeded_state, stepped_state) in zip(np.ndindex(4, len(keys)), streams):
+        for state, picked_up in ((seeded_state, False), (stepped_state, True)):
+            fresh = seed_sequence_stream(-7, f, STREAM_SLOT, *keys[key])
+            if picked_up:  # after the draw the array step made
+                assert fresh.random() == first[f, key]
             rng.integers(0, 10, dtype=np.int32)
             assert bitgen.state["has_uint32"] == 1  # half a 64-bit output is buffered
-            _seed_pcg64(bitgen, stream_words)
-            fresh = seed_sequence_stream(-7, f, STREAM_SLOT, *key)
+            reseed(state, increment)
             for draw in draws:
                 assert np.array_equal(draw(rng), draw(fresh))
             assert bitgen.state == fresh.bit_generator.state
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.0, 5e-324, 1e308])
+def test_scaled_standard_normals_equal_generator_normal(sigma):
+    # generate_scenario draws standard normals and scales them as normal(0.0, sigma) does.
+    scaled, direct = np.random.default_rng(3), np.random.default_rng(3)
+    with np.errstate(over="ignore"):
+        got = 0.0 + sigma * scaled.standard_normal(64)
+    assert got.view(np.int64).tolist() == direct.normal(0.0, sigma, 64).view(np.int64).tolist()
+    assert scaled.bit_generator.state == direct.bit_generator.state
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(center_noise_sigma=1e308), r"width must be > 0, got 0\.0"),
+    (dict(size_noise_sigma=1e308), "w must be finite"),
+    (dict(violation_sites=(ViolationSite(1.7e308, 10.0, 1e308, 1.0),)), "cx must be finite"),
+])
+def test_noise_beyond_the_float_range_is_named_without_a_warning(overrides, message):
+    # Noise that overflows a box to inf is named by the box check, with no numpy warning.
+    with pytest.raises(ValidationError, match=message):
+        generate_scenario(small_config(frame_count=5, seed=1, **overrides))
+
+
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_SIGMA = st.one_of(st.just(0.0), st.floats(0.0, 6.0))
+_SITE = st.builds(ViolationSite, x=st.floats(0.0, 120.0), y=st.floats(0.0, 120.0),
+                  center_spread_sigma=_SIGMA, emit_prob=_PROBABILITY)
+
+
+def _written(log, truth):
+    slots, occupancy = io.StringIO(), io.StringIO()
+    write_ground_truth_slots(slots, truth)
+    write_ground_truth_occupancy(occupancy, truth)
+    return serialize_detections(log), occupancy.getvalue(), slots.getvalue()
+
+
+@given(config=st.builds(
+           ScenarioConfig, rows=st.integers(1, 3), cols=st.integers(1, 3), slot_pitch=st.just(40.0),
+           slot_size=st.just((22.0, 30.0)), frame_count=st.integers(1, 9), occupancy_prob=_PROBABILITY,
+           center_noise_sigma=_SIGMA, size_noise_sigma=_SIGMA, miss_prob=_PROBABILITY,
+           passing_rate=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+           violation_sites=st.lists(_SITE, max_size=2).map(tuple),
+           camera=st.sampled_from(sorted(CAMERA_PRESETS)), seed=_SEEDS),
+       block_streams=st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_generate_scenario_writes_what_one_generator_per_substream_draws(config, block_streams):
+    # Small blocks put a scenario's frames in several blocks, down to one frame a block.
+    with mock.patch.object(simulator, "_BLOCK_STREAMS", block_streams):
+        written = _written(*generate_scenario(config))
+    assert written == _written(*scenario_by_substreams(config))
 
 
 def test_config_validation():
