@@ -253,9 +253,9 @@ def cmd_classify(args) -> int:
 def cmd_evaluate(args) -> int:
     if (args.records is None) != (args.truth_occupancy is None):
         raise ConfigError("evaluate needs both --records and --truth-occupancy, or neither")
+    cfg = load_run_config(args.config)
     pred = _read_registry(args.pred_slots)
     truth = _read_registry(args.truth_slots)
-    cfg = load_run_config(args.config)
     table = gt = None
     if args.records is not None:
         with open(args.records, encoding="utf-8") as fh:

@@ -25,7 +25,7 @@ from .detections import DetectionFilter
 from .errors import ConfigError, ValidationError, check_keys, json_number
 from .geometry import Homography, homography_from_config
 from .occupancy import DEFAULT_DECISION_THRESHOLD, DEFAULT_IOU_THRESHOLD
-from .slots import SlotDetectionConfig
+from .slots import SlotDetectionConfig, check_detection_parameters
 
 _DEFAULT_FILTER = DetectionFilter()
 
@@ -50,6 +50,7 @@ class RunConfig:
                 raise ValidationError(name, f"{name} must be in (0, 1), got {value!r}")
         if self.tolerance is not None and not (0.0 < self.tolerance < math.inf):
             raise ValidationError("tolerance", f"tolerance must be finite and > 0, got {self.tolerance!r}")
+        check_detection_parameters(self.n_bottom, self.eps, self.min_points)
 
     @property
     def det_filter(self) -> DetectionFilter:

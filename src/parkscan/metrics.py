@@ -179,14 +179,9 @@ def roc_points(
 def classification_counts(
     predicted_occupied: Sequence[bool], truth_occupied: Sequence[bool]
 ) -> ClassificationCounts:
-    tp = tn = fp = fn = 0
-    for pred, true in zip(predicted_occupied, truth_occupied, strict=True):
-        if pred and true:
-            tp += 1
-        elif not pred and not true:
-            tn += 1
-        elif pred and not true:
-            fp += 1
-        else:
-            fn += 1
+    """Confusion counts of the paired bits, from one ``np.bincount``; the lengths must agree."""
+    pred, true = np.asarray(predicted_occupied, bool), np.asarray(truth_occupied, bool)
+    if pred.shape != true.shape:
+        raise ValueError(f"{len(pred)} predictions against {len(true)} truth bits")
+    tn, fn, fp, tp = np.bincount(2 * pred + true, minlength=4).tolist()
     return ClassificationCounts(tp=tp, tn=tn, fp=fp, fn=fn)

@@ -282,8 +282,8 @@ class GeometricOracleClassifier(ClassifierAdapter):
     def from_truth(cls, truth, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> "GeometricOracleClassifier":
         """The oracle over a :class:`~parkscan.simulator.GroundTruth`'s vehicle columns as they are."""
         oracle = cls({}, iou_threshold)
-        oracle._row, oracle._boxes = {fid: i for i, fid in enumerate(truth.frame_ids)}, truth.boxes()
-        oracle._bounds = truth.vehicle_offsets
+        oracle._row = {fid: i for i, fid in enumerate(truth.frame_ids)}
+        oracle._boxes, oracle._bounds = truth.boxes, truth.vehicle_offsets
         return oracle
 
     def classify(self, frame_id: str, slots: Sequence[ParkingSlot]) -> np.ndarray:
@@ -319,29 +319,14 @@ class FileScoreClassifier(ClassifierAdapter):
     """Replays externally computed scores keyed by (frame, slot), held as columns sorted by
     key: a frame's index times the number of slot ids plus the slot's index."""
 
-    def __init__(self, table: Mapping[tuple[str, int], float]):
-        for key, score in table.items():
-            if not (isinstance(score, (int, float)) and 0.0 <= score <= 1.0):
-                raise ValidationError("score", f"score for {key!r} must be in [0, 1], got {score!r}")
-        self._index(*(zip(*table) if table else [(), ()]), list(table.values()), ())
-
-    def _index(self, frames: Sequence[str], slots: Sequence[int], scores: list, lines: Sequence) -> None:
-        """Hold the rows as columns; a key given twice raises, naming the lines of its first repeat."""
-        (self._frame_ids, frame), (slot_ids, slot) = _factorize(frames), _factorize(slots)
-        self._frame_row = {fid: i for i, fid in enumerate(self._frame_ids)}
-        self._slot_col = {sid: j for j, sid in enumerate(slot_ids)}
-        key, order = _sorted_keys("score_table", lines, self._frame_ids, frame, slot_ids, slot)
-        self._key = np.append(key[order], np.iinfo(np.intp).max)  # above every key: a search ends on a row
-        self._score = np.append(np.array(scores, float)[order], math.nan)
-
     @classmethod
     def from_stream(cls, stream: IO[str]) -> "FileScoreClassifier":
         """Load a line-delimited table: {"frame": str, "slot": int, "score": num in [0, 1]}.
 
         A (frame, slot) key given twice is rejected, naming both lines.
         """
-        table, frame_ids, columns = cls.__new__(cls), {}, ([], [], [], [])
-        frames, slots, scores, lines = columns
+        frames, slots = {}, {}  # each id -> its index, in order of first appearance
+        frame, slot, scores, lines = [], [], [], []
         try:
             for line_no, record in json_lines(stream, "score_table"):
                 try:
@@ -352,16 +337,21 @@ class FileScoreClassifier(ClassifierAdapter):
                         raise ValueError(f"score must be in [0, 1], got {record['score']!r}")
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValidationError("score_table", f"line {line_no}: bad record ({exc})") from exc
-                frames.append(frame_ids.setdefault(frame_id, frame_id))  # one string per frame id
-                slots.append(slot_id)
+                frame.append(frames.setdefault(frame_id, len(frames)))
+                slot.append(slots.setdefault(slot_id, len(slots)))
                 scores.append(score)
                 lines.append(line_no)
         finally:  # also after a bad line, so that a key repeated before it is named first
-            table._index(*columns)
+            key, order = _sorted_keys("score_table", lines, list(frames), np.array(frame, np.intp),
+                                      list(slots), np.array(slot, np.intp))
+        table = cls()
+        table._frame_row, table._slot_col = frames, slots
+        table._key = np.append(key[order], np.iinfo(np.intp).max)  # above every key: a search ends on a row
+        table._score = np.append(np.array(scores, float)[order], math.nan)
         return table
 
     def frames(self) -> list[str]:
-        return sorted(self._frame_ids)
+        return sorted(self._frame_row)
 
     def classify(self, frame_id: str, slots: Sequence[ParkingSlot]) -> list[float]:
         return self.score_frames([frame_id], slots)[0][0].tolist()

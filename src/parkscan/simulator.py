@@ -37,9 +37,9 @@ element after the seed as one 32-bit word, which is why ``rows``, ``cols``
 and ``frame_count`` stay below 2**32.
 
 Frames are generated per substream block too: after a block's draws, its
-boxes are projected in one call into one vehicle and one detection array;
-the truth joins the first and the log the second.  The block size changes no
-output byte.
+boxes are projected in one call into one ``(n, 4)`` box and one detection
+array; the truth joins the first and the log the second.  The block size
+changes no output byte.
 """
 
 import json
@@ -62,9 +62,8 @@ from .errors import (
 from .geometry import Box, Homography, apply_homography_array
 from .slots import ParkingSlot, slot_registry_document
 
-VEHICLE_DTYPE = np.dtype([("cx", float), ("cy", float), ("w", float), ("h", float), ("kind", object)])
-_BOX_FIELDS = VEHICLE_DTYPE.names[:4]
-_VEHICLE_ROW = itemgetter(*VEHICLE_DTYPE.names)  # a truth vehicle object's values, in row order
+_BOX_FIELDS = ("cx", "cy", "w", "h")
+_VEHICLE_ROW = itemgetter(*_BOX_FIELDS, "kind")  # a truth vehicle object's values, in column order
 
 STREAM_SLOT = 0
 STREAM_PASSING = 1
@@ -163,42 +162,40 @@ class ScenarioConfig:
 class GroundTruth:
     """Slot layout in image coordinates, and per frame its occupancy bits and true vehicles as
     columns: frame ``i`` has ``bits[bit_offsets[i]:bit_offsets[i + 1]]`` (by slot id), and rows
-    ``vehicle_offsets[i]`` to ``vehicle_offsets[i + 1]`` of ``vehicle_rows`` (one read-only
-    :data:`VEHICLE_DTYPE` array in frame order). ``occupancy`` and ``vehicles`` give them per
-    frame, derived on demand."""
+    ``vehicle_offsets[i]`` to ``vehicle_offsets[i + 1]`` of ``boxes`` (one read-only ``(n, 4)``
+    array of (cx, cy, w, h) rows in frame order) and of ``kinds`` (each vehicle's kind string).
+    ``occupancy`` and ``vehicles`` give them per frame, derived on demand."""
 
     frame_ids: tuple[str, ...]
     slots: tuple[Box, ...]
     bits: np.ndarray
     bit_offsets: np.ndarray  # one entry per frame, plus one; so is vehicle_offsets
     vehicle_offsets: np.ndarray
-    vehicle_rows: np.ndarray
+    boxes: np.ndarray
+    kinds: np.ndarray
 
     def __post_init__(self):
-        for column in (self.bits, self.bit_offsets, self.vehicle_offsets, self.vehicle_rows):
+        for column in (self.bits, self.bit_offsets, self.vehicle_offsets, self.boxes, self.kinds):
             column.setflags(write=False)
 
-    def frames(self) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-        """Each frame's id, occupancy bits and rows of ``vehicle_rows``."""
+    def frames(self) -> Iterator[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
+        """Each frame's id, occupancy bits, and rows of ``boxes`` and ``kinds``."""
         bit_bounds, vehicle_bounds = pairwise(self.bit_offsets), pairwise(self.vehicle_offsets)
         for fid, (b0, b1), (v0, v1) in zip(self.frame_ids, bit_bounds, vehicle_bounds):
-            yield fid, self.bits[b0:b1], self.vehicle_rows[v0:v1]
+            yield fid, self.bits[b0:b1], self.boxes[v0:v1], self.kinds[v0:v1]
 
     @property
     def occupancy(self) -> tuple[tuple[bool, ...], ...]:
-        return tuple(tuple(bits.tolist()) for _, bits, _ in self.frames())
+        return tuple(tuple(bits.tolist()) for _, bits, _, _ in self.frames())
 
     @property
     def vehicles(self) -> tuple[np.ndarray, ...]:
-        return tuple(vehicles for _, _, vehicles in self.frames())
-
-    def boxes(self) -> np.ndarray:
-        """Every vehicle box as an ``(n, 4)`` array of (cx, cy, w, h) rows, in row order."""
-        return np.column_stack([self.vehicle_rows[k] for k in _BOX_FIELDS])
+        """Each frame's vehicle boxes, an ``(n, 4)`` view of ``boxes``."""
+        return tuple(boxes for _, _, boxes, _ in self.frames())
 
     def vehicles_by_frame(self) -> dict[str, np.ndarray]:
-        """Each frame's vehicle boxes as an ``(n, 4)`` array of (cx, cy, w, h) rows."""
-        return {fid: np.column_stack([v[k] for k in _BOX_FIELDS]) for fid, _, v in self.frames()}
+        """:attr:`vehicles` keyed by frame id."""
+        return dict(zip(self.frame_ids, self.vehicles))
 
     def __eq__(self, other):
         if not isinstance(other, GroundTruth):
@@ -411,10 +408,10 @@ def _project_boxes(cam: Homography, ground: np.ndarray) -> np.ndarray:
     return image
 
 
-def _block_arrays(cam: Homography, ground: np.ndarray, kinds: np.ndarray, seen: np.ndarray,
-                  confs: np.ndarray, frame_ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """A block's vehicles as one :data:`VEHICLE_DTYPE` array and its detections (the ``seen``
-    vehicles, with their ``confs``) as one :data:`DETECTION_DTYPE` array, from one
+def _block_arrays(cam: Homography, ground: np.ndarray, seen: np.ndarray, confs: np.ndarray,
+                  frame_ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """A block's vehicle boxes in image pixels as one ``(n, 4)`` array and its detections (the
+    ``seen`` vehicles, with their ``confs``) as one :data:`DETECTION_DTYPE` array, from one
     projection.  A bad box is named as frame-by-frame projection names it, using each
     frame's vehicle end offset in ``frame_ends``: first faulty frame, ground before image."""
     try:
@@ -423,15 +420,12 @@ def _block_arrays(cam: Homography, ground: np.ndarray, kinds: np.ndarray, seen: 
         for frame_ground in np.split(ground, frame_ends[:-1]):
             _project_boxes(cam, frame_ground)
         raise
-    vehicles = np.zeros(len(image), VEHICLE_DTYPE)  # np.empty fills object fields slowly
     dets = np.zeros(np.count_nonzero(seen), DETECTION_DTYPE)
     for name, column in zip(_BOX_FIELDS, image.T):
-        vehicles[name] = column
         dets[name] = column[seen]
-    vehicles["kind"] = kinds
     dets["conf"] = confs[seen]
     dets["cls"] = "car"
-    return vehicles, dets
+    return image, dets
 
 
 def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth]:
@@ -455,7 +449,7 @@ def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth
     reseed = _reseeder(rng.bit_generator)
 
     bits = []  # each block's occupancy bits, frame by frame
-    vehicles_all, dets_all = [], []  # each block's vehicles and detections
+    boxes_all, kinds_all, dets_all = [], [], []  # each block's vehicles and detections
     offsets = [np.zeros((1, 2), np.intp)]  # vehicle and detection offsets: 0, then each frame's ends
     for frames, slot_words, passing_words, site_words in _frame_substreams(config):
         inc, _, stepped, first = _pcg64_streams(slot_words)
@@ -496,9 +490,9 @@ def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth
         confs = 0.5 + 0.5 * np.concatenate((u[:, 1], passing_u, u_site[:, 0]))
         ends = np.column_stack([np.bincount(frame[rows], minlength=len(frames)).cumsum()
                                 for rows in (slice(None), seen)])
-        vehicles, dets = _block_arrays(cam, ground[order], _KINDS[kind[order]], seen[order], confs[order],
-                                       ends[:, 0])
-        vehicles_all.append(vehicles)
+        boxes, dets = _block_arrays(cam, ground[order], seen[order], confs[order], ends[:, 0])
+        boxes_all.append(boxes)
+        kinds_all.append(_KINDS[kind[order]])
         dets_all.append(dets)
         offsets.append(offsets[-1][-1] + ends)
 
@@ -516,7 +510,8 @@ def generate_scenario(config: ScenarioConfig) -> tuple[DetectionLog, GroundTruth
         bits=np.concatenate(bits),
         bit_offsets=np.arange(config.frame_count + 1) * config.slot_count,
         vehicle_offsets=vehicle_offsets,
-        vehicle_rows=np.concatenate(vehicles_all),
+        boxes=np.concatenate(boxes_all),
+        kinds=np.concatenate(kinds_all),
     )
     return log, truth
 
@@ -539,15 +534,15 @@ def write_ground_truth_occupancy(stream: IO[str], truth: GroundTruth) -> None:
     """Per-frame record: occupancy bits keyed by slot id plus true vehicle boxes, with the
     bytes ``json.dumps(record, sort_keys=True)`` gives (built as ``write_detections`` does)."""
     bit_formats = {}  # bit count -> '"0": {0}, "1": {1}, "10": {10}, ...', keys in string order
-    for fid, bits, vehicles in truth.frames():
+    for fid, bits, boxes, kinds in truth.frames():
         if len(bits) not in bit_formats:
             bit_formats[len(bits)] = ", ".join(f'"{i}": {{{i}}}' for i in sorted(range(len(bits)), key=str))
         occupancy = bit_formats[len(bits)].format(*["true" if bit else "false" for bit in bits.tolist()])
-        boxes = ", ".join([f'{{"cx": {cx!r}, "cy": {cy!r}, "h": {h!r}, '
-                           f'"kind": {encode_basestring_ascii(kind)}, "w": {w!r}}}'
-                           for cx, cy, w, h, kind in vehicles.tolist()])
+        vehicles = ", ".join([f'{{"cx": {cx!r}, "cy": {cy!r}, "h": {h!r}, '
+                              f'"kind": {encode_basestring_ascii(kind)}, "w": {w!r}}}'
+                              for (cx, cy, w, h), kind in zip(boxes.tolist(), kinds.tolist())])
         stream.write(f'{{"frame": {encode_basestring_ascii(fid)}, "occupancy": {{{occupancy}}}, '
-                     f'"vehicles": [{boxes}]}}\n')
+                     f'"vehicles": [{vehicles}]}}\n')
 
 
 def _vehicle_fault(entries) -> None:
@@ -567,9 +562,9 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
     """Ground truth from the per-frame occupancy file alone (empty slot layout).
 
     Each line's values are type-tested as it is read and appended to columns; then the
-    vehicles go into one read-only array, whose boxes are checked for finite, positive
-    sizes at once. A bad box is named with its line, and a frame id given twice is
-    rejected, naming both lines.
+    vehicle boxes go into one ``(n, 4)`` array, checked for finite, positive sizes at once.
+    A bad box is named with its line, and a frame id given twice is rejected, naming both
+    lines.
     """
     first_line = {}  # frame id -> line number, in file order
     bits, bit_offsets, vehicle_offsets = [], [0], [0]
@@ -592,12 +587,7 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
         bits.extend(frame_bits)
         bit_offsets.append(len(bits))
         vehicle_offsets.append(len(columns[-1]))
-    vehicles = np.zeros(vehicle_offsets[-1], VEHICLE_DTYPE)  # np.empty fills object fields slowly
-    for name, column in zip(VEHICLE_DTYPE.names, columns):
-        vehicles[name] = column
-    truth = GroundTruth(tuple(first_line), (), np.array(bits, bool), np.array(bit_offsets, np.intp),
-                        np.array(vehicle_offsets, np.intp), vehicles)
-    boxes = truth.boxes()
+    boxes = np.column_stack(columns[:4])
     try:
         _check_boxes(boxes)
     except ValidationError:
@@ -607,7 +597,8 @@ def read_ground_truth_occupancy(occupancy_stream: IO[str]) -> GroundTruth:
             except ValidationError as exc:
                 raise ValidationError("occupancy", f"line {line_no}: bad record ({exc})") from exc
         raise
-    return truth
+    return GroundTruth(tuple(first_line), (), np.array(bits, bool), np.array(bit_offsets, np.intp),
+                       np.array(vehicle_offsets, np.intp), boxes, np.array(columns[4], object))
 
 
 # --- scenario config file ---------------------------------------------------

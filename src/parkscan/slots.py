@@ -52,12 +52,18 @@ class SlotDetectionConfig:
     min_points: Union[int, None] = None
 
     def __post_init__(self):
-        if int(self.n_bottom) != self.n_bottom or self.n_bottom < 1:
-            raise ValidationError("n_bottom", f"n_bottom must be >= 1, got {self.n_bottom!r}")
-        if self.eps is not None and not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValidationError("eps", f"eps must be finite and > 0, got {self.eps!r}")
-        if self.min_points is not None and self.min_points < 1:
-            raise ValidationError("min_points", f"min_points must be >= 1, got {self.min_points!r}")
+        check_detection_parameters(self.n_bottom, self.eps, self.min_points)
+
+
+def check_detection_parameters(n_bottom, eps, min_points) -> None:
+    """``n_bottom`` a whole number >= 1, ``eps`` finite and > 0 and ``min_points`` >= 1, each
+    unless None: :class:`SlotDetectionConfig`'s rules, which the run config applies at load."""
+    if n_bottom is not None and (int(n_bottom) != n_bottom or n_bottom < 1):
+        raise ValidationError("n_bottom", f"n_bottom must be >= 1, got {n_bottom!r}")
+    if eps is not None and not (math.isfinite(eps) and eps > 0):
+        raise ValidationError("eps", f"eps must be finite and > 0, got {eps!r}")
+    if min_points is not None and min_points < 1:
+        raise ValidationError("min_points", f"min_points must be >= 1, got {min_points!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from parkscan.errors import ValidationError
 from parkscan.geometry import Box
 from parkscan.occupancy import FrameReport, OccupancyRecord, OccupancyStatus
 from parkscan.simulator import (
-    STREAM_PASSING, STREAM_SLOT, STREAM_VIOLATION, VEHICLE_DTYPE, GroundTruth, camera_homography,
+    STREAM_PASSING, STREAM_SLOT, STREAM_VIOLATION, GroundTruth, camera_homography,
 )
 
 # --- edge cases for the JSON writer tests ---
@@ -104,6 +104,21 @@ def core_partition_from_labels(labels, core_mask):
         if is_core:
             groups.setdefault(int(labels[i]), set()).add(i)
     return frozenset(frozenset(g) for g in groups.values())
+
+
+def classification_counts_by_loop(predicted_occupied, truth_occupied):
+    """(tp, tn, fp, fn) by one pass over the paired bits; unequal lengths raise ValueError."""
+    tp = tn = fp = fn = 0
+    for pred, true in zip(predicted_occupied, truth_occupied, strict=True):
+        if pred and true:
+            tp += 1
+        elif not pred and not true:
+            tn += 1
+        elif pred and not true:
+            fp += 1
+        else:
+            fn += 1
+    return tp, tn, fp, fn
 
 
 def pairwise_auc(scores, labels):
@@ -386,20 +401,31 @@ def detection_log(frames):
     )
 
 
+_VEHICLE_KEYS = ("cx", "cy", "w", "h", "kind")  # a truth vehicle's row, in column order
+
+
 def ground_truth(frame_ids, slots, occupancy, vehicles):
     """A :class:`GroundTruth` of ``frame_ids``, ``slots``, and per frame its occupancy bits and
-    its vehicles, a :data:`VEHICLE_DTYPE` array or ``(cx, cy, w, h, kind)`` rows; like the
-    simulator's truth, its boxes are not checked."""
+    its vehicles as ``(cx, cy, w, h, kind)`` rows; like the simulator's truth, its boxes are
+    not checked."""
     occupancy = [list(map(bool, bits)) for bits in occupancy]
-    arrays = [np.array(frame, VEHICLE_DTYPE) for frame in vehicles]
+    vehicles = [list(frame) for frame in vehicles]
+    rows = [row for frame in vehicles for row in frame]
     return GroundTruth(
         frame_ids=tuple(frame_ids),
         slots=tuple(slots),
         bits=np.array([bit for bits in occupancy for bit in bits], bool),
         bit_offsets=np.cumsum([0, *map(len, occupancy)]),
-        vehicle_offsets=np.cumsum([0, *map(len, arrays)]),
-        vehicle_rows=np.concatenate([np.empty(0, VEHICLE_DTYPE), *arrays]),
+        vehicle_offsets=np.cumsum([0, *map(len, vehicles)]),
+        boxes=np.array([row[:4] for row in rows], float).reshape(-1, 4),
+        kinds=np.array([row[4] for row in rows], object),
     )
+
+
+def vehicle_rows(truth):
+    """Each frame's vehicles of ``truth`` as ``[cx, cy, w, h, kind]`` lists."""
+    return [[[*box, kind] for box, kind in zip(boxes.tolist(), kinds.tolist())]
+            for _, _, boxes, kinds in truth.frames()]
 
 
 # --- simulator outputs: the json.dumps writers the line formatters replaced, kept as references ---
@@ -421,11 +447,11 @@ def serialize_detections_by_dumps(log):
 
 def write_ground_truth_occupancy_by_dumps(stream, truth):
     """Per-frame truth records, one ``json.dumps(record, sort_keys=True)`` per frame."""
-    for fid, bits, vehicles in zip(truth.frame_ids, truth.occupancy, truth.vehicles):
+    for fid, bits, vehicles in zip(truth.frame_ids, truth.occupancy, vehicle_rows(truth)):
         record = {
             "frame": fid,
             "occupancy": {str(i): bool(b) for i, b in enumerate(bits)},
-            "vehicles": [dict(zip(VEHICLE_DTYPE.names, row)) for row in vehicles.tolist()],
+            "vehicles": [dict(zip(_VEHICLE_KEYS, row)) for row in vehicles],
         }
         stream.write(json.dumps(record, sort_keys=True))
         stream.write("\n")

@@ -301,6 +301,48 @@ def test_evaluate_prints_two_decimal_percentages(workdir, capsys):
     assert (doc["detection"]["tp"], doc["detection"]["fp"], doc["detection"]["fn"]) == (43, 1, 1)
 
 
+def test_evaluate_one_truth_slot_matches_within_half_its_smaller_side(workdir, capsys):
+    # One truth slot, 20 x 30 px: with no "tolerance" in the run config the match radius
+    # is 10 px. Prediction 0 lies 9.5 px from it; prediction 1, 11 px away, is a false positive.
+    slot = {"spread": 0.0, "members": 3, "w": 20.0, "h": 30.0}
+    (workdir / "truth.json").write_text(json.dumps({"slots": [{"id": 0, "cx": 100.0, "cy": 50.0, **slot}]}))
+    (workdir / "pred.json").write_text(json.dumps({"slots": [{"id": 0, "cx": 109.5, "cy": 50.0, **slot},
+                                                             {"id": 1, "cx": 100.0, "cy": 61.0, **slot}]}))
+    records = [("f1", 0, 0.9, "OCCUPIED"), ("f1", 1, 0.1, "VACANT"), ("f2", 0, 0.2, "VACANT"),
+               ("f3", 0, 0.95, "OCCUPIED")]
+    (workdir / "records.jsonl").write_text("".join(
+        json.dumps({"frame": f, "slot": i, "score": v, "status": st}) + "\n" for f, i, v, st in records))
+    (workdir / "occupancy.jsonl").write_text("".join(
+        json.dumps({"frame": f, "occupancy": {"0": bit}, "vehicles": []}) + "\n"
+        for f, bit in (("f1", True), ("f2", False), ("f3", False))))
+    rc = main(["evaluate", "--pred-slots", str(workdir / "pred.json"), "--truth-slots", str(workdir / "truth.json"),
+               "--records", str(workdir / "records.jsonl"), "--truth-occupancy", str(workdir / "occupancy.jsonl"),
+               "--out", str(workdir / "metrics.json")])
+    assert rc == 0
+    assert capsys.readouterr().out == "precision: 50.00\nrecall: 100.00\naccuracy: 66.67\nauc: 0.5000\n"
+    assert (workdir / "metrics.json").read_text() == """{
+  "classification": {
+    "accuracy": 0.6666666666666666,
+    "auc": 0.5,
+    "counts": {
+      "fn": 0,
+      "fp": 1,
+      "tn": 1,
+      "tp": 1
+    }
+  },
+  "detection": {
+    "fn": 0,
+    "fp": 1,
+    "precision": 0.5,
+    "recall": 1.0,
+    "tolerance": 10.0,
+    "tp": 1
+  }
+}
+"""
+
+
 def test_evaluate_single_class_auc_is_null_with_exit_0(workdir, capsys):
     sim = simulate(workdir)
     slots = _detect(workdir, sim)
@@ -705,6 +747,17 @@ SQUARE_HUGE_COORDINATE = [{"src": [10**400, 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]
                "bad homography matrix: matrix entry is too large for a float"),
               ("correspondence-beyond-float", {"homography": {"correspondences": SQUARE_HUGE_COORDINATE}},
                "bad correspondence entry: src coordinate is too large for a float"),
+          ]),
+        # No detection log exists: every subcommand checks its run config before it opens any input.
+        *(pytest.param({"run.json": doc}, argv + ["--config", "{d}/run.json"], f"invalid run config: {message}",
+                       id=f"run-config-{case}-{argv[0]}")
+          for argv in (CLASSIFY, EVALUATE, DETECT, RUN_PIPELINE)
+          for case, doc, message in [
+              ("n-bottom-zero", {"n_bottom": 0}, "n_bottom must be >= 1, got 0"),
+              ("eps-zero", {"eps": 0}, "eps must be finite and > 0, got 0.0"),
+              ("eps-negative", {"eps": -1}, "eps must be finite and > 0, got -1.0"),
+              ("eps-overflows-to-inf", b'{"eps": 1e400}', "eps must be finite and > 0, got inf"),
+              ("min-points-zero", {"min_points": 0}, "min_points must be >= 1, got 0"),
           ]),
         pytest.param({"run.json": {"tolerance": 0}}, EVALUATE_SLOTS + ["--config", "{d}/run.json"],
                      "tolerance must be finite and > 0, got 0", id="tolerance-config-key-zero"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pairwise_auc, roc_points_by_rescan
+from helpers import classification_counts_by_loop, pairwise_auc, roc_points_by_rescan
 from parkscan.geometry import Point2
 from parkscan.metrics import (
     ClassificationCounts,
@@ -137,6 +137,28 @@ def test_classification_counts_from_sequences():
         [True, True, False, False], [True, False, True, False]
     )
     assert (counts.tp, counts.fp, counts.fn, counts.tn) == (1, 1, 1, 1)
+
+
+_bits = st.one_of(st.booleans(), st.booleans().map(np.bool_), st.integers(0, 2))
+
+
+@given(pairs=st.lists(st.tuples(_bits, _bits), max_size=60), as_array=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_classification_counts_equal_the_loop(pairs, as_array):
+    preds, labels = (list(column) for column in zip(*pairs)) if pairs else ([], [])
+    if as_array:
+        preds, labels = np.array(preds, bool), np.array(labels, bool)
+    counts = classification_counts(preds, labels)
+    assert (counts.tp, counts.tn, counts.fp, counts.fn) == classification_counts_by_loop(preds, labels)
+    assert all(type(n) is int for n in (counts.tp, counts.tn, counts.fp, counts.fn))
+
+
+@pytest.mark.parametrize("preds, labels", [([True], []), ([], [False]), ([True, False], [True])])
+def test_classification_counts_reject_unequal_lengths(preds, labels):
+    with pytest.raises(ValueError):
+        classification_counts_by_loop(preds, labels)
+    with pytest.raises(ValueError):
+        classification_counts(preds, labels)
 
 
 # --- AUC ------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def test_oracle_scores_are_max_scalar_iou(areas, vehicles):
 # --- file-backed scores -------------------------------------------------------
 
 def test_file_scores_lookup_and_missing():
-    clf = FileScoreClassifier({("f1", 0): 0.9})
+    clf = FileScoreClassifier.from_stream(io.StringIO('{"frame": "f1", "slot": 0, "score": 0.9}\n'))
     assert clf.classify("f1", [make_slot(0)]) == [0.9]
     assert math.isnan(clf.classify("f2", [make_slot(0)])[0])
     records = classify_frame([make_slot(0)], "f2", clf)
@@ -205,8 +205,6 @@ def test_file_scores_lookup_and_missing():
 
 
 def test_file_scores_validate_range_at_load():
-    with pytest.raises(ValidationError):
-        FileScoreClassifier({("f1", 0): 1.5})
     with pytest.raises(ValidationError):
         FileScoreClassifier.from_stream(io.StringIO('{"frame": "f1", "slot": 0, "score": -0.2}\n'))
 
@@ -238,12 +236,12 @@ def test_file_scores_score_frames_match_a_lookup_per_slot(table, frame_ids, slot
     slots = [make_slot(i) for i in slot_ids]
     expected = np.array([[table.get((f, i), math.nan) for i in slot_ids] for f in frame_ids], float)
     text = "".join(json.dumps({"frame": f, "slot": i, "score": v}) + "\n" for (f, i), v in table.items())
-    for clf in (FileScoreClassifier(table), FileScoreClassifier.from_stream(io.StringIO(text))):
-        scores, failed = clf.score_frames(frame_ids, slots)
-        assert failed == {}
-        assert scores.reshape(len(frame_ids), len(slots)).tobytes() == expected.tobytes()
-        assert [repr(clf.classify(f, slots)) for f in frame_ids] == [repr(row) for row in expected.tolist()]
-        assert clf.frames() == sorted({f for f, _ in table})
+    clf = FileScoreClassifier.from_stream(io.StringIO(text))
+    scores, failed = clf.score_frames(frame_ids, slots)
+    assert failed == {}
+    assert scores.reshape(len(frame_ids), len(slots)).tobytes() == expected.tobytes()
+    assert [repr(clf.classify(f, slots)) for f in frame_ids] == [repr(row) for row in expected.tolist()]
+    assert clf.frames() == sorted({f for f, _ in table})
 
 
 # --- aggregation ------------------------------------------------------------
@@ -477,6 +475,11 @@ def test_oracle_from_truth_equals_the_mapping_oracle_bit_for_bit(frames, areas, 
         expected, expected_failed = GeometricOracleClassifier(truth.vehicles_by_frame()).score_frames(asked, slots)
     assert failed == expected_failed
     assert scores.tobytes() == expected.tobytes()
+
+
+def test_oracle_from_truth_holds_the_truth_box_column():
+    truth = ground_truth(["f1", "f2"], (), [[True], [False]], [[(10.0, 10.0, 5.0, 5.0, "parked")], []])
+    assert np.shares_memory(GeometricOracleClassifier.from_truth(truth)._boxes, truth.boxes)  # no copy
 
 
 def test_batch_oracle_splits_a_frame_across_blocks(monkeypatch):

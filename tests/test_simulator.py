@@ -17,6 +17,7 @@ from helpers import (
     project_box_scalar,
     scenario_by_substreams,
     seed_sequence_stream,
+    vehicle_rows,
     write_ground_truth_occupancy_by_dumps,
 )
 from parkscan import simulator
@@ -28,7 +29,6 @@ from parkscan.simulator import (
     STREAM_PASSING,
     STREAM_SLOT,
     STREAM_VIOLATION,
-    VEHICLE_DTYPE,
     GroundTruth,
     ScenarioConfig,
     ViolationSite,
@@ -137,7 +137,7 @@ def test_ground_truth_files_round_trip():
     registry = read_slot_registry(io.StringIO(slots_buf.getvalue()))
     occupancy = read_ground_truth_occupancy(io.StringIO(occ_buf.getvalue()))
     parsed = ground_truth(occupancy.frame_ids, [slot.area for slot in registry], occupancy.occupancy,
-                          occupancy.vehicles)
+                          vehicle_rows(occupancy))
     assert parsed == truth
     assert [slot.slot_id for slot in registry] == list(range(len(truth.slots)))
     assert [slot.members for slot in registry] == np.array(truth.occupancy).sum(axis=0).tolist()
@@ -186,7 +186,7 @@ def test_writers_stream_instead_of_building_the_file():
     cfg = small_config(rows=2, occupancy_prob=0.6, passing_rate=1.0, frame_count=2000)
     log, truth = generate_scenario(cfg)
     head_log, _ = generate_scenario(replace(cfg, frame_count=200))
-    head = ground_truth(truth.frame_ids[:200], truth.slots, truth.occupancy[:200], truth.vehicles[:200])
+    head = ground_truth(truth.frame_ids[:200], truth.slots, truth.occupancy[:200], vehicle_rows(truth)[:200])
     assert _peak_bytes(write_detections, log) < 2 * _peak_bytes(write_detections, head_log)
     assert (_peak_bytes(write_ground_truth_occupancy, truth)
             < 2 * _peak_bytes(write_ground_truth_occupancy, head))
@@ -200,8 +200,8 @@ def test_slot_streams_stable_when_grid_grows():
     _, truth_3 = generate_scenario(small_config(cols=3, **kw))
     for bits2, bits3 in zip(truth_2.occupancy, truth_3.occupancy):
         assert bits2 == bits3[:2]
-    for v2, v3 in zip(truth_2.vehicles, truth_3.vehicles):
-        assert v2.tolist() == v3.tolist()[: len(v2)]
+    for v2, v3 in zip(vehicle_rows(truth_2), vehicle_rows(truth_3)):
+        assert v2 == v3[: len(v2)]
 
 
 def test_frames_stable_when_frame_count_grows(monkeypatch):
@@ -228,7 +228,7 @@ def test_passing_vehicles_sit_on_the_lane():
     cfg = small_config(occupancy_prob=0.0, passing_rate=2.0, frame_count=20)
     _, truth = generate_scenario(cfg)
     lane_y = (cfg.rows + 1.5) * cfg.slot_pitch  # one pitch below the last slot row
-    passing = np.concatenate([v["cy"][v["kind"] == "passing"] for v in truth.vehicles])
+    passing = truth.boxes[truth.kinds == "passing", 1]
     assert passing.size, "expected at least one passing vehicle at rate 2.0"
     assert (passing == lane_y).all()
 
@@ -296,8 +296,7 @@ def test_block_names_the_first_frame_fault_as_frame_by_frame_projection_did():
     # width is negative on the ground.  Frame 0 holds the first fault.
     ground = [(0.0, 0.0, 5e-324, 1.0), (0.0, 0.0, -1.0, 1.0)]
     with pytest.raises(ValidationError, match=r"width must be > 0, got 0\.0"):
-        _block_arrays(camera_homography("identity"), np.array(ground), np.array(["parked"] * 2, object),
-                      np.zeros(2, bool), np.zeros(2), [1, 2])
+        _block_arrays(camera_homography("identity"), np.array(ground), np.zeros(2, bool), np.zeros(2), [1, 2])
 
 
 _WORD = st.integers(0, 2**32 - 1)
@@ -495,27 +494,31 @@ def test_ground_truth_lookup_helpers():
     occ = truth.occupancy_by_frame()
     assert set(by_frame) == set(truth.frame_ids) == set(occ)
     assert isinstance(truth, GroundTruth)
-    for fid, vehicles in zip(truth.frame_ids, truth.vehicles):
-        assert vehicles.dtype == VEHICLE_DTYPE and not vehicles.flags.writeable
-        assert by_frame[fid].shape == (len(vehicles), 4)
-        assert by_frame[fid].tolist() == [list(row[:4]) for row in vehicles.tolist()]
+    assert not truth.boxes.flags.writeable and not truth.kinds.flags.writeable
+    for fid, vehicles, rows in zip(truth.frame_ids, truth.vehicles, vehicle_rows(truth)):
+        assert vehicles.base is truth.boxes and by_frame[fid].base is truth.boxes  # views, not copies
+        assert by_frame[fid].shape == (len(rows), 4)
+        assert by_frame[fid].tolist() == [row[:4] for row in rows]
 
 
 def test_ground_truth_equality_compares_vehicle_values():
     _, truth = generate_scenario(small_config(occupancy_prob=0.5, frame_count=4, passing_rate=1.0))
-    copy = ground_truth(truth.frame_ids, truth.slots, truth.occupancy, [v.copy() for v in truth.vehicles])
+    copy = ground_truth(truth.frame_ids, truth.slots, truth.occupancy, vehicle_rows(truth))
     assert copy == truth
-    moved = [v.copy() for v in truth.vehicles]
+    moved = vehicle_rows(truth)
     frame = next(i for i, v in enumerate(moved) if len(v))
-    moved[frame]["cx"][0] += 1.0
+    moved[frame][0][0] += 1.0
     assert ground_truth(truth.frame_ids, truth.slots, truth.occupancy, moved) != truth
+    renamed = vehicle_rows(truth)
+    renamed[frame][0][4] = "violation" if renamed[frame][0][4] != "violation" else "parked"
+    assert ground_truth(truth.frame_ids, truth.slots, truth.occupancy, renamed) != truth
     # The same rows, with the frame's last vehicle moved into the next frame.
-    v = truth.vehicles
-    regrouped = [*v[:frame], v[frame][:-1], np.concatenate((v[frame][-1:], v[frame + 1])), *v[frame + 2:]]
+    v = vehicle_rows(truth)
+    regrouped = [*v[:frame], v[frame][:-1], v[frame][-1:] + v[frame + 1], *v[frame + 2:]]
     assert ground_truth(truth.frame_ids, truth.slots, truth.occupancy, regrouped) != truth
     emptied = [*v[:frame], v[frame][:0], *v[frame + 1:]]  # the frame's vehicles dropped
     assert ground_truth(truth.frame_ids, truth.slots, truth.occupancy, emptied) != truth
-    assert ground_truth(truth.frame_ids[:-1], truth.slots, truth.occupancy[:-1], truth.vehicles[:-1]) != truth
+    assert ground_truth(truth.frame_ids[:-1], truth.slots, truth.occupancy[:-1], v[:-1]) != truth
     assert truth != "not ground truth"
 
 
