@@ -9,7 +9,12 @@ stdout carries machine-readable results; logs go to stderr.
 import argparse
 import json
 import logging
+import os
+import pickle
+import signal
 import sys
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 from .config import config_echo, load_run_config
@@ -98,6 +103,65 @@ def _read_registry(path):
 def _read_truth(path):
     with open(path, encoding="utf-8") as fh:
         return read_ground_truth_occupancy(fh)
+
+
+@contextmanager
+def _read_ahead(read, path):
+    """Start ``read(path)`` in a forked child; yield a function that returns its value, or
+    raises its exception, as calling ``read(path)`` at that point would.
+
+    The child sends ``(ok, value or exception)`` as one pickle over a pipe and ends in
+    ``os._exit``. Leaving the block reaps the child, killing it first if its result was never
+    asked for. A child that ends without a whole result leaves the read to the caller. Without
+    ``os.fork``, with fewer than two CPUs to run on, with other threads in the process (which a
+    forked child could find holding a lock), or when the fork fails, ``read`` runs in-line when
+    asked for.
+    """
+    pid = None
+    affinity = getattr(os, "sched_getaffinity", None)
+    if hasattr(os, "fork") and affinity and len(affinity(0)) >= 2 and threading.active_count() == 1:
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # out of processes or memory
+            os.close(r)
+            os.close(w)
+    if pid is None:
+        yield lambda: read(path)
+        return
+    if pid == 0:  # the child: never returns into the caller's frames
+        status = 1
+        try:
+            os.close(r)
+            try:
+                outcome = True, read(path)
+            except Exception as exc:
+                outcome = False, exc
+            with os.fdopen(w, "wb") as fh:
+                pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    pipe = os.fdopen(r, "rb")
+
+    def result():
+        try:
+            with pipe:
+                ok, value = pickle.load(pipe)  # bytes our own child wrote
+        except (EOFError, pickle.UnpicklingError):  # the child died without a result
+            return read(path)
+        if ok:
+            return value
+        raise value
+
+    try:
+        yield result
+    finally:
+        if not pipe.closed:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+        os.waitpid(pid, 0)
 
 
 def _classifier(mode, source, truth, cfg):
@@ -258,9 +322,10 @@ def cmd_evaluate(args) -> int:
     truth = _read_registry(args.truth_slots)
     table = gt = None
     if args.records is not None:
-        with open(args.records, encoding="utf-8") as fh:
-            table = read_records(fh)
-        gt = _read_truth(args.truth_occupancy)
+        with _read_ahead(_read_truth, args.truth_occupancy) as read_truth:
+            with open(args.records, encoding="utf-8") as fh:
+                table = read_records(fh)
+            gt = read_truth()
     evaluate_stage(pred, truth, table, gt, cfg, args.out, args.emit_plot_data)
     return 0
 
@@ -273,12 +338,14 @@ def cmd_run_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Only the slots outlive the detect stage: the detection log and the clustering
-    # intermediates are freed before classification starts.
-    slots = detect_stage(
-        _read_detections(args.detections, cfg), cfg, out_dir / "slots.json", args.emit_plot_data
-    ).slots
-    gt = _read_truth(args.truth_occupancy)
+    # The truth occupancy is read meanwhile, in a child when it can be. Only the slots
+    # outlive the detect stage: the detection log and the clustering intermediates are
+    # freed before classification starts.
+    with _read_ahead(_read_truth, args.truth_occupancy) as read_truth:
+        slots = detect_stage(
+            _read_detections(args.detections, cfg), cfg, out_dir / "slots.json", args.emit_plot_data
+        ).slots
+        gt = read_truth()
     source = args.truth_occupancy if args.mode == "oracle" else args.scores
     classifier = _classifier(args.mode, source, gt, cfg)
     table = classify_stage(

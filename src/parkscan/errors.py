@@ -16,6 +16,9 @@ class ValidationError(ValueError):
         super().__init__(message)
         self.field = field
 
+    def __reduce__(self):  # pickle would call __init__ with the message alone
+        return type(self), (self.field, str(self))
+
 
 class ConfigError(ValueError):
     """A configuration document is missing, malformed, or inconsistent."""

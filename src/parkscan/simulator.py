@@ -178,6 +178,9 @@ class GroundTruth:
         for column in (self.bits, self.bit_offsets, self.vehicle_offsets, self.boxes, self.kinds):
             column.setflags(write=False)
 
+    def __reduce__(self):  # through __init__, so an unpickled copy's columns are read-only too
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     def frames(self) -> Iterator[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
         """Each frame's id, occupancy bits, and rows of ``boxes`` and ``kinds``."""
         bit_bounds, vehicle_bounds = pairwise(self.bit_offsets), pairwise(self.vehicle_offsets)

@@ -1,16 +1,22 @@
 import builtins
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import parkscan
+from parkscan import cli
 from parkscan.cli import main
+from test_golden import GOLDEN
+from test_golden import _run_pipeline as _run_golden_pipeline
 
 SCENARIO = {
     "rows": 2,
@@ -473,15 +479,39 @@ def test_run_pipeline_matches_manual_steps(workdir, capsys, mode, plot):
         assert metrics["classification"]["accuracy"] == 1.0
 
 
+def on_cpus(monkeypatch, count):
+    """Show the CLI ``count`` CPUs, so the truth read forks (two) or runs in-line (one);
+    return the list of the pids its forks make."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    forks = []
+    real_fork = getattr(os, "fork", None)
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork, raising=False)
+    return forks
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_run_pipeline_reads_each_input_once(workdir, monkeypatch):
     sim = simulate(workdir)
     pipe_dir = workdir / "pipe"
-    reads = []
+    forks = on_cpus(monkeypatch, 2)
     real_open = builtins.open
+    opens_log = workdir / "opens.log"  # appended to by every process, the truth-reading child too
 
     def spy_open(file, mode="r", *args, **kwargs):
         if isinstance(file, (str, os.PathLike)) and "r" in mode:
-            reads.append(Path(file).resolve())
+            with real_open(opens_log, "a", encoding="utf-8") as log:
+                log.write(f"{Path(file).resolve()}\n")
         return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", spy_open)
@@ -498,10 +528,143 @@ def test_run_pipeline_reads_each_input_once(workdir, monkeypatch):
     ) == 0
     monkeypatch.undo()
 
+    assert len(forks) == hasattr(os, "fork")
+    reads = [Path(line) for line in opens_log.read_text(encoding="utf-8").splitlines()]
     assert reads.count((sim / "occupancy_truth.jsonl").resolve()) == 1
     assert reads.count((sim / "detections.jsonl").resolve()) == 1
     assert (pipe_dir / "slots.json").resolve() not in reads
     assert (pipe_dir / "occupancy.jsonl").resolve() not in reads
+
+
+def _run_pipeline_argv(sim, out):
+    return ["run-pipeline", "--detections", str(sim / "detections.jsonl"),
+            "--config", str(sim.parent / "run.json"), "--truth-slots", str(sim / "slots_truth.json"),
+            "--truth-occupancy", str(sim / "occupancy_truth.jsonl"), "--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-line", "forked"])
+def test_run_pipeline_bad_truth_line_exits_2_after_slots_json(workdir, capsys, monkeypatch, cpus):
+    sim = simulate(workdir)
+    truth = sim / "occupancy_truth.jsonl"
+    first = truth.read_text(encoding="utf-8").splitlines()[0]
+    truth.write_text(first + '\n{"frame": "f2"\n', encoding="utf-8")
+    forks = on_cpus(monkeypatch, cpus)
+    out = workdir / "pipe"
+
+    assert main(_run_pipeline_argv(sim, out)) == 2
+
+    assert len(forks) == (cpus == 2 and hasattr(os, "fork"))
+    assert_no_child_process()
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["slots"] == 6  # the detect stage ran and printed first
+    assert captured.err.splitlines() == ["error: line 2: invalid JSON (Expecting ',' delimiter)"]
+    assert sorted(p.name for p in out.iterdir()) == ["slots.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_truth_reads_leave_no_child_process(workdir, capsys, monkeypatch):
+    sim = simulate(workdir)
+    forks = on_cpus(monkeypatch, 2)
+    assert main(_run_pipeline_argv(sim, workdir / "pipe")) == 0
+    assert_no_child_process()
+    assert main(["evaluate", "--pred-slots", str(workdir / "pipe" / "slots.json"),
+                 "--truth-slots", str(sim / "slots_truth.json"),
+                 "--records", str(workdir / "pipe" / "occupancy.jsonl"),
+                 "--truth-occupancy", str(sim / "occupancy_truth.jsonl"),
+                 "--out", str(workdir / "metrics.json")]) == 0
+    assert_no_child_process()
+    assert len(forks) == 2
+    assert (workdir / "metrics.json").read_bytes() == (workdir / "pipe" / "metrics.json").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_bad_detection_log_kills_the_truth_reading_child(workdir, capsys, monkeypatch):
+    sim = simulate(workdir)
+    (sim / "detections.jsonl").write_text("{not json\n", encoding="utf-8")
+    forks = on_cpus(monkeypatch, 2)
+    started = workdir / "child-started"
+    real_read_detections = cli._read_detections
+
+    def slow_truth_read(path):  # in the child: say so, then read for longer than any test runs
+        started.write_text(str(os.getpid()))
+        time.sleep(120)
+
+    def read_detections_once_the_child_reads(path, cfg):
+        deadline = time.monotonic() + 30
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return real_read_detections(path, cfg)
+
+    monkeypatch.setattr(cli, "_read_truth", slow_truth_read)
+    monkeypatch.setattr(cli, "_read_detections", read_detections_once_the_child_reads)
+    t0 = time.monotonic()
+    assert main(_run_pipeline_argv(sim, workdir / "pipe")) == 2
+    assert time.monotonic() - t0 < 60  # the child was killed, not waited for
+
+    assert started.read_text() == str(forks[0])
+    assert_no_child_process()
+    assert capsys.readouterr().err.startswith("error: line 1: invalid JSON")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_child_that_dies_without_a_result_leaves_the_read_to_the_parent(workdir, capsys, monkeypatch):
+    sim = simulate(workdir)
+    assert main(_run_pipeline_argv(sim, workdir / "expected")) == 0
+    forks = on_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    real_read_truth = cli._read_truth
+
+    def read_truth_or_die(path):
+        if os.getpid() != parent:
+            os._exit(9)
+        return real_read_truth(path)
+
+    monkeypatch.setattr(cli, "_read_truth", read_truth_or_die)
+    assert main(_run_pipeline_argv(sim, workdir / "pipe")) == 0
+
+    assert len(forks) == 1
+    assert_no_child_process()
+    for name in ("slots.json", "occupancy.jsonl", "report.json", "metrics.json"):
+        assert (workdir / "pipe" / name).read_bytes() == (workdir / "expected" / name).read_bytes(), name
+
+
+def _fork_fails():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("cpus, fork, thread", [(1, None, False), (2, _fork_fails, False), (2, None, True)],
+                         ids=["one-cpu", "fork-fails", "other-thread"])
+def test_truth_read_runs_in_line_when_it_cannot_fork(workdir, capsys, monkeypatch, cpus, fork, thread):
+    sim = simulate(workdir)
+    on_cpus(monkeypatch, 2)
+    assert main(_run_pipeline_argv(sim, workdir / "forked")) == 0
+    forks = on_cpus(monkeypatch, cpus)
+    if fork:
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait, args=(30,))
+    if thread:
+        other.start()
+    try:
+        assert main(_run_pipeline_argv(sim, workdir / "in-line")) == 0
+    finally:
+        done.set()
+    if thread:
+        other.join(30)
+        assert not other.is_alive()
+
+    assert forks == []
+    assert_no_child_process()
+    for name in ("slots.json", "occupancy.jsonl", "report.json", "metrics.json"):
+        assert (workdir / "in-line" / name).read_bytes() == (workdir / "forked" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_one_cpu_run_pipeline_writes_the_golden_bytes(tmp_path, capsys, monkeypatch, case):
+    forks = on_cpus(monkeypatch, 1)
+    _, out = _run_golden_pipeline(tmp_path, case)
+    assert forks == []
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())} == GOLDEN[case]
 
 
 GOOD_REGISTRY = {
@@ -615,6 +778,21 @@ SQUARE_HUGE_COORDINATE = [{"src": [10**400, 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]
                      "File exists", id="out-dir-is-a-file"),
         pytest.param({"truth.jsonl": {**ONE_BIT_TRUTH, "occupancy": {"0": "false"}}}, CLASSIFY,
                      "line 1: bad record (occupancy bits must be true or false)", id="truth-bit-not-boolean"),
+        # evaluate reads the truth while it reads the records: in a forked child when it can.
+        *(pytest.param({"records.jsonl": SLOT0_RECORD, "truth.jsonl": truth}, EVALUATE, message,
+                       id=f"evaluate-truth-{case}")
+          for case, truth, message in [
+              ("repeated-frame", [ONE_BIT_TRUTH, {**ONE_BIT_TRUTH, "vehicles": [PARKED_AT_SLOT0]}],
+               "line 2: frame 'f1' repeats line 1"),
+              ("bit-not-boolean", {**ONE_BIT_TRUTH, "occupancy": {"0": "false"}},
+               "line 1: bad record (occupancy bits must be true or false)"),
+              ("vehicle-cx-is-string", {**ONE_BIT_TRUTH, "vehicles": [{**PARKED_AT_SLOT0, "cx": "1.5"}]},
+               "line 1: bad record (cx must be a number, got '1.5')"),
+              ("vehicle-integer-beyond-float", {**ONE_BIT_TRUTH, "vehicles": [{**PARKED_AT_SLOT0, "cx": 10**400}]},
+               "line 1: bad record (cx is too large for a float)"),
+              ("invalid-json", json.dumps(ONE_BIT_TRUTH).encode() + b'\n{"frame": "f2"\n',
+               "line 2: invalid JSON (Expecting ',' delimiter)"),
+          ]),
         pytest.param({"scores.jsonl": {**F1_SLOT0_SCORE, "slot": 0.7}}, CLASSIFY_SCORES,
                      "line 1: bad record (slot must be an integer, got 0.7)", id="score-slot-not-integer"),
         pytest.param({"scores.jsonl": {**F1_SLOT0_SCORE, "score": True}}, CLASSIFY_SCORES,

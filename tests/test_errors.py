@@ -1,5 +1,6 @@
 import io
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from helpers import json_lines_by_loads
 from parkscan.detections import parse_detections
-from parkscan.errors import ValidationError, json_lines
-from parkscan.occupancy import FileScoreClassifier, read_records
+from parkscan.errors import ConfigError, ValidationError, json_lines
+from parkscan.geometry import SingularProjectionError
+from parkscan.occupancy import FileScoreClassifier, MissingGroundTruthError, read_records
 from parkscan.simulator import read_ground_truth_occupancy
+from parkscan.slots import EmptyInputError
 
 # field -> (reader, one valid record)
 READERS = {
@@ -40,6 +43,25 @@ def test_every_line_reader_shares_the_line_rules(field, bad_line, message):
         reader(io.StringIO(f"{good}\n\n{bad_line}\n"))  # ... but counted
     assert exc.value.field == field
     assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("exc", [
+    ConfigError("invalid run config: eps must be finite and > 0, got 0.0"),
+    ValidationError("occupancy", "line 2: frame 'f1' repeats line 1"),
+    SingularProjectionError("point (100.0, 0.0) projects to infinity"),
+    FileNotFoundError(2, "No such file or directory", "truth.jsonl"),
+    IsADirectoryError(21, "Is a directory", "truth.jsonl"),
+    UnicodeDecodeError("utf-8", b"f\xff", 1, 2, "invalid start byte"),
+    json.JSONDecodeError("Expecting value", "{x", 1),
+    EmptyInputError("score table scores.jsonl is empty"),
+    MissingGroundTruthError("no ground-truth frames in truth.jsonl"),
+], ids=lambda exc: type(exc).__name__)
+def test_errors_main_maps_to_an_exit_code_survive_pickling(exc):
+    # A forked truth read sends its exception to the parent as a pickle.
+    copy = pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+    assert type(copy) is type(exc)
+    assert str(copy) == str(exc)
+    assert getattr(copy, "field", None) == getattr(exc, "field", None)
 
 
 @pytest.mark.parametrize("field", sorted(READERS))

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -499,6 +500,15 @@ def test_ground_truth_lookup_helpers():
         assert vehicles.base is truth.boxes and by_frame[fid].base is truth.boxes  # views, not copies
         assert by_frame[fid].shape == (len(rows), 4)
         assert by_frame[fid].tolist() == [row[:4] for row in rows]
+
+
+def test_ground_truth_pickles_with_read_only_columns():
+    # The forked truth read hands its GroundTruth to the parent as a pickle.
+    _, truth = generate_scenario(small_config(occupancy_prob=0.5, frame_count=4, passing_rate=1.0))
+    copy = pickle.loads(pickle.dumps(truth, pickle.HIGHEST_PROTOCOL))
+    assert copy == truth and copy.frame_ids == truth.frame_ids and copy.slots == truth.slots
+    for column in (copy.bits, copy.bit_offsets, copy.vehicle_offsets, copy.boxes, copy.kinds):
+        assert not column.flags.writeable
 
 
 def test_ground_truth_equality_compares_vehicle_values():
