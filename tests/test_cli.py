@@ -492,7 +492,8 @@ def on_cpus(monkeypatch, count):
             forks.append(pid)
         return pid
 
-    monkeypatch.setattr(os, "fork", counted_fork, raising=False)
+    if real_fork:
+        monkeypatch.setattr(os, "fork", counted_fork)
     return forks
 
 
@@ -559,6 +560,20 @@ def test_run_pipeline_bad_truth_line_exits_2_after_slots_json(workdir, capsys, m
     assert json.loads(captured.out)["slots"] == 6  # the detect stage ran and printed first
     assert captured.err.splitlines() == ["error: line 2: invalid JSON (Expecting ',' delimiter)"]
     assert sorted(p.name for p in out.iterdir()) == ["slots.json"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-line", "forked"])
+def test_run_pipeline_reports_a_detection_error_before_a_truth_error(workdir, capsys, monkeypatch, cpus):
+    sim = simulate(workdir)
+    (sim / "detections.jsonl").write_text(json.dumps(NAN_DETECTION) + "\n", encoding="utf-8")
+    (sim / "occupancy_truth.jsonl").write_text("{not json\n", encoding="utf-8")
+    on_cpus(monkeypatch, cpus)
+
+    assert main(_run_pipeline_argv(sim, workdir / "pipe")) == 2
+
+    assert_no_child_process()
+    assert capsys.readouterr().err.splitlines() == ["error: line 1: x coordinate must be finite, got nan"]
+    assert list((workdir / "pipe").iterdir()) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -793,6 +808,8 @@ SQUARE_HUGE_COORDINATE = [{"src": [10**400, 0], "dst": [0, 0]}, *UNIT_SQUARE[1:]
               ("invalid-json", json.dumps(ONE_BIT_TRUTH).encode() + b'\n{"frame": "f2"\n',
                "line 2: invalid JSON (Expecting ',' delimiter)"),
           ]),
+        pytest.param({"records.jsonl": {**SLOT0_RECORD, "score": 7.5}, "truth.jsonl": b"{not json\n"}, EVALUATE,
+                     "line 1: bad record (score must be in [0, 1], got 7.5)", id="evaluate-records-error-before-truth-error"),
         pytest.param({"scores.jsonl": {**F1_SLOT0_SCORE, "slot": 0.7}}, CLASSIFY_SCORES,
                      "line 1: bad record (slot must be an integer, got 0.7)", id="score-slot-not-integer"),
         pytest.param({"scores.jsonl": {**F1_SLOT0_SCORE, "score": True}}, CLASSIFY_SCORES,
